@@ -124,7 +124,6 @@ impl Config {
                 "dolos-secmem",
                 "dolos-nvm",
                 "dolos-sim",
-                "dolos-chaos",
                 "dolos-whisper",
                 "dolos-verify",
                 "dolos-trace",
@@ -138,11 +137,6 @@ impl Config {
                 // path, so no budgeted sites are tolerated.
                 "dolos-sim/src/queue.rs",
                 "dolos-crypto/src/padcache.rs",
-                "dolos-whisper/src/oracle.rs",
-                "dolos-chaos/src/driver.rs",
-                "dolos-chaos/src/campaign.rs",
-                "dolos-chaos/src/schedule.rs",
-                "dolos-chaos/src/shrink.rs",
                 "dolos-verify/src/engine.rs",
                 "dolos-verify/src/campaign.rs",
                 "dolos-verify/src/scenario.rs",

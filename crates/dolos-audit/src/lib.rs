@@ -1,7 +1,7 @@
 //! `dolos-audit`: a dependency-free static analyzer for the Dolos workspace.
 //!
 //! The simulator's headline guarantee is that every result — benchmark
-//! cycle counts, chaos campaign verdicts, recovery replays — is a pure
+//! cycle counts, conformance campaign verdicts, recovery replays — is a pure
 //! function of its inputs, and the paper's security/performance arguments
 //! are *structural*: key material stays inside the crypto engines, the
 //! persist critical path allocates nothing, and every NVM write flows

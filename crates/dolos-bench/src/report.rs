@@ -1,7 +1,7 @@
 //! Plain-text table rendering (re-export).
 //!
 //! The implementation moved to [`dolos_sim::table`] so that report-producing
-//! crates (chaos campaigns, the verify conformance matrix) can render tables
+//! crates (the verify conformance matrix) can render tables
 //! without pulling in the wall-clock-exempt bench harness. This module keeps
 //! the original `dolos_bench::report` paths working.
 

@@ -147,6 +147,13 @@ impl ControllerKind {
     }
 }
 
+impl From<ControllerKind> for ControllerConfig {
+    /// The default (Table 1) configuration of `kind`.
+    fn from(kind: ControllerKind) -> Self {
+        Self::with_kind(kind)
+    }
+}
+
 /// Full configuration of a [`crate::SecureMemorySystem`].
 ///
 /// # Examples

@@ -93,7 +93,7 @@ pub struct SecureMemorySystem {
     persist_latency: Running,
     persist_histogram: Histogram,
     read_wpq_hits: u64,
-    /// Armed fault-injection plan (chaos testing); `None` in normal runs.
+    /// Armed fault-injection plan (crash testing); `None` in normal runs.
     fault: Option<FaultPlan>,
     /// A fault fired inside the background drain engine; the next fallible
     /// operation converts it into a crash.
@@ -764,6 +764,10 @@ impl SecureMemorySystem {
             queue.clear();
         }
         self.nvm.power_cycle();
+        // A drain-engine power failure still pending (it fired in a read or
+        // in this call's own advance) is this crash: it must not resurface
+        // as a second crash after recovery.
+        self.pending_power_failure = None;
         self.crashed = true;
     }
 
@@ -1603,6 +1607,29 @@ mod tests {
             assert_eq!(data, line(i as u8 + 1), "line {i}");
         }
         sys.audit().expect("clean audit after mid-drain crash");
+    }
+
+    #[test]
+    fn drain_fault_pending_at_a_plain_crash_does_not_resurface() {
+        // The drain fault fires inside a read's drain step, where no
+        // fallible call can surface it; a plain crash must subsume it.
+        let mut sys = SecureMemorySystem::new(ControllerConfig::dolos(MiSuKind::Partial));
+        let mut t = Cycle::ZERO;
+        // More writes than the drain pipeline holds, so the read's drain
+        // step still has entries to start.
+        for i in 0..12u64 {
+            t = sys.persist_write(t, i * 64, &line(i as u8 + 1));
+        }
+        sys.arm_fault(FaultPlan::new(InjectionPoint::MasuDrain, 0));
+        let (t, _) = sys.read(t + 100_000, 0);
+        assert!(sys.disarm_fault().is_some_and(|p| p.fired()));
+        sys.crash(t);
+        sys.recover().expect("clean recovery");
+        let done = sys
+            .try_persist_write(Cycle::ZERO, 64, &line(9))
+            .expect("the subsumed drain fault must not crash the next persist");
+        sys.quiesce(done);
+        sys.audit().expect("clean audit");
     }
 
     #[test]

@@ -46,8 +46,8 @@ pub enum SecurityError {
     NotCrashed,
     /// An armed [`FaultPlan`](crate::inject::FaultPlan) fired: power failed
     /// at the named injection point and the system is now crashed. Not an
-    /// attack — the signal the chaos harness uses to know its scheduled
-    /// fault actually landed.
+    /// attack — the signal the fault-injection harness uses to know its
+    /// scheduled fault actually landed.
     PowerInterrupted {
         /// The injection point at which power was cut.
         point: InjectionPoint,

@@ -1,6 +1,6 @@
 //! Deterministic fault-injection hooks for crash-consistency testing.
 //!
-//! The chaos harness (crate `dolos-chaos`) needs to cut power at *specific
+//! The falsifier (crate `dolos-verify`) needs to cut power at *specific
 //! microarchitectural instants* — between a Mi-SU `protect` and the WPQ
 //! insertion, mid-Ma-SU drain, or in the middle of recovery itself — and to
 //! do so reproducibly from a seed. These hooks give the controller that

@@ -117,7 +117,7 @@ pub struct Aes128 {
 
 /// Key material must never leak through diagnostics: simulator state
 /// (including `Aes128` values inside the Mi-SU/Ma-SU) is routinely
-/// `Debug`-formatted into panic messages and chaos/verify JSON reports, so
+/// `Debug`-formatted into panic messages and verify JSON reports, so
 /// the schedule bytes are redacted rather than derived.
 impl fmt::Debug for Aes128 {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
@@ -516,7 +516,7 @@ mod tests {
     fn debug_output_redacts_the_key_schedule() {
         // The schedule of an all-zero key starts 00…00 then 62 63 63 63;
         // none of those byte spellings may surface in Debug output (panic
-        // messages and chaos/verify JSON format simulator state with {:?}).
+        // messages and verify JSON format simulator state with {:?}).
         let key = Aes128::new(&[0u8; 16]);
         let printed = format!("{key:?}");
         assert!(printed.contains("redacted"), "got: {printed}");

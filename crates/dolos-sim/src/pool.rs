@@ -1,6 +1,6 @@
 //! Deterministic work-stealing pool for embarrassingly parallel sweeps.
 //!
-//! Every paper figure and chaos campaign is a sweep of independent
+//! Every paper figure and conformance campaign is a sweep of independent
 //! (design × workload × schedule) simulation cells. This module runs such a
 //! sweep across scoped threads while keeping the one property the harness
 //! guarantees everywhere else: **the result is a pure function of the

@@ -1,7 +1,7 @@
 //! Plain-text table rendering for experiment and campaign output.
 //!
 //! Lives in the simulation kernel (rather than the bench harness) so that
-//! every reporting consumer — bench sweeps, chaos campaigns, the verify
+//! every reporting consumer — bench sweeps, the verify
 //! conformance matrix — can render tables without depending on the
 //! wall-clock-exempt bench crate. `dolos_bench::report` re-exports this
 //! module for backward compatibility.

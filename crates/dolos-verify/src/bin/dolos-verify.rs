@@ -7,18 +7,19 @@
 //!                       [--json PATH] [--quiet]
 //! dolos-verify replay <scenario> [--scheme NAME]
 //!
-//! `campaign` sweeps seeded scenarios across all five schemes and checks
+//! `campaign` sweeps seeded scenarios across all six designs and checks
 //! the metamorphic invariants; the report (including the JSON) is
 //! byte-for-byte identical at any `--jobs` value. `replay` re-runs one
 //! rendered scenario (as printed in failure reports), either across all
 //! schemes or on a single named scheme.
 //! ```
 //!
-//! Exit status is 0 when every obligation held, 1 otherwise.
+//! Exit status is 0 when every obligation held, 1 otherwise, and 2 for a
+//! malformed command line, scenario, or bank/keyspace geometry.
 
 use std::process::ExitCode;
 
-use dolos_verify::{run_scenario, run_verify, Scenario, VerifyConfig};
+use dolos_verify::{check_geometry, run_scenario, run_verify, Scenario, VerifyConfig};
 
 fn usage() -> ! {
     eprintln!(
@@ -55,6 +56,10 @@ fn campaign(args: &[String]) -> ExitCode {
             _ => usage(),
         }
         i += 1;
+    }
+    if let Err(e) = check_geometry(config.keyspace, config.banks) {
+        eprintln!("dolos-verify: {e}");
+        return ExitCode::from(2);
     }
 
     let report = run_verify(&config);

@@ -2,7 +2,7 @@
 //! invariants, rendered as a matrix and a JSON report.
 //!
 //! A campaign runs `traces` generated scenarios — each one replayed on all
-//! five schemes against the shared oracle — and, independently of any
+//! six designs against the shared oracle — and, independently of any
 //! scenario, probes the metamorphic invariants the paper's design space
 //! implies:
 //!
@@ -16,28 +16,27 @@
 //!   semantics; this is the differential sweep itself (every secure scheme
 //!   is held to the same plaintext oracle as the non-secure reference).
 //!
-//! Determinism mirrors the chaos campaign: scenario seeds are pre-derived,
-//! cells are claimed from [`dolos_sim::pool`]'s shared index queue into
-//! index-addressed result slots, and the merge is canonical — the report
+//! Determinism: scenario seeds are pre-derived, cells are claimed from
+//! [`dolos_sim::pool`]'s shared index queue into index-addressed result
+//! slots, and the merge is canonical — the report
 //! (and its JSON) is byte-identical at any `--jobs` value, whichever worker
 //! steals which cell. The first failing scenario is shrunk in its worker to
 //! a minimal replayable reproducer.
 
-use dolos_chaos::shrink_with;
 use dolos_core::{ControllerConfig, ControllerKind, SecureMemorySystem};
 use dolos_sim::rng::XorShift;
 use dolos_sim::table::Table;
 use dolos_sim::Cycle;
 
 use crate::engine::{run_scenario, verify_schemes, ScenarioVerdict};
-use crate::scenario::{Scenario, ScenarioConfig};
+use crate::scenario::{shrink_with, Scenario, ScenarioConfig};
 
 /// Campaign geometry.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct VerifyConfig {
     /// Master seed; every scenario seed derives from it.
     pub seed: u64,
-    /// Scenarios to sweep (each runs all five schemes).
+    /// Scenarios to sweep (each runs all six designs).
     pub traces: usize,
     /// Crash rounds per scenario.
     pub rounds: usize,
@@ -557,7 +556,7 @@ mod tests {
     fn small_campaign_passes_everywhere() {
         let report = run_verify(&small());
         assert!(report.all_pass(), "{:?}", report);
-        assert_eq!(report.schemes.len(), 5);
+        assert_eq!(report.schemes.len(), 6);
         for s in &report.schemes {
             assert_eq!(s.scenarios_failed, 0, "{}: {:?}", s.scheme, s.first_failure);
             assert!(s.commits > 0);
@@ -602,6 +601,7 @@ mod tests {
         assert_eq!(get("dolos-partial").capacity, 13);
         assert_eq!(get("dolos-post").capacity, 10);
         assert_eq!(get("ideal").capacity, 16);
+        assert_eq!(get("deferred").capacity, 16);
         // The eager baseline's queue never backs up in a burst (security
         // serializes before the WPQ); the probe only bounds it from below.
         assert!(get("pre-wpq-secure").capacity >= 16);

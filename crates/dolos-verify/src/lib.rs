@@ -1,17 +1,19 @@
 //! dolos-verify: differential and metamorphic conformance across the
 //! Dolos Mi-SU variants and baselines.
 //!
-//! Where `dolos-chaos` asks "does each design keep its promises under
-//! adversarial crashes?", this crate asks the stronger cross-cutting
-//! question: **do all the designs mean the same thing?** One seeded,
-//! shrinkable operation trace is run through every configured scheme —
-//! the three Dolos Mi-SU options, the eager-BMT `pre-wpq-secure`
-//! baseline, and the insecure `ideal` reference — side by side, and the
+//! The repo's one falsifier. It asks whether each design keeps its
+//! crash-consistency and integrity promises under adversarial power cuts
+//! and tampering, and the stronger cross-cutting question: **do all the
+//! designs mean the same thing?** One seeded, shrinkable operation trace is
+//! run through every controller design — the three Dolos Mi-SU options,
+//! the eager-BMT `pre-wpq-secure` baseline, the infeasible `deferred`
+//! machine, and the insecure `ideal` reference — side by side, and the
 //! harness checks
 //!
 //! * a shared **semantic oracle**: read values during the stream and the
 //!   post-crash recovered plaintext must match the acknowledged-write
-//!   model in every scheme ([`engine`]);
+//!   model in every scheme, and tampering must be detected or provably
+//!   harmless in every secure scheme ([`engine`]);
 //! * **cross-scheme identity**: every scheme must acknowledge the same
 //!   persist prefix when a power failure cuts the stream at a
 //!   scheme-independent injection point ([`scenario`]);
@@ -20,8 +22,8 @@
 //!   configured 16/13/10, and security on/off never changing data
 //!   semantics ([`campaign`]).
 //!
-//! Counterexamples shrink to minimal replayable reproducers through the
-//! generic [`dolos_chaos::Shrinkable`] engine; campaigns parallelize over
+//! Counterexamples shrink to minimal replayable reproducers through
+//! [`shrink_with`]; campaigns parallelize over
 //! [`dolos_sim::pool`] with byte-identical reports at any `--jobs` value.
 //! The `dolos-verify` binary is the CLI entry point (`campaign`,
 //! `replay`).
@@ -41,7 +43,9 @@ pub use engine::{
     build_round_ops, run_scenario, run_scheme, verify_schemes, EngineOp, ScenarioVerdict,
     SchemeObservation,
 };
-pub use scenario::{Scenario, ScenarioConfig, VerifyRound, CUT_POINTS};
+pub use scenario::{
+    check_geometry, shrink_with, Scenario, ScenarioConfig, TamperSpec, VerifyRound, CUT_POINTS,
+};
 
 #[cfg(test)]
 pub(crate) mod test_support {

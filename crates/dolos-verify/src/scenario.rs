@@ -4,36 +4,90 @@
 //! operation stream (transaction-shaped rounds from the
 //! [`dolos_whisper::gen`] generator) plus the adversarial decorations —
 //! a power-failure cut, an optional nested recovery crash, an optional
-//! post-crash tamper — that every configured scheme must survive
-//! identically. Scenarios render to a compact string
+//! post-crash tamper — that every configured scheme must survive.
+//! Scenarios render to a compact string
 //! (`seed=7;keys=32;[t4@wpq-insert#9+q;t2+flip(data,0,9)]`) that parses
 //! back losslessly, so a campaign failure is replayable from the report
 //! alone.
 //!
-//! Crash cuts are restricted to the two *scheme-independent* injection
-//! points: [`InjectionPoint::PersistStart`] fires at the head of every
-//! persist call (the interrupted write is lost in every scheme) and
-//! [`InjectionPoint::WpqInsert`] fires exactly once per accepted persist
-//! (the interrupted write is ADR-committed in every scheme). Points whose
-//! occurrence count depends on the scheme (`misu-protect`, `masu-drain`)
-//! would make the cross-scheme oracle ambiguous and are excluded by
-//! construction.
+//! Generated scenarios cut only at the two *scheme-independent* injection
+//! points ([`CUT_POINTS`]): [`InjectionPoint::PersistStart`] fires at the
+//! head of every persist call (the interrupted write is lost in every
+//! scheme) and [`InjectionPoint::WpqInsert`] fires exactly once per
+//! accepted persist (the interrupted write is ADR-committed in every
+//! scheme), so every scheme must acknowledge the same persist prefix. The
+//! grammar also accepts the two *scheme-dependent* cuts, whose occurrence
+//! count differs between schemes: `misu-protect` (Dolos only; the write is
+//! lost) and `masu-drain` (fires inside the drain engine before or after
+//! the interrupted write's WPQ insert, so that write may read old or new).
+//! Those are checked per scheme against the model, never across schemes.
 
 use core::fmt;
 use core::str::FromStr;
 
-use dolos_chaos::{Shrinkable, TamperSpec};
 use dolos_core::inject::InjectionPoint;
+use dolos_core::ControllerConfig;
 use dolos_secmem::layout::MetaRegion;
 use dolos_sim::rng::XorShift;
+use dolos_whisper::gen::TraceGenConfig;
+
+/// Adversarial NVM corruption applied while the system is crashed (between
+/// the ADR dump and the next boot — the window in which the threat model
+/// gives the attacker the device). Renders in the scenario grammar.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum TamperSpec {
+    /// Flip one bit of a resident line in a metadata region. `pick` selects
+    /// among the region's resident lines (modulo their count at apply
+    /// time); `bit` wraps within the 512-bit line.
+    FlipBit {
+        /// The region to corrupt.
+        region: MetaRegion,
+        /// Resident-line selector.
+        pick: u64,
+        /// Bit index within the chosen line.
+        bit: u32,
+    },
+    /// Tear the ADR dump: restore the trailing `drop` lines of the WPQ dump
+    /// region from the *previous* epoch's snapshot, modeling a reserve-power
+    /// burst that did not finish.
+    TornDump {
+        /// Number of trailing dump lines that revert to the old epoch.
+        drop: usize,
+    },
+    /// Tear the ADR dump of a single NVM bank: restore the trailing `drop`
+    /// payload lines of that bank's WPQ shard (global slots
+    /// `bank × per_bank .. (bank+1) × per_bank`) from the previous epoch's
+    /// snapshot. Models one bank's reserve-power burst dying while the
+    /// others complete — the failure mode banked drains introduce.
+    TornBank {
+        /// The bank whose dump burst is torn.
+        bank: usize,
+        /// Number of that bank's trailing dump lines reverting to the old
+        /// epoch.
+        drop: usize,
+    },
+}
+
+impl fmt::Display for TamperSpec {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            TamperSpec::FlipBit { region, pick, bit } => {
+                write!(f, "flip({},{pick},{bit})", region.name())
+            }
+            TamperSpec::TornDump { drop } => write!(f, "torn({drop})"),
+            TamperSpec::TornBank { bank, drop } => write!(f, "tornb({bank},{drop})"),
+        }
+    }
+}
 
 /// One crash round of a scenario.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct VerifyRound {
     /// Transactions generated for the round's operation stream.
     pub txns: usize,
-    /// Power failure at the nth occurrence of a scheme-independent
-    /// injection point; `None` crashes at the end of the stream.
+    /// Power failure at the nth occurrence of an injection point (see the
+    /// module docs for the four accepted cuts); `None` crashes at the end
+    /// of the stream.
     pub fault: Option<(InjectionPoint, u64)>,
     /// Drain the WPQ before crashing (the settled-state variant).
     pub quiesce: bool,
@@ -91,9 +145,20 @@ impl Default for ScenarioConfig {
 }
 
 /// The two injection points whose occurrence index is the persist-call
-/// index in *every* scheme (see the module docs).
+/// index in *every* scheme (see the module docs). Generation draws only
+/// these.
 pub const CUT_POINTS: [InjectionPoint; 2] =
     [InjectionPoint::PersistStart, InjectionPoint::WpqInsert];
+
+/// Every injection point the `@cut#n` grammar accepts: [`CUT_POINTS`] plus
+/// the two scheme-dependent cuts. Recovery replay is the nested `+n#`
+/// token, not a stream cut.
+const GRAMMAR_CUTS: [InjectionPoint; 4] = [
+    InjectionPoint::PersistStart,
+    InjectionPoint::MisuProtect,
+    InjectionPoint::WpqInsert,
+    InjectionPoint::MasuDrain,
+];
 
 impl Scenario {
     /// Generates a scenario from a seed. Deterministic; tampering is
@@ -180,13 +245,8 @@ impl fmt::Display for Scenario {
             if let Some(nth) = round.nested {
                 write!(f, "+n#{nth}")?;
             }
-            match round.tamper {
-                Some(TamperSpec::FlipBit { region, pick, bit }) => {
-                    write!(f, "+flip({},{pick},{bit})", region.name())?;
-                }
-                Some(TamperSpec::TornDump { drop }) => write!(f, "+torn({drop})")?,
-                Some(TamperSpec::TornBank { bank, drop }) => write!(f, "+tornb({bank},{drop})")?,
-                None => {}
+            if let Some(tamper) = round.tamper {
+                write!(f, "+{tamper}")?;
             }
         }
         f.write_str("]")
@@ -215,11 +275,46 @@ impl fmt::Display for ParseScenarioError {
 
 impl std::error::Error for ParseScenarioError {}
 
+/// Rejects a geometry no scheme can run: the bank count must be a power of
+/// two, and the generator's data, marker and log lines must fit the
+/// default protected region every verified scheme is built with.
+///
+/// # Errors
+///
+/// Returns a [`ParseScenarioError`] naming the offending value.
+pub fn check_geometry(keyspace: u64, banks: usize) -> Result<(), ParseScenarioError> {
+    if !banks.is_power_of_two() {
+        return Err(ParseScenarioError::new(format!(
+            "bank count must be a power of two, got {banks}"
+        )));
+    }
+    let limit = ControllerConfig::DEFAULT_REGION_BYTES;
+    // Bound the keyspace first so the byte arithmetic cannot overflow.
+    let fits = keyspace <= limit / 64
+        && TraceGenConfig {
+            keyspace,
+            ..TraceGenConfig::default()
+        }
+        .region_bytes()
+            <= limit;
+    if !fits {
+        return Err(ParseScenarioError::new(format!(
+            "keyspace {keyspace} does not fit the {limit}-byte protected region"
+        )));
+    }
+    Ok(())
+}
+
+/// Whether `point` fires at the same persist index in every scheme.
+pub(crate) fn is_scheme_independent(point: InjectionPoint) -> bool {
+    CUT_POINTS.contains(&point)
+}
+
 fn parse_cut_point(name: &str) -> Result<InjectionPoint, ParseScenarioError> {
-    CUT_POINTS
+    GRAMMAR_CUTS
         .into_iter()
         .find(|p| p.name() == name)
-        .ok_or_else(|| ParseScenarioError::new(format!("not a scheme-independent cut: {name}")))
+        .ok_or_else(|| ParseScenarioError::new(format!("unknown cut point: {name}")))
 }
 
 fn parse_region(name: &str) -> Result<MetaRegion, ParseScenarioError> {
@@ -336,16 +431,21 @@ impl FromStr for Scenario {
         if parsed.is_empty() {
             return Err(ParseScenarioError::new("scenario needs at least one round"));
         }
+        let keyspace = parse_num(keys, "keyspace")?;
+        check_geometry(keyspace, banks)?;
         Ok(Scenario {
             seed: parse_num(seed, "seed")?,
-            keyspace: parse_num(keys, "keyspace")?,
+            keyspace,
             banks,
             rounds: parsed,
         })
     }
 }
 
-impl Shrinkable for Scenario {
+impl Scenario {
+    /// One shrinking step: every structurally smaller variant, most
+    /// aggressive first. Deterministic, and every candidate is strictly
+    /// smaller, so [`shrink_with`] terminates.
     fn candidates(&self) -> Vec<Self> {
         let mut out = Vec::new();
         // Bank-dependent failures should first prove they need the banking:
@@ -385,8 +485,8 @@ impl Shrinkable for Scenario {
                 s.rounds[i].tamper = None;
                 out.push(s);
             }
-            // Mirror dolos-chaos: a per-bank tear degrades to the
-            // whole-dump tear, then toward bank 0 and fewer dropped lines.
+            // A per-bank tear degrades to the whole-dump tear (one fewer
+            // coordinate), then toward bank 0 and fewer dropped lines.
             if let Some(TamperSpec::TornBank { bank, drop }) = round.tamper {
                 let mut s = self.clone();
                 s.rounds[i].tamper = Some(TamperSpec::TornDump { drop });
@@ -413,6 +513,23 @@ impl Shrinkable for Scenario {
         }
         out
     }
+}
+
+/// Greedily shrinks `scenario` while `fails` keeps returning `true`: take
+/// the first candidate that still fails, repeat until none does.
+///
+/// A scenario that does not fail in the first place comes back unchanged.
+/// Deterministic: the same scenario and predicate always give the same
+/// minimum.
+pub fn shrink_with(scenario: &Scenario, mut fails: impl FnMut(&Scenario) -> bool) -> Scenario {
+    let mut current = scenario.clone();
+    if !fails(&current) {
+        return current;
+    }
+    while let Some(next) = current.candidates().into_iter().find(|c| fails(c)) {
+        current = next;
+    }
+    current
 }
 
 #[cfg(test)]
@@ -467,13 +584,18 @@ mod tests {
     }
 
     #[test]
-    fn parser_rejects_scheme_dependent_cuts_and_garbage() {
-        assert!("seed=1;keys=8;[t4@misu-protect#0]"
+    fn parser_accepts_every_stream_cut_and_rejects_garbage() {
+        for text in [
+            "seed=1;keys=8;[t4@misu-protect#0]",
+            "seed=1;keys=8;[t4@masu-drain#2+q]",
+        ] {
+            let parsed: Scenario = text.parse().unwrap_or_else(|e| panic!("{text}: {e}"));
+            assert_eq!(parsed.to_string(), text);
+        }
+        assert!("seed=1;keys=8;[t4@recovery-replay#0]"
             .parse::<Scenario>()
             .is_err());
-        assert!("seed=1;keys=8;[t4@masu-drain#2]"
-            .parse::<Scenario>()
-            .is_err());
+        assert!("seed=1;keys=8;[t4@nowhere#0]".parse::<Scenario>().is_err());
         assert!("seed=1;keys=8;[]".parse::<Scenario>().is_err());
         assert!("seed=x;keys=8;[t4]".parse::<Scenario>().is_err());
         assert!("seed=1;keys=8;[w4]".parse::<Scenario>().is_err());
@@ -581,6 +703,21 @@ mod tests {
         assert!("seed=1;keys=8;banks=x;[t4]".parse::<Scenario>().is_err());
         assert!("seed=1;keys=8;[t4+tornb(1)]".parse::<Scenario>().is_err());
         assert!("seed=1;keys=8;[t4+tornb(a,1)]".parse::<Scenario>().is_err());
+        // Geometry the controller cannot build or address: a bank count
+        // that is not a power of two, and a keyspace past the region.
+        for text in [
+            "seed=1;keys=8;banks=3;[t1]",
+            "seed=1;keys=8;banks=0;[t1]",
+            "seed=1;keys=99999999999;[t2]",
+            "seed=1;keys=18446744073709551615;[t1]",
+        ] {
+            assert!(text.parse::<Scenario>().is_err(), "{text}");
+        }
+        assert!(
+            check_geometry(262_135, 8).is_ok(),
+            "largest fitting keyspace"
+        );
+        assert!(check_geometry(262_136, 1).is_err());
     }
 
     #[test]

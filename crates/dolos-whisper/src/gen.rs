@@ -1,4 +1,4 @@
-//! Seeded synthetic trace generation for the conformance harnesses.
+//! Seeded synthetic trace generation for the conformance harness.
 //!
 //! [`generate`] produces transaction-shaped persist traces without running a
 //! full workload: each transaction follows the PMDK undo-log discipline the

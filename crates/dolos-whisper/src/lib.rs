@@ -12,7 +12,7 @@
 //! * [`txn`] — PMDK-style undo-log transactions (log before data, ordered
 //!   by fences, commit marker, truncation);
 //! * [`mod@gen`] — seeded synthetic transaction-shaped traces for the
-//!   conformance and chaos harnesses;
+//!   conformance harness (`dolos-verify`);
 //! * [`workloads`] — the six benchmarks behind one [`Workload`] trait;
 //! * [`runner`] — warm-up + measured-run orchestration producing
 //!   [`runner::RunResult`] rows for the experiment harness.
@@ -36,7 +36,6 @@
 pub mod cpu_cache;
 pub mod env;
 pub mod gen;
-pub mod oracle;
 pub mod runner;
 pub mod trace;
 pub mod txn;
@@ -44,7 +43,6 @@ pub mod workloads;
 
 pub use env::PmEnv;
 pub use gen::{generate, TraceGenConfig};
-pub use oracle::{GoldenOracle, OracleMismatch};
 pub use runner::{run_workload, RunConfig, RunResult};
 pub use trace::{ReplayResult, Trace, TraceOp};
 pub use txn::UndoLog;

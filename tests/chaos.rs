@@ -1,242 +1,332 @@
-//! Integration pins for the dolos-chaos subsystem: seed reproducibility,
-//! per-pipeline-stage crash classes, adversarial tamper detection, and the
-//! Post-WPQ reserved in-flight MAC invariant.
+//! Fault-injection obligations, run through the one falsifier
+//! (`dolos-verify`): a power cut at every persist-pipeline instant fires and
+//! recovers clean, a nested crash during recovery restarts, tampering with
+//! settled state or with the ADR dump is detected, randomized
+//! scheme-dependent cuts hold against each scheme's own model, and the
+//! Post-WPQ reserved in-flight MAC finishes on reserve power.
 
 use dolos::core::inject::{FaultPlan, InjectionPoint};
-use dolos::core::{ControllerConfig, MiSuKind, SecureMemorySystem, SecurityError};
+use dolos::core::{ControllerConfig, ControllerKind, MiSuKind, SecureMemorySystem, SecurityError};
 use dolos::secmem::layout::MetaRegion;
 use dolos::sim::Cycle;
-use dolos_chaos::{
-    run_campaign, run_schedule, CampaignConfig, Round, RoundOutcome, Schedule, TamperSpec,
+use dolos_verify::{
+    run_scheme, run_verify, shrink_with, verify_schemes, Scenario, ScenarioConfig, TamperSpec,
+    VerifyConfig, VerifyRound,
 };
 
-fn secure_designs() -> [ControllerConfig; 5] {
-    [
-        ControllerConfig::deferred(),
-        ControllerConfig::baseline(),
-        ControllerConfig::dolos(MiSuKind::Full),
-        ControllerConfig::dolos(MiSuKind::Partial),
-        ControllerConfig::dolos(MiSuKind::Post),
-    ]
-}
-
-fn dolos_designs() -> [ControllerConfig; 3] {
-    [
-        ControllerConfig::dolos(MiSuKind::Full),
-        ControllerConfig::dolos(MiSuKind::Partial),
-        ControllerConfig::dolos(MiSuKind::Post),
-    ]
-}
-
-fn one_round(writes: usize, fault: Option<(InjectionPoint, u64)>, nested: Option<u64>) -> Round {
-    Round {
-        writes,
-        fault,
+fn round(txns: usize) -> VerifyRound {
+    VerifyRound {
+        txns,
+        fault: None,
         quiesce: false,
-        nested,
+        nested: None,
         tamper: None,
     }
 }
 
-/// A fixed-seed campaign replays bit for bit: identical reports, identical
-/// JSON. This is the subsystem's reproducibility acceptance criterion.
+fn scenario(seed: u64, keyspace: u64, banks: usize, rounds: Vec<VerifyRound>) -> Scenario {
+    Scenario {
+        seed,
+        keyspace,
+        banks,
+        rounds,
+    }
+}
+
+/// The five designs with a detection duty (every design but `ideal`).
+fn secure_designs() -> Vec<ControllerConfig> {
+    verify_schemes()
+        .into_iter()
+        .filter(|c| c.kind != ControllerKind::IdealNonSecure)
+        .collect()
+}
+
+fn misu_designs() -> [ControllerConfig; 3] {
+    MiSuKind::ALL.map(ControllerConfig::dolos)
+}
+
+/// A fixed-seed banked campaign replays bit for bit: identical reports and
+/// identical JSON, at any worker count.
 #[test]
 fn fixed_seed_campaigns_replay_bit_for_bit() {
-    let config = CampaignConfig {
+    let config = VerifyConfig {
         seed: 0xD0105,
-        schedules: 3,
-        rounds: 2,
-        writes_per_round: 14,
-        keyspace: 32,
-        tamper: true,
-        workload_txns: 3,
+        traces: 12,
+        banks: 4,
         jobs: 1,
+        ..VerifyConfig::default()
     };
-    let first = run_campaign(&config);
-    let second = run_campaign(&config);
+    let first = run_verify(&config);
+    let second = run_verify(&config);
     assert_eq!(first, second, "campaign must be deterministic");
     assert_eq!(first.to_json(), second.to_json());
     assert!(first.all_pass(), "{}", first.to_json());
-    // The parallel sweep is part of the same acceptance criterion: any
-    // worker count must reproduce the serial bytes exactly.
-    let parallel = run_campaign(&CampaignConfig { jobs: 4, ..config });
+    let parallel = run_verify(&VerifyConfig { jobs: 4, ..config });
     assert_eq!(first.to_json(), parallel.to_json());
 }
 
-/// Every secure design recovers to a clean audit from a crash injected at
-/// each stage of the persist pipeline it exercises: persist start, Mi-SU
-/// MAC (Dolos only), WPQ insert, and the Ma-SU drain engine.
+/// Every design recovers model-exact from a power cut at each persist
+/// pipeline instant it has — persist start, Mi-SU MAC (Mi-SU designs only),
+/// WPQ insert, and the Ma-SU drain engine — at one and at four banks, and
+/// the next round recovers too.
 #[test]
 fn every_pipeline_stage_crash_class_recovers_clean() {
-    let stages = [
+    for point in [
         InjectionPoint::PersistStart,
         InjectionPoint::MisuProtect,
         InjectionPoint::WpqInsert,
         InjectionPoint::MasuDrain,
-    ];
-    for point in stages {
-        for design in secure_designs() {
-            let dolos_only = point == InjectionPoint::MisuProtect;
-            if dolos_only && !matches!(design.kind, dolos::core::ControllerKind::Dolos(_)) {
-                continue;
-            }
-            let schedule = Schedule {
-                seed: 0xC4A5 ^ point as u64,
-                keyspace: 32,
-                rounds: vec![
-                    one_round(20, Some((point, 2)), None),
-                    one_round(12, None, None),
+    ] {
+        for banks in [1, 4] {
+            let s = scenario(
+                0xC4A5 ^ point as u64,
+                32,
+                banks,
+                vec![
+                    VerifyRound {
+                        fault: Some((point, 2)),
+                        ..round(3)
+                    },
+                    round(2),
                 ],
-            };
-            let report = run_schedule(&design, &schedule);
-            assert!(
-                report.pass,
-                "{} @ {point}: {:?}",
-                report.design, report.failure
             );
-            assert!(
-                matches!(
-                    report.rounds[0].outcome,
-                    RoundOutcome::Clean { fired: Some(p), .. } if p == point
-                ),
-                "{} @ {point}: fault must fire, got {:?}",
-                report.design,
-                report.rounds[0].outcome
-            );
+            for design in verify_schemes() {
+                if point == InjectionPoint::MisuProtect
+                    && !matches!(design.kind, ControllerKind::Dolos(_))
+                {
+                    continue;
+                }
+                let obs = run_scheme(&design, &s);
+                assert!(
+                    obs.pass(),
+                    "{} @ {point} banks={banks}: {:?}",
+                    obs.scheme,
+                    obs.divergences
+                );
+                assert!(
+                    obs.fired.len() == 2 && obs.fired[0].starts_with(point.name()),
+                    "{} @ {point} banks={banks}: fault must fire, got {:?}",
+                    obs.scheme,
+                    obs.fired
+                );
+            }
         }
     }
 }
 
 /// A nested power failure during recovery replay leaves recovery
-/// restartable: the second boot succeeds, audits clean, and loses nothing.
-/// Replay (and therefore a replay-time crash) exists only in the Dolos
-/// designs — the other controllers complete their writes inside `crash`.
+/// restartable: the second boot comes up and loses nothing. Replay (and so
+/// a replay-time crash) exists only in the Mi-SU designs — the others
+/// complete their writes inside `crash`.
 #[test]
 fn nested_crash_during_recovery_is_restartable_everywhere() {
-    for design in dolos_designs() {
-        let schedule = Schedule {
-            seed: 0x9E57ED,
-            keyspace: 24,
-            rounds: vec![one_round(18, None, Some(0)), one_round(10, None, None)],
-        };
-        let report = run_schedule(&design, &schedule);
-        assert!(report.pass, "{}: {:?}", report.design, report.failure);
-        assert!(
-            matches!(
-                report.rounds[0].outcome,
-                RoundOutcome::Clean {
-                    nested_fired: true,
-                    ..
-                }
-            ),
-            "{}: nested crash must fire, got {:?}",
-            report.design,
-            report.rounds[0].outcome
-        );
+    let s = scenario(
+        0x9E57ED,
+        24,
+        1,
+        vec![
+            VerifyRound {
+                nested: Some(0),
+                ..round(3)
+            },
+            round(2),
+        ],
+    );
+    for design in misu_designs() {
+        let obs = run_scheme(&design, &s);
+        assert!(obs.pass(), "{}: {:?}", obs.scheme, obs.divergences);
+        assert!(obs.nested_fired, "{}: nested crash must fire", obs.scheme);
     }
 }
 
-/// Bit flips in committed metadata or ciphertext are always detected by
-/// every secure design: recovery or audit raises a [`SecurityError`];
-/// silent acceptance of the corrupted state would fail the run.
+/// Bit flips in settled ciphertext, counters or MACs are detected by every
+/// secure design. Each target is live in a transaction-shaped stream: any
+/// resident data line; the major counter (low byte) of a resident counter
+/// block; and the MAC slot of the commit-marker line, which every
+/// transaction rewrites (at keyspace 8 it is line 8: slot 0 of the second
+/// MAC line). The round quiesces before the crash, so the flip lands on
+/// settled state that recovery replay cannot legitimately rewrite.
 #[test]
 fn tampering_committed_state_is_always_detected() {
-    // Bits are chosen to land on *live* metadata: any ciphertext bit of a
-    // resident data line; the major counter (low bytes) of a resident
-    // counter block; the first MAC slot, live because the small keyspace
-    // guarantees line 0 is written. The round quiesces before the crash so
-    // the flip lands on fully settled state — a loaded WPQ would let
-    // recovery replay rewrite (and so legitimately heal) tampered metadata.
-    for (region, bit) in [
-        (MetaRegion::Data, 301),
-        (MetaRegion::Counters, 7),
-        (MetaRegion::Macs, 10),
+    for (region, pick, bit) in [
+        (MetaRegion::Data, 0, 301),
+        (MetaRegion::Counters, 0, 7),
+        (MetaRegion::Macs, 1, 10),
     ] {
+        let tamper = TamperSpec::FlipBit { region, pick, bit };
+        let s = scenario(
+            0x7A3A ^ region as u64,
+            8,
+            1,
+            vec![VerifyRound {
+                quiesce: true,
+                tamper: Some(tamper),
+                ..round(4)
+            }],
+        );
         for design in secure_designs() {
-            let schedule = Schedule {
-                seed: 0x7A3A ^ region as u64,
-                keyspace: 8,
-                rounds: vec![Round {
-                    writes: 24,
-                    fault: None,
-                    quiesce: true,
-                    nested: None,
-                    tamper: Some(TamperSpec::FlipBit {
-                        region,
-                        pick: 0,
-                        bit,
-                    }),
-                }],
-            };
-            let report = run_schedule(&design, &schedule);
+            let obs = run_scheme(&design, &s);
             assert!(
-                report.pass,
-                "{} / {region}: {:?}",
-                report.design, report.failure
+                obs.pass(),
+                "{} / {tamper}: {:?}",
+                obs.scheme,
+                obs.divergences
             );
             assert!(
-                matches!(
-                    report.rounds.last().map(|r| &r.outcome),
-                    Some(RoundOutcome::TamperDetected { .. })
-                ),
-                "{} / {region}: flip must be detected, got {:?}",
-                report.design,
-                report.rounds
+                obs.tamper_detected,
+                "{} / {tamper}: flip must be detected, got {obs:?}",
+                obs.scheme
             );
         }
     }
 }
 
 /// Corrupting the ADR dump itself — a flipped dump line or a torn
-/// (partially stale) dump — is detected by every Dolos Mi-SU variant at
-/// recovery time.
+/// (partially stale) dump — is detected by every Mi-SU design at recovery.
 #[test]
 fn dump_corruption_is_detected_by_every_misu_variant() {
-    for design in dolos_designs() {
-        for tamper in [
-            TamperSpec::FlipBit {
-                region: MetaRegion::WpqDump,
-                pick: 1,
-                bit: 77,
-            },
-            TamperSpec::TornDump { drop: 2 },
-        ] {
-            let schedule = Schedule {
-                seed: 0x70C4,
-                keyspace: 16,
-                rounds: vec![
-                    // First round leaves a committed dump epoch behind so a
-                    // torn second dump mixes epochs. The second round writes
-                    // fewer lines so the two epochs' drain-order tables (the
-                    // trailing dump lines a torn burst reverts) differ.
-                    one_round(14, None, None),
-                    Round {
-                        writes: 5,
-                        fault: None,
-                        quiesce: false,
-                        nested: None,
-                        tamper: Some(tamper),
-                    },
-                ],
-            };
-            let report = run_schedule(&design, &schedule);
+    for tamper in [
+        TamperSpec::FlipBit {
+            region: MetaRegion::WpqDump,
+            pick: 1,
+            bit: 77,
+        },
+        TamperSpec::TornDump { drop: 2 },
+    ] {
+        // The first round leaves a committed dump epoch behind, so a torn
+        // second dump mixes epochs; the second round cuts at a WPQ insert,
+        // so its queue is loaded when power fails.
+        let s = scenario(
+            0x70C4,
+            16,
+            1,
+            vec![
+                round(4),
+                VerifyRound {
+                    fault: Some((InjectionPoint::WpqInsert, 3)),
+                    tamper: Some(tamper),
+                    ..round(2)
+                },
+            ],
+        );
+        for design in misu_designs() {
+            let obs = run_scheme(&design, &s);
             assert!(
-                report.pass,
+                obs.pass(),
                 "{} / {tamper}: {:?}",
-                report.design, report.failure
+                obs.scheme,
+                obs.divergences
             );
             assert!(
-                matches!(
-                    report.rounds.last().map(|r| &r.outcome),
-                    Some(RoundOutcome::TamperDetected { .. })
-                ),
-                "{} / {tamper}: dump corruption must be detected, got {:?}",
-                report.design,
-                report.rounds
+                obs.tamper_detected,
+                "{} / {tamper}: dump corruption must be detected, got {obs:?}",
+                obs.scheme
             );
         }
     }
 }
+
+/// Generated scenarios with every cut swapped to its scheme-dependent
+/// sibling (`persist-start` → `misu-protect`, `wpq-insert` → `masu-drain`)
+/// hold on every design against that design's own model, and render and
+/// parse back losslessly. Across the sweep the `masu-drain` in-flight write
+/// must resolve both ways: old value and new value.
+#[test]
+fn scheme_dependent_cuts_hold_on_every_design() {
+    let mut swapped = 0;
+    let (mut old, mut new) = (0, 0);
+    for banks in [1, 4] {
+        let config = ScenarioConfig {
+            banks,
+            ..ScenarioConfig::default()
+        };
+        for seed in 0..200 {
+            let mut s = Scenario::generate(seed, &config);
+            for round in &mut s.rounds {
+                if let Some((point, nth)) = round.fault {
+                    let sibling = match point {
+                        InjectionPoint::PersistStart => InjectionPoint::MisuProtect,
+                        _ => InjectionPoint::MasuDrain,
+                    };
+                    round.fault = Some((sibling, nth));
+                    swapped += 1;
+                }
+            }
+            let text = s.to_string();
+            assert_eq!(text.parse::<Scenario>().as_ref(), Ok(&s), "{text}");
+            for design in verify_schemes() {
+                let obs = run_scheme(&design, &s);
+                assert!(obs.pass(), "{} {text}: {:?}", obs.scheme, obs.divergences);
+                old += obs.inflight_old;
+                new += obs.inflight_new;
+            }
+        }
+    }
+    assert!(swapped > 0);
+    assert!(
+        old > 0 && new > 0,
+        "in-flight writes must resolve both ways: old={old} new={new}"
+    );
+}
+
+/// A pinned `masu-drain` cut whose in-flight write recovers its old value
+/// on some designs (the fault fired before that write's WPQ insert) and its
+/// new value on others (after it). The second round's post-crash check
+/// covers the same line, so it passes only if the first round's observed
+/// outcome was folded into the model.
+#[test]
+fn masu_drain_cut_folds_the_in_flight_write() {
+    let s: Scenario = PINNED_MASU_DRAIN.parse().expect("pinned scenario parses");
+    let (mut old, mut new) = (0, 0);
+    for design in verify_schemes() {
+        let obs = run_scheme(&design, &s);
+        assert!(obs.pass(), "{}: {:?}", obs.scheme, obs.divergences);
+        assert!(
+            obs.fired[0].starts_with("masu-drain#"),
+            "{}: cut must fire, got {:?}",
+            obs.scheme,
+            obs.fired
+        );
+        old += obs.inflight_old;
+        new += obs.inflight_new;
+    }
+    assert!(old > 0 && new > 0, "old={old} new={new}");
+}
+
+const PINNED_MASU_DRAIN: &str = "seed=25;keys=32;[t4@masu-drain#12;t2]";
+
+/// Shrinking is deterministic for a fixed seed: under a synthetic predicate
+/// ("some round still runs at least 4 transactions") the shrinker converges
+/// to the same pinned minimum every time, and a passing scenario comes back
+/// unchanged.
+#[test]
+fn generic_shrink_is_deterministic_for_a_fixed_seed() {
+    let config = ScenarioConfig {
+        rounds: 3,
+        txns_per_round: 24,
+        keyspace: 16,
+        tamper: true,
+        banks: 4,
+    };
+    let scenario = Scenario::generate(0xD015_5EED, &config);
+    let fails = |s: &Scenario| s.rounds.iter().any(|r| r.txns >= 4);
+    let a = shrink_with(&scenario, fails);
+    let b = shrink_with(&scenario, fails);
+    assert_eq!(a, b, "same seed must shrink to the same minimum");
+    // Minimal under the predicate: one single-bank round whose transaction
+    // count would drop below the threshold if halved once more.
+    assert_eq!(a.rounds.len(), 1);
+    assert_eq!(a.banks, 1);
+    let r = &a.rounds[0];
+    assert!(r.txns >= 4 && r.txns / 2 < 4);
+    assert!(r.fault.is_none() && r.tamper.is_none() && r.nested.is_none() && !r.quiesce);
+    // Fully pinned (guards candidate-order drift: reordering the candidates
+    // would land on a different minimum).
+    assert_eq!(a.to_string(), PINNED_SHRINK);
+    assert_eq!(shrink_with(&scenario, |_| false), scenario);
+}
+
+const PINNED_SHRINK: &str = "seed=3491061485;keys=16;[t6]";
 
 /// §5.3: the Post-WPQ design computes no MAC before insertion; instead the
 /// ADR reserve energy finishes the one in-flight MAC during the dump. A
@@ -275,20 +365,31 @@ fn post_wpq_reserved_inflight_mac_finishes_on_reserve_power() {
     }
 }
 
-/// The chaos driver's own obligations hold on the ideal design too: it has
-/// no detection duty, but clean crashes must still be crash-consistent.
+/// The obligations hold on the ideal design too: it has no detection duty,
+/// but its crashes — at a WPQ insert, with a nested boot crash scheduled,
+/// and mid-drain — must still be crash-consistent.
 #[test]
 fn ideal_design_is_crash_consistent_without_detection_duties() {
-    let schedule = Schedule {
-        seed: 0x1DEA,
-        keyspace: 32,
-        rounds: vec![
-            one_round(16, Some((InjectionPoint::WpqInsert, 3)), None),
-            one_round(16, None, Some(0)),
-            one_round(16, Some((InjectionPoint::MasuDrain, 1)), None),
+    let s = scenario(
+        0x1DEA,
+        32,
+        1,
+        vec![
+            VerifyRound {
+                fault: Some((InjectionPoint::WpqInsert, 3)),
+                ..round(3)
+            },
+            VerifyRound {
+                nested: Some(0),
+                ..round(3)
+            },
+            VerifyRound {
+                fault: Some((InjectionPoint::MasuDrain, 1)),
+                ..round(3)
+            },
         ],
-    };
-    let report = run_schedule(&ControllerConfig::ideal(), &schedule);
-    assert!(report.pass, "{:?}", report.failure);
-    assert_eq!(report.rounds.len(), 3);
+    );
+    let obs = run_scheme(&ControllerConfig::ideal(), &s);
+    assert!(obs.pass(), "{:?}", obs.divergences);
+    assert_eq!(obs.fired.len(), 3);
 }

@@ -6,8 +6,9 @@
 //! byte-identical at any parallelism, and a deliberately-tampered run is
 //! caught and shrunk to a minimal replayable reproducer.
 
-use dolos_chaos::{shrink_with, TamperSpec};
-use dolos_verify::{run_scenario, run_verify, Scenario, ScenarioConfig, VerifyConfig};
+use dolos_verify::{
+    run_scenario, run_verify, shrink_with, Scenario, ScenarioConfig, TamperSpec, VerifyConfig,
+};
 
 fn smoke_config() -> VerifyConfig {
     VerifyConfig {
@@ -19,7 +20,7 @@ fn smoke_config() -> VerifyConfig {
 }
 
 #[test]
-fn campaign_agrees_across_all_five_schemes() {
+fn campaign_agrees_across_all_six_schemes() {
     let report = run_verify(&smoke_config());
     assert!(
         report.all_pass(),
@@ -32,7 +33,7 @@ fn campaign_agrees_across_all_five_schemes() {
             .filter_map(|s| s.first_failure.as_ref())
             .collect::<Vec<_>>()
     );
-    assert_eq!(report.schemes.len(), 5);
+    assert_eq!(report.schemes.len(), 6);
     for scheme in &report.schemes {
         assert_eq!(scheme.scenarios_failed, 0, "{}", scheme.scheme);
         assert_eq!(scheme.scenarios_passed, 32, "{}", scheme.scheme);

@@ -8,6 +8,7 @@ use dolos::whisper::PmEnv;
 
 fn all_controllers() -> Vec<ControllerConfig> {
     vec![
+        ControllerConfig::ideal(),
         ControllerConfig::baseline(),
         ControllerConfig::deferred(),
         ControllerConfig::dolos(MiSuKind::Full),
