@@ -14,9 +14,9 @@ fn main() {
 
     let key = Aes128::new(&[7; 16]);
     let block = [0x5A; 16];
-    // `aes_fast` vs `aes_reference`: the T-table hot path against the
-    // byte-oriented specification it is lockstep-pinned to — the
-    // before/after evidence for the crypto hot-path overhaul.
+    // `aes_fast` vs `aes_reference`: the backend `Aes128::new` selected on
+    // this host (AES-NI or the T-table) against the byte-oriented
+    // specification it is lockstep-pinned to.
     b.run("aes128_encrypt_block", || key.encrypt_block(bb(&block)));
     b.run("aes_fast_encrypt_block", || key.encrypt_block(bb(&block)));
     b.run("aes_reference_encrypt_block", || {

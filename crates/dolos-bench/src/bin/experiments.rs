@@ -5,6 +5,7 @@
 //! experiments fig12 fig15 --transactions 1000 --seed 7
 //! experiments all --jobs 4
 //! experiments bench --jobs 0
+//! experiments bench --repeat 5
 //! ```
 //!
 //! `bench` runs the selected experiments (default: all), suppresses the
@@ -23,6 +24,12 @@
 //! JSON. Those rows contain only simulated quantities, so they too are
 //! byte-identical at any `--jobs` value.
 //!
+//! `bench --repeat N` runs the whole selection N times. Every run must
+//! reproduce the first run's cells and `sim_cycles` exactly; each JSON row
+//! then reports the median run's walls plus the min/max `cells_per_sec`
+//! over all N runs. `cells_per_sec` is cells over the summed wall time of
+//! the experiment's cells (a cell's wall is measured inside its worker).
+//!
 //! `bench --golden PATH` also writes a wall-free snapshot (per-experiment
 //! `cells`/`sim_cycles` only) to PATH; CI `cmp`s it against the committed
 //! `ci/bench_sim_cycles.golden.json` so simulated timing cannot drift
@@ -38,7 +45,7 @@ use dolos_trace::ProfileConfig;
 fn usage() -> ExitCode {
     eprintln!(
         "usage: experiments <all|bench|{}> [--transactions N] [--warmup N] [--seed N] \
-         [--jobs N] [--csv DIR] [--trace] [--golden PATH]",
+         [--jobs N] [--csv DIR] [--trace] [--golden PATH] [--repeat N]",
         ExperimentId::ALL
             .iter()
             .map(|e| e.name())
@@ -56,6 +63,7 @@ fn main() -> ExitCode {
     let mut golden_path: Option<String> = None;
     let mut bench = false;
     let mut trace = false;
+    let mut repeat = 1usize;
     let mut iter = args.iter();
     while let Some(arg) = iter.next() {
         match arg.as_str() {
@@ -81,6 +89,10 @@ fn main() -> ExitCode {
             "--csv" => match iter.next() {
                 Some(dir) => csv_dir = Some(dir.clone()),
                 None => return usage(),
+            },
+            "--repeat" => match iter.next().and_then(|v| v.parse().ok()) {
+                Some(n) if n >= 1 => repeat = n,
+                _ => return usage(),
             },
             "--golden" => match iter.next() {
                 Some(path) => golden_path = Some(path.clone()),
@@ -115,6 +127,8 @@ fn main() -> ExitCode {
             return ExitCode::FAILURE;
         }
     }
+    // Per experiment: (id, cells, sim_cycles) of the first run, and every
+    // run's (wall_ms, cell_wall_ms).
     let mut entries = Vec::new();
     if bench {
         // Flattened sweep: every selected experiment's cells run as one
@@ -122,24 +136,37 @@ fn main() -> ExitCode {
         // one figure's stragglers overlap another's short cells. Tables and
         // all simulated quantities are byte-identical to the sequential
         // path below; only wall-clock fields differ.
-        for outcome in config.bench_flat(&selected) {
-            if let Some(dir) = &csv_dir {
-                for (i, table) in outcome.tables.iter().enumerate() {
-                    let path = format!("{dir}/{}_{i}.csv", outcome.id.name());
-                    if let Err(e) = std::fs::write(&path, table.to_csv()) {
-                        eprintln!("cannot write {path}: {e}");
-                        return ExitCode::FAILURE;
+        for run in 0..repeat {
+            for (i, outcome) in config.bench_flat(&selected).into_iter().enumerate() {
+                if run == 0 {
+                    if let Some(dir) = &csv_dir {
+                        for (t, table) in outcome.tables.iter().enumerate() {
+                            let path = format!("{dir}/{}_{t}.csv", outcome.id.name());
+                            if let Err(e) = std::fs::write(&path, table.to_csv()) {
+                                eprintln!("cannot write {path}: {e}");
+                                return ExitCode::FAILURE;
+                            }
+                        }
                     }
+                    entries.push((outcome.id, outcome.cells, outcome.sim_cycles, Vec::new()));
                 }
+                let entry = &mut entries[i];
+                if (entry.0, entry.1, entry.2) != (outcome.id, outcome.cells, outcome.sim_cycles) {
+                    eprintln!(
+                        "run {} of {} changed simulated results (cells/sim_cycles)",
+                        run + 1,
+                        outcome.id.name()
+                    );
+                    return ExitCode::FAILURE;
+                }
+                eprintln!(
+                    "[{} done in {:.1}ms, run {}/{repeat}]",
+                    outcome.id.name(),
+                    outcome.wall_ms,
+                    run + 1
+                );
+                entry.3.push((outcome.wall_ms, outcome.cell_wall_ms));
             }
-            eprintln!("[{} done in {:.1}ms]", outcome.id.name(), outcome.wall_ms);
-            entries.push(BenchEntry {
-                name: outcome.id.name().to_owned(),
-                wall_ms: outcome.wall_ms,
-                cells: outcome.cells,
-                sim_cycles: outcome.sim_cycles,
-                cell_wall_ms: outcome.cell_wall_ms,
-            });
         }
     } else {
         for id in selected {
@@ -194,12 +221,19 @@ fn main() -> ExitCode {
             .duration_since(UNIX_EPOCH)
             .map(|d| d.as_secs())
             .unwrap_or(0);
+        let entries = entries
+            .into_iter()
+            .map(|(id, cells, sim_cycles, runs)| {
+                BenchEntry::from_runs(id.name().to_owned(), cells, sim_cycles, runs)
+            })
+            .collect();
         let report = BenchReport {
             date: civil_date_utc(secs),
             transactions: config.transactions,
             warmup: config.warmup,
             seed: config.seed,
             jobs: config.jobs,
+            repeat,
             entries,
             trace: trace_rows,
         };

@@ -10,32 +10,89 @@
 //!
 //! [`ExperimentId::name`]: crate::ExperimentId::name
 
-/// Timing and work tallies for one experiment run.
+/// Timing and work tallies for one experiment, over one or more repeated
+/// runs of identical simulated work.
 #[derive(Debug, Clone, PartialEq)]
 pub struct BenchEntry {
     /// Experiment CLI name ("fig12", "table2", ...).
     pub name: String,
-    /// Wall-clock milliseconds spent in this experiment.
+    /// Wall-clock milliseconds spent in this experiment in the median run
+    /// (see [`BenchEntry::from_runs`]).
     pub wall_ms: f64,
     /// Sweep cells (independent workload × controller simulations) run.
     pub cells: u64,
     /// Total simulated cycles across those cells.
     pub sim_cycles: u64,
-    /// Wall milliseconds per sweep cell, in cell order. Empty for direct
-    /// experiments whose work never enters the job pool (their row reports
-    /// `skew` 0).
+    /// Wall milliseconds per sweep cell of the median run, in cell order.
+    /// Empty for direct experiments whose work never enters the job pool
+    /// (their row reports `skew` 0).
     pub cell_wall_ms: Vec<f64>,
+    /// `wall_ms` of every run, in run order (one entry without `--repeat`).
+    pub runs_wall_ms: Vec<f64>,
+}
+
+/// Cells per wall-clock second (0 when no measurable time elapsed).
+fn rate(cells: u64, wall_ms: f64) -> f64 {
+    if wall_ms <= 0.0 {
+        0.0
+    } else {
+        cells as f64 * 1000.0 / wall_ms
+    }
+}
+
+/// Index of the nearest-rank median of `walls` (the lower middle for an
+/// even count), so the reported run is one that actually happened.
+fn median_index(walls: &[f64]) -> usize {
+    let mut order: Vec<usize> = (0..walls.len()).collect();
+    order.sort_by(|&a, &b| walls[a].total_cmp(&walls[b]));
+    order[(walls.len().saturating_sub(1)) / 2]
+}
+
+/// `(min, max)` throughput over a set of run walls.
+fn rate_range(cells: u64, walls: &[f64]) -> (f64, f64) {
+    let rates = walls.iter().map(|&w| rate(cells, w));
+    let min = rates.clone().fold(f64::INFINITY, f64::min);
+    let max = rates.fold(0.0f64, f64::max);
+    (if min.is_finite() { min } else { 0.0 }, max)
 }
 
 impl BenchEntry {
-    /// Simulation cells completed per wall-clock second (0 when no cells or
-    /// no measurable time elapsed).
-    pub fn cells_per_sec(&self) -> f64 {
-        if self.wall_ms <= 0.0 {
-            0.0
-        } else {
-            self.cells as f64 * 1000.0 / self.wall_ms
+    /// Folds repeated runs of one experiment, each `(wall_ms,
+    /// cell_wall_ms)`, into a row. The reported `wall_ms` and
+    /// `cell_wall_ms` are the median run's, so `cells_per_sec` is the
+    /// median throughput; every run's wall is kept for the min/max.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `runs` is empty.
+    pub fn from_runs(
+        name: String,
+        cells: u64,
+        sim_cycles: u64,
+        runs: Vec<(f64, Vec<f64>)>,
+    ) -> Self {
+        assert!(!runs.is_empty(), "an experiment row needs at least one run");
+        let runs_wall_ms: Vec<f64> = runs.iter().map(|(w, _)| *w).collect();
+        let (wall_ms, cell_wall_ms) = runs[median_index(&runs_wall_ms)].clone();
+        Self {
+            name,
+            wall_ms,
+            cells,
+            sim_cycles,
+            cell_wall_ms,
+            runs_wall_ms,
         }
+    }
+
+    /// Simulation cells completed per wall-clock second in the median run
+    /// (0 when no cells or no measurable time elapsed).
+    pub fn cells_per_sec(&self) -> f64 {
+        rate(self.cells, self.wall_ms)
+    }
+
+    /// Lowest and highest `cells_per_sec` over all runs.
+    pub fn cells_per_sec_range(&self) -> (f64, f64) {
+        rate_range(self.cells, &self.runs_wall_ms)
     }
 
     /// Scheduling skew across this experiment's cells: the longest cell's
@@ -93,6 +150,9 @@ pub struct BenchReport {
     pub seed: u64,
     /// Worker threads used for sweep cells.
     pub jobs: usize,
+    /// Runs of the whole selection (`--repeat`); each entry holds this
+    /// many walls.
+    pub repeat: usize,
     /// Per-experiment tallies, in run order.
     pub entries: Vec<BenchEntry>,
     /// Traced mini-bench histogram rows (`bench --trace`); empty when
@@ -116,6 +176,7 @@ impl BenchReport {
         out.push_str(&format!("  \"warmup\": {},\n", self.warmup));
         out.push_str(&format!("  \"seed\": {},\n", self.seed));
         out.push_str(&format!("  \"jobs\": {},\n", self.jobs));
+        out.push_str(&format!("  \"repeat\": {},\n", self.repeat));
         out.push_str("  \"experiments\": [\n");
         for (i, e) in self.entries.iter().enumerate() {
             let cell_walls = e
@@ -124,15 +185,18 @@ impl BenchReport {
                 .map(|w| format!("{w:.3}"))
                 .collect::<Vec<_>>()
                 .join(", ");
+            let (min, max) = e.cells_per_sec_range();
             out.push_str(&format!(
                 "    {{\"name\": \"{}\", \"wall_ms\": {:.3}, \"cells\": {}, \
-                 \"sim_cycles\": {}, \"cells_per_sec\": {:.3}, \"skew\": {:.3}, \
-                 \"cell_wall_ms\": [{}]}}{}\n",
+                 \"sim_cycles\": {}, \"cells_per_sec\": {:.3}, \"cells_per_sec_min\": {:.3}, \
+                 \"cells_per_sec_max\": {:.3}, \"skew\": {:.3}, \"cell_wall_ms\": [{}]}}{}\n",
                 e.name,
                 e.wall_ms,
                 e.cells,
                 e.sim_cycles,
                 e.cells_per_sec(),
+                min,
+                max,
                 e.skew(),
                 cell_walls,
                 if i + 1 == self.entries.len() { "" } else { "," }
@@ -155,17 +219,29 @@ impl BenchReport {
             ));
         }
         out.push_str("  ],\n");
-        let wall_ms: f64 = self.entries.iter().map(|e| e.wall_ms).sum();
-        let cells: u64 = self.entries.iter().map(|e| e.cells).sum();
-        let sim_cycles: u64 = self.entries.iter().map(|e| e.sim_cycles).sum();
-        let throughput = if wall_ms <= 0.0 {
+        // The total of run r sums every experiment's run-r wall; the row
+        // reports the median run's total and the range over all runs.
+        let run_walls: Vec<f64> = (0..self.repeat)
+            .map(|r| {
+                self.entries
+                    .iter()
+                    .filter_map(|e| e.runs_wall_ms.get(r))
+                    .sum()
+            })
+            .collect();
+        let wall_ms = if run_walls.is_empty() {
             0.0
         } else {
-            cells as f64 * 1000.0 / wall_ms
+            run_walls[median_index(&run_walls)]
         };
+        let cells: u64 = self.entries.iter().map(|e| e.cells).sum();
+        let sim_cycles: u64 = self.entries.iter().map(|e| e.sim_cycles).sum();
+        let (min, max) = rate_range(cells, &run_walls);
         out.push_str(&format!(
             "  \"total\": {{\"wall_ms\": {wall_ms:.3}, \"cells\": {cells}, \
-             \"sim_cycles\": {sim_cycles}, \"cells_per_sec\": {throughput:.3}}}\n"
+             \"sim_cycles\": {sim_cycles}, \"cells_per_sec\": {:.3}, \
+             \"cells_per_sec_min\": {min:.3}, \"cells_per_sec_max\": {max:.3}}}\n",
+            rate(cells, wall_ms)
         ));
         out.push('}');
         out
@@ -247,6 +323,7 @@ mod tests {
             warmup: 48,
             seed: 0x5EED,
             jobs: 2,
+            repeat: 1,
             entries: vec![
                 BenchEntry {
                     name: "fig12".into(),
@@ -254,6 +331,7 @@ mod tests {
                     cells: 20,
                     sim_cycles: 1_000_000,
                     cell_wall_ms: vec![1500.0, 500.0],
+                    runs_wall_ms: vec![2000.0],
                 },
                 BenchEntry {
                     name: "table2".into(),
@@ -261,6 +339,7 @@ mod tests {
                     cells: 15,
                     sim_cycles: 600_000,
                     cell_wall_ms: vec![],
+                    runs_wall_ms: vec![500.0],
                 },
             ],
             trace: vec![TraceRow {
@@ -301,6 +380,7 @@ mod tests {
             warmup: 4,
             seed: 24301,
             jobs: 2,
+            repeat: 1,
             entries: vec![
                 BenchEntry {
                     name: "fig6".into(),
@@ -308,6 +388,7 @@ mod tests {
                     cells: 12,
                     sim_cycles: 5_704_848,
                     cell_wall_ms: vec![10.0, 20.0],
+                    runs_wall_ms: vec![123.456],
                 },
                 BenchEntry {
                     name: "table3".into(),
@@ -315,6 +396,7 @@ mod tests {
                     cells: 0,
                     sim_cycles: 0,
                     cell_wall_ms: vec![],
+                    runs_wall_ms: vec![0.043],
                 },
             ],
             trace: vec![],
@@ -342,30 +424,64 @@ mod tests {
         // The exact serialized row shape, pinned so downstream BENCH_* JSON
         // consumers (and the CI golden cmp) never see a silent key change.
         // `recovery`-style rows carry real cell counts — never zero — so
-        // `cells_per_sec` is a meaningful throughput.
+        // `cells_per_sec` is a meaningful throughput. Three runs: the
+        // median (12.5 ms) supplies the walls, the others the range.
         let report = BenchReport {
             date: "2026-08-08".into(),
             transactions: 400,
             warmup: 48,
             seed: 24301,
             jobs: 2,
-            entries: vec![BenchEntry {
-                name: "recovery".into(),
-                wall_ms: 12.5,
-                cells: 3,
-                sim_cycles: 444_000,
-                cell_wall_ms: vec![2.0, 4.0],
-            }],
+            repeat: 3,
+            entries: vec![BenchEntry::from_runs(
+                "recovery".into(),
+                3,
+                444_000,
+                vec![
+                    (12.5, vec![2.0, 4.0]),
+                    (10.0, vec![1.0, 3.0]),
+                    (25.0, vec![5.0, 5.0]),
+                ],
+            )],
             trace: vec![],
         };
-        assert!(report.to_json().contains(
+        let json = report.to_json();
+        assert!(json.contains("  \"jobs\": 2,\n  \"repeat\": 3,\n"));
+        assert!(json.contains(
             "{\"name\": \"recovery\", \"wall_ms\": 12.500, \"cells\": 3, \
-             \"sim_cycles\": 444000, \"cells_per_sec\": 240.000, \"skew\": 1.333, \
-             \"cell_wall_ms\": [2.000, 4.000]}"
+             \"sim_cycles\": 444000, \"cells_per_sec\": 240.000, \"cells_per_sec_min\": 120.000, \
+             \"cells_per_sec_max\": 300.000, \"skew\": 1.333, \"cell_wall_ms\": [2.000, 4.000]}"
+        ));
+        assert!(json.contains(
+            "\"total\": {\"wall_ms\": 12.500, \"cells\": 3, \"sim_cycles\": 444000, \
+             \"cells_per_sec\": 240.000, \"cells_per_sec_min\": 120.000, \
+             \"cells_per_sec_max\": 300.000}"
         ));
         assert!(report
             .to_golden()
             .contains("{\"name\": \"recovery\", \"cells\": 3, \"sim_cycles\": 444000}"));
+    }
+
+    #[test]
+    fn repeated_runs_report_an_actual_median_run() {
+        // Even count: the lower-middle wall (the faster of the middle two)
+        // is reported, never an average of two runs.
+        let e = BenchEntry::from_runs(
+            "fig12".into(),
+            10,
+            1,
+            vec![
+                (40.0, vec![40.0]),
+                (10.0, vec![10.0]),
+                (30.0, vec![30.0]),
+                (20.0, vec![20.0]),
+            ],
+        );
+        assert_eq!(e.wall_ms, 20.0);
+        assert_eq!(e.cell_wall_ms, vec![20.0]);
+        assert_eq!(e.runs_wall_ms, vec![40.0, 10.0, 30.0, 20.0]);
+        assert_eq!(e.cells_per_sec(), 500.0);
+        assert_eq!(e.cells_per_sec_range(), (250.0, 1000.0));
     }
 
     #[test]
@@ -376,6 +492,7 @@ mod tests {
             cells: 10,
             sim_cycles: 5,
             cell_wall_ms: vec![],
+            runs_wall_ms: vec![0.0],
         };
         assert_eq!(e.cells_per_sec(), 0.0);
         assert_eq!(e.skew(), 0.0);
@@ -389,6 +506,7 @@ mod tests {
             cells: 3,
             sim_cycles: 9,
             cell_wall_ms: vec![10.0, 20.0, 30.0],
+            runs_wall_ms: vec![60.0],
         };
         // max 30 over mean 20.
         assert!((e.skew() - 1.5).abs() < 1e-12);

@@ -30,7 +30,7 @@ use dolos_nvm::addr::LineAddr;
 use dolos_nvm::{Line, NvmDevice};
 use dolos_secmem::bmt::{data_mac, BonsaiMerkleTree};
 use dolos_secmem::cache::{Access, SetAssocCache};
-use dolos_secmem::counters::{CounterBlock, IncrementResult};
+use dolos_secmem::counters::{CounterBlock, IncrementResult, LineCounter};
 use dolos_secmem::ecc::{ecc64, probe_counter};
 use dolos_secmem::layout::MetadataLayout;
 use dolos_secmem::shadow::ShadowTable;
@@ -610,24 +610,16 @@ impl MajorSecurityUnit {
                 report.cycles += NVM_READ + (counter - base + 1) * self.latency_aes();
                 if counter != base {
                     changed = true;
-                    // Reconstruct (major, minor) from the packed value.
-                    let major = counter / 128;
-                    let minor = (counter % 128) as u8;
-                    let mut fresh = CounterBlock::new();
-                    // Rebuild from scratch preserving other lines.
-                    for l in 0..64 {
-                        let c = if l == line_in_page {
-                            dolos_secmem::counters::LineCounter { major, minor }
-                        } else {
-                            rebuilt.line_counter(l)
-                        };
-                        // Replay increments to reach the target (cheap: test
-                        // regions are small).
-                        while fresh.line_counter(l).packed() < c.packed() {
-                            fresh.increment(l);
-                        }
-                    }
-                    rebuilt = fresh;
+                    // Unpack (major, minor) and set it directly: every
+                    // written line of the page is probed, so each one ends
+                    // at its own persisted counter, (major, 0) included.
+                    rebuilt.set_line_counter(
+                        line_in_page,
+                        LineCounter {
+                            major: counter / 128,
+                            minor: (counter % 128) as u8,
+                        },
+                    );
                 }
             }
             if changed {
@@ -910,6 +902,37 @@ mod tests {
         assert_eq!(got, [0xAA; 64]);
         let (_, got0) = m.read(Cycle::ZERO, addr(0), &mut nvm).unwrap();
         assert_eq!(got0, [0xBB; 64]);
+    }
+
+    #[test]
+    fn recovery_after_overflow_restores_minor_zero_counters() {
+        for scheme in [UpdateScheme::EagerMerkle, UpdateScheme::LazyToc] {
+            let (mut m, mut nvm) = masu(scheme);
+            m.process_write(Cycle::ZERO, addr(0), &[0xAA; 64], &mut nvm);
+            // Line 1's 128th write overflows the page: line 0 is re-encrypted
+            // at (1, 0), line 1 moves to (1, 1), and the block persists.
+            for _ in 0..128 {
+                m.process_write(Cycle::ZERO, addr(1), &[0xBB; 64], &mut nvm);
+            }
+            assert_eq!(m.stats().get_or_zero("masu.overflows"), 1.0);
+            // One more write: (1, 2), below the Osiris stop-loss phase of 4,
+            // so the persisted block is stale when power fails.
+            m.process_write(Cycle::ZERO, addr(1), &[0xCC; 64], &mut nvm);
+            m.crash();
+            nvm.power_cycle();
+            m.recover(&mut nvm)
+                .unwrap_or_else(|e| panic!("{scheme:?}: recover failed: {e:?}"));
+            m.audit(&mut nvm)
+                .unwrap_or_else(|e| panic!("{scheme:?}: audit after recover: {e:?}"));
+            assert_eq!(
+                m.read(Cycle::ZERO, addr(0), &mut nvm).unwrap().1,
+                [0xAA; 64]
+            );
+            assert_eq!(
+                m.read(Cycle::ZERO, addr(1), &mut nvm).unwrap().1,
+                [0xCC; 64]
+            );
+        }
     }
 
     #[test]

@@ -1,23 +1,29 @@
 //! AES-128 block cipher (FIPS-197), encrypt-only.
 //!
 //! Counter-mode encryption and CBC-MAC only ever run the cipher in the
-//! forward direction, so the inverse cipher is intentionally omitted. Two
+//! forward direction, so the inverse cipher is intentionally omitted. Three
 //! implementations of the same function live here:
 //!
-//! * [`Aes128::encrypt_block`] — the hot path: a T-table cipher whose round
-//!   tables are precomputed at compile time. One round is 16 table loads,
-//!   12 rotates and 16 XORs per block, which is what the workspace-wide
-//!   wall-clock budget rests on (every pad byte, MAC tag and tree node in
-//!   the simulator funnels through this function).
+//! * **AES-NI** (`aes/ni.rs`, `x86_64` only) — the hardware `aesenc`
+//!   instructions. [`Aes128::new`] selects it once per key schedule when the
+//!   CPU reports the `aes` and `ssse3` features.
+//! * **T-table** — the portable software cipher, with round tables
+//!   precomputed at compile time: one round is 16 table loads and 16 XORs.
+//!   [`Aes128::new`] selects it on every other host.
 //! * [`Aes128::encrypt_block_reference`] — the original table-free
-//!   byte-oriented cipher, retained verbatim as the auditable specification.
-//!   The lockstep suite in `tests/aes_lockstep.rs` pins the fast path
-//!   against it over seeded random keys and blocks, and both against the
-//!   FIPS-197 appendix vectors.
+//!   byte-oriented cipher, retained verbatim as the auditable
+//!   specification. It is never selected; tests compare against it.
 //!
-//! Neither path changes *simulated* timing: the cycle model charges the
-//! fixed Table-1 latencies regardless of how fast the host computes the
-//! function.
+//! The choice is made by the host, never by a flag, and is invisible in
+//! every output byte: [`Aes128::encrypt_words`] and
+//! [`Aes128::encrypt_words4`] dispatch on it, and every pad, MAC tag, Mi-SU
+//! entry and tree node in the workspace reaches the cipher through one of
+//! those two. The lockstep tests in this module force each backend in turn
+//! and pin both against the reference and the FIPS-197 appendix vectors;
+//! `tests/aes_lockstep.rs` pins the host's selection the same way.
+//!
+//! No path changes *simulated* timing: the cycle model charges the fixed
+//! Table-1 latencies regardless of how fast the host computes the function.
 
 use core::fmt;
 
@@ -92,6 +98,31 @@ const TE1: [u32; 256] = rotated(&TE0, 8);
 const TE2: [u32; 256] = rotated(&TE0, 16);
 const TE3: [u32; 256] = rotated(&TE0, 24);
 
+#[cfg(target_arch = "x86_64")]
+mod ni;
+
+/// The implementation an [`Aes128`] runs. Every backend computes the same
+/// function; only host speed differs.
+#[derive(Clone, Copy)]
+enum Backend {
+    /// The portable T-table rounds.
+    Table,
+    /// AES-NI, carrying the proof that the CPU supports it.
+    #[cfg(target_arch = "x86_64")]
+    Ni(ni::Ni),
+}
+
+impl Backend {
+    /// The fastest backend the running CPU supports.
+    fn detect() -> Self {
+        #[cfg(target_arch = "x86_64")]
+        if let Some(ni) = ni::Ni::detect() {
+            return Backend::Ni(ni);
+        }
+        Backend::Table
+    }
+}
+
 /// An expanded AES-128 key schedule (11 round keys).
 ///
 /// # Examples
@@ -107,13 +138,25 @@ const TE3: [u32; 256] = rotated(&TE0, 24);
 /// assert_eq!(ct[0], 0x39);
 /// assert_eq!(ct[15], 0x32);
 /// ```
-#[derive(Clone, PartialEq, Eq)]
+#[derive(Clone)]
 pub struct Aes128 {
-    round_keys: [[u8; 16]; 11],
+    round_keys: [Block; 11],
     /// The same schedule as big-endian column words, the layout the T-table
     /// rounds consume (`rk[4r + c]` = round `r`, column `c`).
     rk: [u32; 44],
+    /// Chosen by the host, so it takes no part in equality or `Debug`.
+    backend: Backend,
 }
+
+/// Two schedules are equal when their keys are: the backend is a host
+/// property, not part of the value.
+impl PartialEq for Aes128 {
+    fn eq(&self, other: &Self) -> bool {
+        self.round_keys == other.round_keys
+    }
+}
+
+impl Eq for Aes128 {}
 
 /// Key material must never leak through diagnostics: simulator state
 /// (including `Aes128` values inside the Mi-SU/Ma-SU) is routinely
@@ -157,10 +200,36 @@ impl Aes128 {
         for (i, w) in rk.iter_mut().enumerate() {
             *w = u32::from_be_bytes(words[i]);
         }
-        Self { round_keys, rk }
+        Self {
+            round_keys,
+            rk,
+            backend: Backend::detect(),
+        }
     }
 
-    /// Encrypts one 16-byte block (T-table fast path).
+    /// The same schedule forced onto the T-table backend, so tests cover it
+    /// on hosts that would select AES-NI.
+    #[cfg(test)]
+    pub(crate) fn with_table_backend(key: &[u8; 16]) -> Self {
+        Self {
+            backend: Backend::Table,
+            ..Self::new(key)
+        }
+    }
+
+    /// The schedule on every backend this host can run: the T-table
+    /// always, then AES-NI when the CPU has it.
+    #[cfg(test)]
+    pub(crate) fn on_each_backend(key: &[u8; 16]) -> Vec<Self> {
+        let mut out = vec![Self::with_table_backend(key)];
+        let host = Self::new(key);
+        if !matches!(host.backend, Backend::Table) {
+            out.push(host);
+        }
+        out
+    }
+
+    /// Encrypts one 16-byte block on the selected backend.
     ///
     /// Bit-for-bit identical to [`Self::encrypt_block_reference`]; the
     /// lockstep suite and the FIPS-197 vectors pin the equivalence.
@@ -180,6 +249,33 @@ impl Aes128 {
     /// happens once per message, not once per cipher call.
     #[inline]
     pub fn encrypt_words(&self, w: [u32; 4]) -> [u32; 4] {
+        match self.backend {
+            Backend::Table => self.table_words(w),
+            #[cfg(target_arch = "x86_64")]
+            Backend::Ni(ni) => ni.encrypt_words(&self.round_keys, w),
+        }
+    }
+
+    /// Encrypts four independent blocks (word representation, see
+    /// [`words_from_bytes`]) in one interleaved pass.
+    ///
+    /// A single CBC chain is latency-bound: each round waits on the
+    /// previous round's result. Counter-mode pads have no such dependency —
+    /// the four blocks of a cacheline pad are independent — so both
+    /// backends interleave them per round, keeping four chains in flight.
+    /// Byte-identical to four [`Self::encrypt_words`] calls.
+    #[inline]
+    pub fn encrypt_words4(&self, blocks: [[u32; 4]; 4]) -> [[u32; 4]; 4] {
+        match self.backend {
+            Backend::Table => self.table_words4(blocks),
+            #[cfg(target_arch = "x86_64")]
+            Backend::Ni(ni) => ni.encrypt_words4(&self.round_keys, blocks),
+        }
+    }
+
+    /// [`Self::encrypt_words`] on the T-table backend.
+    #[inline]
+    fn table_words(&self, w: [u32; 4]) -> [u32; 4] {
         let rk = &self.rk;
         let mut w0 = w[0] ^ rk[0];
         let mut w1 = w[1] ^ rk[1];
@@ -237,17 +333,11 @@ impl Aes128 {
         [t0 ^ rk[40], t1 ^ rk[41], t2 ^ rk[42], t3 ^ rk[43]]
     }
 
-    /// Encrypts four independent blocks (word representation, see
-    /// [`words_from_bytes`]) in one interleaved pass.
-    ///
-    /// A single CBC chain is latency-bound: each round's table loads wait on
-    /// the previous round's result, so the core idles most of its load
-    /// ports. Counter-mode pads have no such dependency — the four blocks of
-    /// a cacheline pad are independent — and interleaving them per round
-    /// converts the load *latency* bound into a load *throughput* bound.
-    /// Byte-identical to four [`Self::encrypt_words`] calls.
+    /// [`Self::encrypt_words4`] on the T-table backend: interleaving the
+    /// four blocks per round turns the table-load *latency* bound into a
+    /// load *throughput* bound.
     #[inline]
-    pub fn encrypt_words4(&self, blocks: [[u32; 4]; 4]) -> [[u32; 4]; 4] {
+    fn table_words4(&self, blocks: [[u32; 4]; 4]) -> [[u32; 4]; 4] {
         let rk = &self.rk;
         let mut s = blocks;
         for b in s.iter_mut() {
@@ -300,7 +390,7 @@ impl Aes128 {
     /// Encrypts one 16-byte block with the byte-oriented reference cipher.
     ///
     /// This is the original table-free implementation, kept as the
-    /// specification the fast path is differentially tested against. Use
+    /// specification both backends are differentially tested against. Use
     /// [`Self::encrypt_block`] everywhere else.
     pub fn encrypt_block_reference(&self, plaintext: &Block) -> Block {
         let mut state = *plaintext;
@@ -389,13 +479,27 @@ fn mix_columns(state: &mut Block) {
 mod tests {
     use super::*;
 
-    /// FIPS-197 Appendix B: full known-answer test, both paths.
+    /// Asserts `key` maps `pt` to `expected` through the reference and, on
+    /// every backend, through the block, word and four-way entry points.
+    fn assert_kat(key: &[u8; 16], pt: &Block, expected: &Block) {
+        for aes in Aes128::on_each_backend(key) {
+            assert_eq!(aes.encrypt_block_reference(pt), *expected);
+            assert_eq!(aes.encrypt_block(pt), *expected);
+            let w = words_from_bytes(pt);
+            assert_eq!(bytes_from_words(&aes.encrypt_words(w)), *expected);
+            for out in aes.encrypt_words4([w; 4]) {
+                assert_eq!(bytes_from_words(&out), *expected);
+            }
+        }
+    }
+
+    /// FIPS-197 Appendix B: full known-answer test.
     #[test]
     fn fips197_appendix_b_vector() {
-        let key = Aes128::new(&[
+        let key = [
             0x2b, 0x7e, 0x15, 0x16, 0x28, 0xae, 0xd2, 0xa6, 0xab, 0xf7, 0x15, 0x88, 0x09, 0xcf,
             0x4f, 0x3c,
-        ]);
+        ];
         let pt = [
             0x32, 0x43, 0xf6, 0xa8, 0x88, 0x5a, 0x30, 0x8d, 0x31, 0x31, 0x98, 0xa2, 0xe0, 0x37,
             0x07, 0x34,
@@ -404,18 +508,16 @@ mod tests {
             0x39, 0x25, 0x84, 0x1d, 0x02, 0xdc, 0x09, 0xfb, 0xdc, 0x11, 0x85, 0x97, 0x19, 0x6a,
             0x0b, 0x32,
         ];
-        assert_eq!(key.encrypt_block(&pt), expected);
-        assert_eq!(key.encrypt_block_reference(&pt), expected);
+        assert_kat(&key, &pt, &expected);
     }
 
     /// FIPS-197 Appendix C.1: 000102…0f key over 00112233…ff plaintext.
     #[test]
     fn fips197_appendix_c1_vector() {
-        let mut kb = [0u8; 16];
-        for (i, b) in kb.iter_mut().enumerate() {
+        let mut key = [0u8; 16];
+        for (i, b) in key.iter_mut().enumerate() {
             *b = i as u8;
         }
-        let key = Aes128::new(&kb);
         let mut pt = [0u8; 16];
         for (i, b) in pt.iter_mut().enumerate() {
             *b = (i as u8) * 0x11;
@@ -424,25 +526,69 @@ mod tests {
             0x69, 0xc4, 0xe0, 0xd8, 0x6a, 0x7b, 0x04, 0x30, 0xd8, 0xcd, 0xb7, 0x80, 0x70, 0xb4,
             0xc5, 0x5a,
         ];
-        assert_eq!(key.encrypt_block(&pt), expected);
-        assert_eq!(key.encrypt_block_reference(&pt), expected);
+        assert_kat(&key, &pt, &expected);
+    }
+
+    /// Seeded random keys × random blocks: every backend's `encrypt_words`
+    /// and `encrypt_words4` equal the reference, bit for bit.
+    #[test]
+    fn every_backend_matches_reference_on_random_keys_and_blocks() {
+        let mut rng = dolos_sim::rng::XorShift::new(0xae5_1a6e_0bac_c3d5);
+        let mut random_block = || {
+            let mut b = [0u8; 16];
+            b[..8].copy_from_slice(&rng.next_u64().to_le_bytes());
+            b[8..].copy_from_slice(&rng.next_u64().to_le_bytes());
+            b
+        };
+        for _ in 0..64 {
+            let key = random_block();
+            let backends = Aes128::on_each_backend(&key);
+            for _ in 0..256 / 4 {
+                let pts = [
+                    random_block(),
+                    random_block(),
+                    random_block(),
+                    random_block(),
+                ];
+                let expected = pts.map(|pt| backends[0].encrypt_block_reference(&pt));
+                for aes in &backends {
+                    for (pt, want) in pts.iter().zip(&expected) {
+                        let got = aes.encrypt_words(words_from_bytes(pt));
+                        assert_eq!(bytes_from_words(&got), *want);
+                    }
+                    let quad = aes.encrypt_words4(pts.map(|pt| words_from_bytes(&pt)));
+                    assert_eq!(quad.map(|w| bytes_from_words(&w)), expected);
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn backend_is_invisible_in_eq_and_debug() {
+        let key = [0x5c; 16];
+        let table = Aes128::with_table_backend(&key);
+        let host = Aes128::new(&key);
+        assert_eq!(table, host);
+        assert_eq!(format!("{table:?}"), format!("{host:?}"));
+        assert_ne!(table, Aes128::with_table_backend(&[0x5d; 16]));
     }
 
     #[test]
     fn fast_path_matches_reference_on_structured_blocks() {
-        // Dense in-module lockstep over structured patterns; the seeded
-        // random sweep lives in tests/aes_lockstep.rs.
+        // Dense lockstep over structured patterns on every backend; the
+        // seeded random sweep is the test above.
         let keys = [[0u8; 16], [0xFF; 16], [0xA5; 16], [1; 16]];
         for kb in keys {
-            let key = Aes128::new(&kb);
-            for i in 0..=255u8 {
-                let mut pt = [i; 16];
-                pt[(i % 16) as usize] ^= 0x5A;
-                assert_eq!(
-                    key.encrypt_block(&pt),
-                    key.encrypt_block_reference(&pt),
-                    "key {kb:02x?} pattern {i}"
-                );
+            for key in Aes128::on_each_backend(&kb) {
+                for i in 0..=255u8 {
+                    let mut pt = [i; 16];
+                    pt[(i % 16) as usize] ^= 0x5A;
+                    assert_eq!(
+                        key.encrypt_block(&pt),
+                        key.encrypt_block_reference(&pt),
+                        "key {kb:02x?} pattern {i}"
+                    );
+                }
             }
         }
     }
@@ -451,7 +597,6 @@ mod tests {
     fn interleaved_quad_matches_single_block_path() {
         // encrypt_words4 must be byte-identical to four encrypt_block calls
         // for arbitrary (including equal and structured) inputs.
-        let key = Aes128::new(&[0x3Cu8; 16]);
         let mut blocks = [[0u8; 16]; 4];
         for (k, block) in blocks.iter_mut().enumerate() {
             for (i, b) in block.iter_mut().enumerate() {
@@ -459,15 +604,12 @@ mod tests {
             }
         }
         blocks[2] = blocks[0]; // duplicate inputs must not interfere
-        let quad = key.encrypt_words4([
-            words_from_bytes(&blocks[0]),
-            words_from_bytes(&blocks[1]),
-            words_from_bytes(&blocks[2]),
-            words_from_bytes(&blocks[3]),
-        ]);
-        for (block, words) in blocks.iter().zip(quad.iter()) {
-            assert_eq!(bytes_from_words(words), key.encrypt_block(block));
-            assert_eq!(bytes_from_words(words), key.encrypt_block_reference(block));
+        for key in Aes128::on_each_backend(&[0x3Cu8; 16]) {
+            let quad = key.encrypt_words4(blocks.map(|b| words_from_bytes(&b)));
+            for (block, words) in blocks.iter().zip(quad.iter()) {
+                assert_eq!(bytes_from_words(words), key.encrypt_block(block));
+                assert_eq!(bytes_from_words(words), key.encrypt_block_reference(block));
+            }
         }
     }
 

@@ -288,6 +288,27 @@ mod tests {
         Aes128::new(&[0xA5; 16])
     }
 
+    /// Every backend produces the pad the reference cipher specifies: block
+    /// `i` is the encryption of the IV with block index `i`.
+    #[test]
+    fn pads_match_reference_on_every_backend() {
+        for aes in Aes128::on_each_backend(&[0x6e; 16]) {
+            for (addr, counter) in [(0u64, 0u64), (4160, 1), (1 << 20, 255), (64, u64::MAX)] {
+                let iv = IvBuilder::new().address(addr).counter(counter).build();
+                let mut want = Vec::with_capacity(MAX_PAD_BYTES);
+                for i in 0..=255u8 {
+                    want.extend_from_slice(&aes.encrypt_block_reference(&iv.to_block(i)));
+                }
+                assert_eq!(pad_line(&aes, &iv), want[..LINE_SIZE]);
+                for len in [0usize, 1, 15, 16, 17, 63, 64, 65, 200, MAX_PAD_BYTES] {
+                    let mut pad = vec![0xAB; len];
+                    pad_into(&aes, &iv, &mut pad);
+                    assert_eq!(pad, want[..len], "addr {addr:#x} len {len}");
+                }
+            }
+        }
+    }
+
     #[test]
     fn pad_is_deterministic_for_same_iv() {
         let iv = IvBuilder::new().address(4096).counter(9).build();

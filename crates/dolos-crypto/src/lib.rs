@@ -5,9 +5,11 @@
 //! so the rest of the workspace can verify real ciphertext, real MACs, and
 //! real Merkle-tree roots across crashes and attacks:
 //!
-//! * [`aes`] — AES-128 block encryption (FIPS-197, encrypt-only): a
-//!   T-table fast path ([`Aes128::encrypt_block`]) plus the retained
-//!   byte-oriented reference it is lockstep-tested against;
+//! * [`aes`] — AES-128 block encryption (FIPS-197, encrypt-only) with three
+//!   implementations of one function: AES-NI, selected by [`Aes128::new`]
+//!   when the `x86_64` CPU reports `aes` and `ssse3`; the portable T-table
+//!   cipher, selected everywhere else; and the byte-oriented
+//!   [`Aes128::encrypt_block_reference`] both are lockstep-tested against;
 //! * [`ctr`] — counter-mode pad generation with the paper's IV layout
 //!   (page ID ‖ page offset ‖ counter ‖ padding, Figure 2); hot paths use
 //!   the allocation-free [`ctr::pad_line`] / [`ctr::pad_into`];
@@ -40,7 +42,10 @@
 //! assert_eq!(tag, mac.tag(&pad)); // deterministic
 //! ```
 
-#![forbid(unsafe_code)]
+// The AES-NI backend (`aes/ni.rs`) is the one module allowed `unsafe`;
+// every block there carries a `// SAFETY:` comment.
+#![deny(unsafe_code)]
+#![warn(clippy::undocumented_unsafe_blocks)]
 #![warn(missing_docs)]
 
 pub mod aes;

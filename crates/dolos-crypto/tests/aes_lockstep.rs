@@ -1,12 +1,15 @@
-//! Lockstep differential pins: the T-table AES fast path against the
+//! Lockstep differential pins: the AES backend this host selects (AES-NI
+//! on `x86_64` CPUs that have it, the T-table cipher elsewhere) against the
 //! retained byte-oriented reference, and the allocation-free pad paths
 //! against `generate_pad`.
 //!
-//! The fast path is the single function every simulated pad byte, MAC tag
-//! and tree node flows through; any divergence from the reference would
-//! silently change ciphertexts, MACs and therefore recovery/conformance
-//! behaviour everywhere. These tests are the contract that lets the rest of
-//! the workspace treat `encrypt_block` as *the* FIPS-197 cipher.
+//! The selected backend is the single function every simulated pad byte,
+//! MAC tag and tree node flows through; any divergence from the reference
+//! would silently change ciphertexts, MACs and therefore
+//! recovery/conformance behaviour everywhere. These tests are the contract
+//! that lets the rest of the workspace treat `encrypt_block` as *the*
+//! FIPS-197 cipher. The unit tests in `src/aes.rs` force each backend in
+//! turn, so the backend this host does not select is covered there.
 
 use dolos_crypto::aes::Aes128;
 use dolos_crypto::ctr::{generate_pad, pad_into, pad_line, IvBuilder, MAX_PAD_BYTES};
@@ -20,7 +23,8 @@ fn random_bytes16(rng: &mut XorShift) -> [u8; 16] {
     b
 }
 
-/// Seeded random keys × random blocks: fast path == reference, bit for bit.
+/// Seeded random keys × random blocks: selected backend == reference, bit
+/// for bit.
 #[test]
 fn fast_aes_matches_reference_on_random_keys_and_blocks() {
     let mut rng = XorShift::new(0x00d0_105a_e5f0_0d5e);
@@ -33,7 +37,7 @@ fn fast_aes_matches_reference_on_random_keys_and_blocks() {
     }
 }
 
-/// FIPS-197 Appendix B through the fast path.
+/// FIPS-197 Appendix B through the selected backend.
 #[test]
 fn fast_aes_fips197_appendix_b() {
     let key = Aes128::new(&[
@@ -53,7 +57,7 @@ fn fast_aes_fips197_appendix_b() {
     );
 }
 
-/// FIPS-197 Appendix C.1 through the fast path.
+/// FIPS-197 Appendix C.1 through the selected backend.
 #[test]
 fn fast_aes_fips197_appendix_c1() {
     let mut kb = [0u8; 16];

@@ -133,6 +133,26 @@ impl CounterBlock {
         }
     }
 
+    /// Sets line `line`'s counter to exactly `c`, adopting `c.major` as the
+    /// page's major counter; the other lines' minors are left as they are.
+    ///
+    /// Recovery writes back probed counters with this: [`Self::increment`]
+    /// cannot reach `(major, 0)` for a line that crossed an overflow, since
+    /// the overflowing line restarts its epoch at minor 1.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `line >= 64` or `c.minor > MINOR_MAX`.
+    pub fn set_line_counter(&mut self, line: usize, c: LineCounter) {
+        assert!(
+            c.minor <= MINOR_MAX,
+            "minor counter {} exceeds 7 bits",
+            c.minor
+        );
+        self.major = c.major;
+        self.minors[line] = c.minor;
+    }
+
     /// Serializes to the 64-byte NVM representation
     /// (8-byte major ‖ 56 bytes holding 64 7-bit minors).
     pub fn to_line(&self) -> Line {
