@@ -2,6 +2,8 @@
 
 use std::fmt;
 
+use dolos_sim::json::escape;
+
 /// JSON schema version of [`Report::to_json`]. Bumped when the shape
 /// changes: v1 was findings/count/files_scanned/panic_sites; v2 adds this
 /// field and the active-suppression inventory.
@@ -90,10 +92,10 @@ impl Report {
             }
             out.push_str(&format!(
                 "\n    {{\"file\": \"{}\", \"line\": {}, \"lint\": \"{}\", \"message\": \"{}\"}}",
-                escape_json(&f.file),
+                escape(&f.file),
                 f.line,
-                escape_json(&f.lint),
-                escape_json(&f.message)
+                escape(&f.lint),
+                escape(&f.message)
             ));
         }
         if !self.findings.is_empty() {
@@ -106,10 +108,10 @@ impl Report {
             }
             out.push_str(&format!(
                 "\n    {{\"file\": \"{}\", \"line\": {}, \"lint\": \"{}\", \"reason\": \"{}\"}}",
-                escape_json(&s.file),
+                escape(&s.file),
                 s.line,
-                escape_json(&s.lint),
-                escape_json(&s.reason)
+                escape(&s.lint),
+                escape(&s.reason)
             ));
         }
         if !self.suppressed.is_empty() {
@@ -123,23 +125,6 @@ impl Report {
         ));
         out
     }
-}
-
-/// Escapes a string for embedding in JSON output.
-pub fn escape_json(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\t' => out.push_str("\\t"),
-            '\r' => out.push_str("\\r"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out
 }
 
 #[cfg(test)]
@@ -172,6 +157,7 @@ mod tests {
         assert!(json.contains("say \\\"no\\\""));
         assert!(json.contains("\"panic_sites\": 2"));
         assert!(json.contains("\"reason\": \"cache invariant\""));
+        assert_eq!(dolos_sim::json::validate(&json), Ok(()));
     }
 
     #[test]
@@ -181,5 +167,6 @@ mod tests {
         let json = report.to_json();
         assert!(json.contains("\"findings\": [],"));
         assert!(json.contains("\"suppressions\": [],"));
+        assert_eq!(dolos_sim::json::validate(&json), Ok(()));
     }
 }

@@ -354,6 +354,7 @@ mod tests {
         };
         assert_eq!(report.file_name(), "BENCH_2026-08-06.json");
         let json = report.to_json();
+        assert_eq!(dolos_sim::json::validate(&json), Ok(()));
         assert!(json.contains("\"cells\": 20"));
         assert!(json.contains("\"wall_ms\": 2500.000"));
         assert!(json.contains("\"sim_cycles\": 1600000"));

@@ -20,7 +20,6 @@
 
 pub mod emit;
 pub mod experiments;
-pub mod microbench;
 pub mod paper;
 pub mod report;
 

@@ -234,14 +234,6 @@ impl ControllerConfig {
         Self::with_kind(ControllerKind::DeferredSecure)
     }
 
-    /// Builds the default configuration for a scheme named by its stable
-    /// report string ("ideal", "pre-wpq-secure", "dolos-post", ...). The
-    /// scheme factory used by the differential harnesses and CLI tools;
-    /// returns `None` for unknown names.
-    pub fn named(name: &str) -> Option<Self> {
-        ControllerKind::from_name(name).map(Self::with_kind)
-    }
-
     fn with_kind(kind: ControllerKind) -> Self {
         Self {
             kind,
@@ -439,17 +431,16 @@ mod tests {
     fn scheme_factory_round_trips_every_name() {
         for kind in ControllerKind::ALL {
             assert_eq!(ControllerKind::from_name(kind.name()), Some(kind));
-            let config = ControllerConfig::named(kind.name()).unwrap();
-            assert_eq!(config.kind, kind);
+            assert_eq!(ControllerConfig::from(kind).kind, kind);
         }
         assert_eq!(ControllerKind::from_name("dolos"), None);
-        assert!(ControllerConfig::named("no-such-scheme").is_none());
+        assert_eq!(ControllerKind::from_name("no-such-scheme"), None);
     }
 
     #[test]
     fn bank_knobs_default_to_the_single_queue_model() {
         for kind in ControllerKind::ALL {
-            let config = ControllerConfig::named(kind.name()).unwrap();
+            let config = ControllerConfig::from(kind);
             assert_eq!(config.banks, 1);
             assert_eq!(
                 config.total_usable_wpq_entries(),

@@ -28,7 +28,7 @@ use dolos_nvm::addr::LineAddr;
 use dolos_nvm::wpq::InsertOutcome;
 use dolos_nvm::{BankSet, Line, NvmDevice};
 use dolos_secmem::layout::MetadataLayout;
-use dolos_sim::stats::{Histogram, Running, StatSet};
+use dolos_sim::stats::{Running, StatSet};
 use dolos_sim::trace::{sort_events, EventKind, TraceEvent, TraceMode, TraceSink};
 use dolos_sim::Cycle;
 
@@ -91,7 +91,6 @@ pub struct SecureMemorySystem {
     persists: u64,
     retries: u64,
     persist_latency: Running,
-    persist_histogram: Histogram,
     read_wpq_hits: u64,
     /// Armed fault-injection plan (crash testing); `None` in normal runs.
     fault: Option<FaultPlan>,
@@ -170,7 +169,6 @@ impl SecureMemorySystem {
             persists: 0,
             retries: 0,
             persist_latency: Running::new(),
-            persist_histogram: Histogram::new(),
             read_wpq_hits: 0,
             fault: None,
             pending_power_failure: None,
@@ -549,7 +547,6 @@ impl SecureMemorySystem {
                     debug_assert_eq!(s, slot);
                     self.ready_times[bank].push_back(done);
                     self.persist_latency.record(done - now);
-                    self.persist_histogram.record(done - now);
                     if self.trace.is_enabled() {
                         self.trace.span(
                             EventKind::PersistAck,
@@ -574,7 +571,6 @@ impl SecureMemorySystem {
                 InsertOutcome::Coalesced { slot: s } => {
                     debug_assert_eq!(s, slot);
                     self.persist_latency.record(done - now);
-                    self.persist_histogram.record(done - now);
                     if self.trace.is_enabled() {
                         self.trace.span(
                             EventKind::PersistAck,
@@ -888,14 +884,6 @@ impl SecureMemorySystem {
         s.set(
             "ctrl.persist_latency_max",
             self.persist_latency.max().unwrap_or(0) as f64,
-        );
-        s.set(
-            "ctrl.persist_latency_p50",
-            self.persist_histogram.percentile(0.5) as f64,
-        );
-        s.set(
-            "ctrl.persist_latency_p99",
-            self.persist_histogram.percentile(0.99) as f64,
         );
         s
     }

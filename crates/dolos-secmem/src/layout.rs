@@ -95,14 +95,23 @@ impl MetadataLayout {
     /// MT cache blocks at the Table 1 geometry: 2048 + 4096).
     pub const DEFAULT_SHADOW_ENTRIES: u64 = 6144;
 
+    /// The largest protected region a layout accepts: with the counter,
+    /// MAC, shadow and dump regions above it, every metadata address still
+    /// fits in 64 bits.
+    pub const MAX_DATA_BYTES: u64 = 1 << 63;
+
     /// Creates a layout for a protected data region of `data_bytes` bytes
     /// (rounded up to a whole number of pages).
     ///
     /// # Panics
     ///
-    /// Panics if `data_bytes` is zero.
+    /// Panics if `data_bytes` is zero or exceeds [`Self::MAX_DATA_BYTES`].
     pub fn new(data_bytes: u64) -> Self {
         assert!(data_bytes > 0, "protected region must be non-empty");
+        assert!(
+            data_bytes <= Self::MAX_DATA_BYTES,
+            "protected region exceeds MetadataLayout::MAX_DATA_BYTES"
+        );
         let data_bytes = data_bytes.div_ceil(PAGE_BYTES) * PAGE_BYTES;
         let pages = data_bytes / PAGE_BYTES;
         let counter_base = data_bytes;
@@ -301,6 +310,14 @@ mod tests {
     #[should_panic(expected = "non-empty")]
     fn zero_region_panics() {
         let _ = MetadataLayout::new(0);
+    }
+
+    #[test]
+    #[should_panic(expected = "MAX_DATA_BYTES")]
+    fn oversized_region_panics() {
+        let l = MetadataLayout::new(MetadataLayout::MAX_DATA_BYTES);
+        assert!(l.wpq_dump_addr(255).as_u64() < l.end());
+        let _ = MetadataLayout::new(MetadataLayout::MAX_DATA_BYTES + 1);
     }
 
     #[test]

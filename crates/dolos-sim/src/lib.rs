@@ -10,11 +10,13 @@
 //!   a global event queue;
 //! * [`rng`] — a small deterministic RNG plus the Zipfian sampler used by the
 //!   YCSB-style workload;
-//! * [`stats`] — counters and histograms shared by the experiment harness;
+//! * [`stats`] — counters and running stats shared by the experiment harness;
 //! * [`pool`] — a deterministic work-stealing job pool for sweeps whose
 //!   output must not depend on thread count;
 //! * [`queue`] — the atomic index queue the pool steals schedule positions
 //!   from;
+//! * [`json`] — the string escaper and well-formedness check shared by
+//!   every hand-rolled JSON report;
 //! * [`flat`] — a sorted flat map used for per-line metadata tables whose
 //!   iteration order must be reproducible;
 //! * [`table`] — plain-text table rendering shared by every report surface;
@@ -43,6 +45,7 @@
 #![warn(missing_docs)]
 
 pub mod flat;
+pub mod json;
 pub mod pool;
 pub mod queue;
 pub mod resource;

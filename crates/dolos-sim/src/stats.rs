@@ -1,4 +1,4 @@
-//! Simulation statistics: counters, running means, and histograms.
+//! Simulation statistics: counters, running means, and named stat sets.
 //!
 //! Every controller and workload exposes a [`StatSet`] snapshot at the end of
 //! a run; the experiment harness in `dolos-bench` aggregates these into the
@@ -126,74 +126,6 @@ impl Running {
     }
 }
 
-/// A power-of-two-bucketed latency histogram.
-///
-/// Bucket `i` holds samples in `[2^i, 2^(i+1))` (bucket 0 holds 0 and 1).
-///
-/// # Examples
-///
-/// ```
-/// use dolos_sim::stats::Histogram;
-///
-/// let mut h = Histogram::new();
-/// h.record(5);
-/// h.record(6);
-/// h.record(1000);
-/// assert_eq!(h.count(), 3);
-/// assert!(h.percentile(0.5) <= 8);
-/// ```
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct Histogram {
-    buckets: [u64; 64],
-    count: u64,
-}
-
-impl Default for Histogram {
-    fn default() -> Self {
-        Self {
-            buckets: [0; 64],
-            count: 0,
-        }
-    }
-}
-
-impl Histogram {
-    /// Creates an empty histogram.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Records one sample.
-    pub fn record(&mut self, sample: u64) {
-        let bucket = 64 - sample.max(1).leading_zeros() as usize - 1;
-        self.buckets[bucket] += 1;
-        self.count += 1;
-    }
-
-    /// Total samples recorded.
-    pub fn count(&self) -> u64 {
-        self.count
-    }
-
-    /// Upper bound of the bucket containing the `q`-quantile (`q` in `[0, 1]`).
-    ///
-    /// Returns 0 for an empty histogram.
-    pub fn percentile(&self, q: f64) -> u64 {
-        if self.count == 0 {
-            return 0;
-        }
-        let target = ((self.count as f64) * q.clamp(0.0, 1.0)).ceil() as u64;
-        let mut seen = 0;
-        for (i, &b) in self.buckets.iter().enumerate() {
-            seen += b;
-            if seen >= target {
-                return 1u64 << (i + 1);
-            }
-        }
-        u64::MAX
-    }
-}
-
 /// A named bag of scalar statistics snapshotted at the end of a run.
 ///
 /// Values are stored as `f64` so counts, means, and ratios can coexist;
@@ -312,17 +244,6 @@ mod tests {
         assert_eq!(r.max(), Some(11));
         assert_eq!(r.count(), 3);
         assert!((r.mean() - 7.0).abs() < 1e-9);
-    }
-
-    #[test]
-    fn histogram_buckets_by_powers_of_two() {
-        let mut h = Histogram::new();
-        for v in [0, 1, 2, 3, 4, 7, 8] {
-            h.record(v);
-        }
-        assert_eq!(h.count(), 7);
-        assert!(h.percentile(1.0) >= 8);
-        assert_eq!(Histogram::new().percentile(0.5), 0);
     }
 
     #[test]

@@ -40,54 +40,6 @@ pub use attrib::{attribute, Attribution};
 pub use chrome::chrome_trace_json;
 pub use hist::TraceHistogram;
 pub use profile::{
-    parse_scheme, parse_workload, persist_floor, profile_cell, run_profile, CellProfile,
-    ProfileConfig, ProfileReport, SchemeProfile, REPORT_SCHEMES,
+    parse_workload, persist_floor, profile_cell, run_profile, CellProfile, ProfileConfig,
+    ProfileReport, SchemeProfile, REPORT_SCHEMES,
 };
-
-#[cfg(test)]
-pub(crate) mod test_support {
-    /// Minimal JSON well-formedness scanner: tracks strings, escapes, and
-    /// bracket balance — the same guard the other reporting crates use for
-    /// their hand-rolled serializers.
-    pub fn assert_json_parses(json: &str) {
-        let mut depth: i64 = 0;
-        let mut in_string = false;
-        let mut chars = json.chars();
-        while let Some(c) = chars.next() {
-            if in_string {
-                match c {
-                    '\\' => {
-                        let e = chars.next().expect("dangling escape");
-                        match e {
-                            '"' | '\\' | '/' | 'b' | 'f' | 'n' | 'r' | 't' => {}
-                            'u' => {
-                                for _ in 0..4 {
-                                    let h = chars.next().expect("truncated \\u escape");
-                                    assert!(h.is_ascii_hexdigit(), "bad \\u digit {h:?}");
-                                }
-                            }
-                            other => panic!("invalid escape \\{other}"),
-                        }
-                    }
-                    '"' => in_string = false,
-                    c if (c as u32) < 0x20 => {
-                        panic!("raw control character {:#04x} inside string", c as u32)
-                    }
-                    _ => {}
-                }
-            } else {
-                match c {
-                    '"' => in_string = true,
-                    '{' | '[' => depth += 1,
-                    '}' | ']' => {
-                        depth -= 1;
-                        assert!(depth >= 0, "unbalanced brackets");
-                    }
-                    _ => {}
-                }
-            }
-        }
-        assert!(!in_string, "unterminated string");
-        assert_eq!(depth, 0, "unbalanced brackets");
-    }
-}

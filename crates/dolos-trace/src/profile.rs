@@ -34,11 +34,6 @@ pub const REPORT_SCHEMES: [ControllerKind; 5] = [
     ControllerKind::Dolos(dolos_core::MiSuKind::Post),
 ];
 
-/// Resolves a stable scheme report name ("ideal", "dolos-post", ...).
-pub fn parse_scheme(name: &str) -> Option<ControllerKind> {
-    ControllerKind::from_name(name)
-}
-
 /// Resolves a workload display name ("Hashmap", "NStore:YCSB", ...),
 /// case-insensitively, over the extended workload set.
 pub fn parse_workload(name: &str) -> Option<WorkloadKind> {
@@ -47,21 +42,11 @@ pub fn parse_workload(name: &str) -> Option<WorkloadKind> {
         .find(|kind| kind.name().eq_ignore_ascii_case(name))
 }
 
-/// The default configuration for a controller kind.
-fn config_for(kind: ControllerKind) -> ControllerConfig {
-    match kind {
-        ControllerKind::IdealNonSecure => ControllerConfig::ideal(),
-        ControllerKind::DeferredSecure => ControllerConfig::deferred(),
-        ControllerKind::PreWpqSecure => ControllerConfig::baseline(),
-        ControllerKind::Dolos(misu) => ControllerConfig::dolos(misu),
-    }
-}
-
 /// The intrinsic persist floor of a scheme: the latency of the very first
 /// persist on a fresh system, where nothing is cached, queued or busy —
 /// the scheme's critical path with every miss penalty exposed.
 pub fn persist_floor(kind: ControllerKind) -> u64 {
-    let mut system = SecureMemorySystem::new(config_for(kind));
+    let mut system = SecureMemorySystem::new(kind.into());
     let done = system.persist_write(Cycle::ZERO, 0, &[0x5A; 64]);
     done.as_u64()
 }
@@ -106,7 +91,8 @@ impl Default for ProfileConfig {
 }
 
 impl ProfileConfig {
-    fn run_config(&self) -> RunConfig {
+    /// The per-cell run parameters (transactions, payload, warm-up, seed).
+    pub fn run_config(&self) -> RunConfig {
         RunConfig {
             transactions: self.transactions,
             txn_bytes: self.txn_bytes,
@@ -166,7 +152,7 @@ pub fn profile_cell(
     run: &RunConfig,
     banks: usize,
 ) -> CellProfile {
-    let config = config_for(kind)
+    let config = ControllerConfig::from(kind)
         .with_banks(banks)
         .with_trace(TraceMode::Record);
     let result = run_workload(workload, config, run);

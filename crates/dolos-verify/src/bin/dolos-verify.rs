@@ -131,11 +131,11 @@ fn replay(args: &[String]) -> ExitCode {
     };
 
     if let Some(name) = scheme {
-        let Some(config) = dolos_core::ControllerConfig::named(&name) else {
+        let Some(kind) = dolos_core::ControllerKind::from_name(&name) else {
             eprintln!("dolos-verify: unknown scheme {name:?}");
             return ExitCode::from(2);
         };
-        let obs = dolos_verify::run_scheme(&config, &scenario);
+        let obs = dolos_verify::run_scheme(&kind.into(), &scenario);
         println!(
             "{}: commits={} reads={} lines={} detected={} cuts=[{}]",
             obs.scheme,

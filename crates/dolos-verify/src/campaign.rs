@@ -259,21 +259,7 @@ impl VerifyReport {
     /// Serializes the report as JSON (hand-rolled: the workspace is
     /// dependency-free by design).
     pub fn to_json(&self) -> String {
-        fn escape(s: &str) -> String {
-            let mut out = String::with_capacity(s.len());
-            for c in s.chars() {
-                match c {
-                    '"' => out.push_str("\\\""),
-                    '\\' => out.push_str("\\\\"),
-                    '\n' => out.push_str("\\n"),
-                    '\r' => out.push_str("\\r"),
-                    '\t' => out.push_str("\\t"),
-                    c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-                    c => out.push(c),
-                }
-            }
-            out
-        }
+        use dolos_sim::json::escape;
         fn failure_json(f: &FailureCase) -> String {
             format!(
                 "{{\"scenario\": \"{}\", \"message\": \"{}\"}}",
@@ -623,7 +609,7 @@ mod tests {
         assert!(json.contains("\"scheme\": \"dolos-partial\""));
         assert!(json.contains("\"metamorphic\""));
         assert!(json.ends_with("}\n"));
-        crate::test_support::assert_json_parses(&json);
+        assert_eq!(dolos_sim::json::validate(&json), Ok(()));
     }
 
     #[test]
@@ -653,7 +639,7 @@ mod tests {
             metamorphic: MetamorphicReport::default(),
         };
         let json = report.to_json();
-        crate::test_support::assert_json_parses(&json);
+        assert_eq!(dolos_sim::json::validate(&json), Ok(()));
         assert!(json.contains("\\n"));
         assert!(json.contains("\\t"));
         assert!(json.contains("\\r"));

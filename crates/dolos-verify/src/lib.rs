@@ -46,52 +46,3 @@ pub use engine::{
 pub use scenario::{
     check_geometry, shrink_with, Scenario, ScenarioConfig, TamperSpec, VerifyRound, CUT_POINTS,
 };
-
-#[cfg(test)]
-pub(crate) mod test_support {
-    /// Minimal JSON well-formedness scanner: tracks strings, escapes, and
-    /// bracket balance. Catches exactly the bug class the hand-rolled
-    /// escaper guards against (raw control characters, unescaped
-    /// quotes/backslashes).
-    pub fn assert_json_parses(json: &str) {
-        let mut depth: i64 = 0;
-        let mut in_string = false;
-        let mut chars = json.chars();
-        while let Some(c) = chars.next() {
-            if in_string {
-                match c {
-                    '\\' => {
-                        let e = chars.next().expect("dangling escape");
-                        match e {
-                            '"' | '\\' | '/' | 'b' | 'f' | 'n' | 'r' | 't' => {}
-                            'u' => {
-                                for _ in 0..4 {
-                                    let h = chars.next().expect("truncated \\u escape");
-                                    assert!(h.is_ascii_hexdigit(), "bad \\u digit {h:?}");
-                                }
-                            }
-                            other => panic!("invalid escape \\{other}"),
-                        }
-                    }
-                    '"' => in_string = false,
-                    c if (c as u32) < 0x20 => {
-                        panic!("raw control character {:#04x} inside string", c as u32)
-                    }
-                    _ => {}
-                }
-            } else {
-                match c {
-                    '"' => in_string = true,
-                    '{' | '[' => depth += 1,
-                    '}' | ']' => {
-                        depth -= 1;
-                        assert!(depth >= 0, "unbalanced brackets");
-                    }
-                    _ => {}
-                }
-            }
-        }
-        assert!(!in_string, "unterminated string");
-        assert_eq!(depth, 0, "unbalanced brackets");
-    }
-}

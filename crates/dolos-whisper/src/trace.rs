@@ -20,9 +20,16 @@
 use std::fmt::Write as _;
 
 use dolos_core::{ControllerConfig, SecureMemorySystem};
+use dolos_nvm::LineAddr;
+use dolos_secmem::layout::MetadataLayout;
 use dolos_sim::Cycle;
 
 use crate::env::OP_COST;
+
+/// The most simulated cycles the `W`/`D` ops of a parsed trace may add:
+/// half the clock's range, which leaves the other half for the memory-side
+/// latencies a replay adds on top.
+pub const MAX_THINK_CYCLES: u64 = u64::MAX / 2;
 
 /// One memory-controller-visible operation.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -196,52 +203,62 @@ impl Trace {
 
     /// Parses the text format produced by [`Trace::serialize`].
     ///
+    /// A trace this returns replays without panicking: its region is in
+    /// `1..=`[`MetadataLayout::MAX_DATA_BYTES`], its addresses are
+    /// line-aligned and inside the page-rounded region, and its `W`/`D`
+    /// ops add at most [`MAX_THINK_CYCLES`].
+    ///
     /// # Errors
     ///
     /// Returns [`ParseTraceError`] on malformed input.
     pub fn parse(text: &str) -> Result<Self, ParseTraceError> {
+        let head_err = |reason| ParseTraceError { line: 1, reason };
         let mut lines = text.lines().enumerate();
-        let (_, header) = lines.next().ok_or(ParseTraceError {
-            line: 1,
-            reason: "empty input",
-        })?;
+        let (_, header) = lines.next().ok_or(head_err("empty input"))?;
         let region_bytes = header
             .strip_prefix("DOLOS-TRACE v1 region=")
             .and_then(|v| v.parse().ok())
-            .ok_or(ParseTraceError {
-                line: 1,
-                reason: "bad header",
-            })?;
+            .ok_or(head_err("bad header"))?;
+        if !(1..=MetadataLayout::MAX_DATA_BYTES).contains(&region_bytes) {
+            return Err(head_err("region size out of range"));
+        }
+        let data_bytes = MetadataLayout::new(region_bytes).data_bytes();
         let mut trace = Trace::new(region_bytes);
+        let mut think_cycles = 0u64;
         for (idx, line) in lines {
             let err = |reason| ParseTraceError {
                 line: idx + 1,
                 reason,
             };
             let line = line.split('#').next().unwrap_or("").trim();
-            if line.is_empty() {
+            let mut chars = line.chars();
+            let Some(tag) = chars.next() else {
                 continue;
-            }
-            let (tag, rest) = line.split_at(1);
-            let rest = rest.trim();
+            };
+            let rest = chars.as_str().trim();
+            let addr = |text: &str| match text.trim().parse::<u64>() {
+                Err(_) => Err(err("bad address")),
+                Ok(a) if LineAddr::new(a).is_none() => Err(err("address is not line-aligned")),
+                Ok(a) if a >= data_bytes => Err(err("address outside the region")),
+                Ok(a) => Ok(a),
+            };
             let op = match tag {
-                "W" => TraceOp::Work(rest.parse().map_err(|_| err("bad work count"))?),
-                "D" => TraceOp::Delay(rest.parse().map_err(|_| err("bad delay"))?),
-                "B" => TraceOp::Writeback(rest.parse().map_err(|_| err("bad writeback address"))?),
-                "R" => TraceOp::Read(rest.parse().map_err(|_| err("bad read address"))?),
-                "P" => {
-                    let mut addrs = Vec::new();
-                    for part in rest.split(',') {
-                        addrs.push(
-                            part.trim()
-                                .parse()
-                                .map_err(|_| err("bad persist address"))?,
-                        );
-                    }
-                    TraceOp::PersistBatch(addrs)
-                }
+                'W' => TraceOp::Work(rest.parse().map_err(|_| err("bad work count"))?),
+                'D' => TraceOp::Delay(rest.parse().map_err(|_| err("bad delay"))?),
+                'B' => TraceOp::Writeback(addr(rest)?),
+                'R' => TraceOp::Read(addr(rest)?),
+                'P' => TraceOp::PersistBatch(rest.split(',').map(addr).collect::<Result<_, _>>()?),
                 _ => return Err(err("unknown op tag")),
             };
+            let think = match op {
+                TraceOp::Work(ops) => ops.checked_mul(OP_COST),
+                TraceOp::Delay(cycles) => Some(cycles),
+                _ => Some(0),
+            };
+            think_cycles = think
+                .and_then(|c| think_cycles.checked_add(c))
+                .filter(|&total| total <= MAX_THINK_CYCLES)
+                .ok_or(err("compute time exceeds MAX_THINK_CYCLES"))?;
             trace.ops.push(op);
         }
         Ok(trace)
@@ -254,7 +271,7 @@ mod tests {
     use crate::runner::RunConfig;
     use crate::workloads::WorkloadKind;
     use crate::PmEnv;
-    use dolos_core::MiSuKind;
+    use dolos_core::{ControllerKind, MiSuKind};
     use dolos_sim::rng::XorShift;
 
     fn record_hashmap() -> (Trace, u64) {
@@ -305,6 +322,100 @@ mod tests {
         assert!(Trace::parse("DOLOS-TRACE v1 region=abc").is_err());
         assert!(Trace::parse("DOLOS-TRACE v1 region=64\nX 5").is_err());
         assert!(Trace::parse("DOLOS-TRACE v1 region=64\nP 1,zz").is_err());
+    }
+
+    /// Line and reason of a trace `parse` must reject.
+    fn rejection(text: &str) -> (usize, &'static str) {
+        let err = Trace::parse(text).expect_err("hostile trace must be rejected");
+        (err.line, err.reason)
+    }
+
+    const HEAD: &str = "DOLOS-TRACE v1 region=4096\n";
+
+    #[test]
+    fn parse_rejects_a_multibyte_op_tag() {
+        assert_eq!(rejection(&format!("{HEAD}\u{e9} 5")), (2, "unknown op tag"));
+    }
+
+    #[test]
+    fn parse_rejects_unaligned_addresses() {
+        for op in ["P 3", "P 0,65", "R 1", "B 4095"] {
+            let expected = (2, "address is not line-aligned");
+            assert_eq!(rejection(&format!("{HEAD}{op}")), expected, "{op}");
+        }
+    }
+
+    #[test]
+    fn parse_rejects_addresses_outside_the_region() {
+        let outside = (2, "address outside the region");
+        let text = "DOLOS-TRACE v1 region=67108864\nP 134217728";
+        assert_eq!(rejection(text), outside);
+        // The bound is the page-rounded region the controller protects.
+        assert!(Trace::parse("DOLOS-TRACE v1 region=100\nP 4032").is_ok());
+        assert_eq!(rejection(&format!("{HEAD}R 4096")), outside);
+    }
+
+    #[test]
+    fn parse_rejects_empty_and_oversized_regions() {
+        for region in [0, MetadataLayout::MAX_DATA_BYTES + 1, u64::MAX] {
+            let text = format!("DOLOS-TRACE v1 region={region}");
+            assert_eq!(rejection(&text), (1, "region size out of range"));
+        }
+    }
+
+    #[test]
+    fn parse_rejects_compute_time_that_overflows() {
+        for body in [
+            format!("W {}", u64::MAX),
+            format!("W {}", MAX_THINK_CYCLES / OP_COST + 1),
+            format!("D {MAX_THINK_CYCLES}\nP 0\nW 1"),
+        ] {
+            let reason = rejection(&format!("{HEAD}{body}")).1;
+            assert_eq!(reason, "compute time exceeds MAX_THINK_CYCLES", "{body}");
+        }
+    }
+
+    #[test]
+    fn traces_at_every_parse_bound_replay_on_every_scheme() {
+        let top = MetadataLayout::MAX_DATA_BYTES - 64;
+        let region = top + 64;
+        let text =
+            format!("DOLOS-TRACE v1 region={region}\nD {MAX_THINK_CYCLES}\nP 0,{top}\nR {top}");
+        let trace = Trace::parse(&text).expect("every bound is inclusive");
+        for kind in ControllerKind::ALL {
+            let cycles = trace.replay(kind.into()).cycles;
+            assert!(cycles > MAX_THINK_CYCLES, "{kind:?}");
+        }
+    }
+
+    /// Seeded truncation, bit flips and byte substitutions of a recorded
+    /// trace: each mutant parses to `Ok` or `Err`, never a panic, and
+    /// every `Ok` replays.
+    #[test]
+    fn corrupted_traces_parse_or_fail_cleanly_and_replay() {
+        let (trace, _) = record_hashmap();
+        let text = trace.serialize().into_bytes();
+        let mut rng = XorShift::new(0xC0_22_07);
+        let (mut accepted, mut rejected) = (0, 0);
+        for case in 0..600 {
+            let mut bytes = text.clone();
+            let at = rng.next_below(bytes.len() as u64) as usize;
+            match case % 3 {
+                0 => bytes.truncate(at),
+                1 => bytes[at] ^= 1 << rng.next_below(8),
+                _ => bytes[at] = rng.next_below(256) as u8,
+            }
+            match Trace::parse(&String::from_utf8_lossy(&bytes)) {
+                Ok(mutant) => {
+                    let result = mutant.replay(ControllerConfig::dolos(MiSuKind::Post));
+                    assert!(result.persists >= mutant.persist_lines());
+                    accepted += 1;
+                }
+                Err(_) => rejected += 1,
+            }
+        }
+        // Both outcomes occur, so the sweep exercises parse and replay.
+        assert!(accepted * rejected > 0, "{accepted} ok, {rejected} err");
     }
 
     #[test]
