@@ -138,15 +138,16 @@ impl Config {
                 "dolos-sim/src/queue.rs",
                 "dolos-crypto/src/padcache.rs",
                 // Parsers of input from outside the program: a hostile
-                // trace file or report must yield an error, never a panic.
+                // trace file, report or scenario string must yield an
+                // error, never a panic.
                 "dolos-whisper/src/trace.rs",
                 "dolos-sim/src/json.rs",
+                "dolos-verify/src/scenario.rs",
                 // The AES-NI backend, the workspace's only unsafe code: it
                 // must never abort, whatever it is handed.
                 "dolos-crypto/src/aes/ni.rs",
                 "dolos-verify/src/engine.rs",
                 "dolos-verify/src/campaign.rs",
-                "dolos-verify/src/scenario.rs",
                 "dolos-trace/src/hist.rs",
                 "dolos-trace/src/attrib.rs",
                 "dolos-trace/src/profile.rs",

@@ -34,6 +34,23 @@ pub const READ_ISSUE_INTERVAL: u64 = 50;
 /// [`WRITE_LATENCY`].
 pub const WRITE_ISSUE_INTERVAL: u64 = 100;
 
+/// One resident line: its contents and the program cycles it has endured.
+#[derive(Debug, Clone, Copy)]
+struct StoredLine {
+    data: Line,
+    /// Timed writes only — the endurance profile (PCM cells wear out after
+    /// ~1e8 writes; secure-NVM designs care about write amplification).
+    /// Untimed stores (pokes, tampering, replays, restores) leave it alone.
+    programs: u64,
+}
+
+impl StoredLine {
+    const BLANK: Self = Self {
+        data: [0; LINE_SIZE],
+        programs: 0,
+    };
+}
+
 /// The non-volatile memory device: a sparse line store plus timing ports.
 ///
 /// The contents survive [`NvmDevice::power_cycle`], which models a crash /
@@ -44,15 +61,13 @@ pub const WRITE_ISSUE_INTERVAL: u64 = 100;
 pub struct NvmDevice {
     /// Line store, ordered by address: range scans (recovery's counter-region
     /// enumeration) come out sorted for free, and nothing downstream can
-    /// observe hasher-dependent order.
-    lines: BTreeMap<u64, Line>,
+    /// observe hasher-dependent order. Each line carries its own endurance
+    /// count, so a timed write is one tree operation.
+    lines: BTreeMap<u64, StoredLine>,
     read_port: Pipeline,
     write_port: Pipeline,
     reads: u64,
     writes: u64,
-    /// Program cycles per line — the endurance profile (PCM cells wear out
-    /// after ~1e8 writes; secure-NVM designs care about write amplification).
-    write_counts: BTreeMap<u64, u64>,
     /// Event sink for cycle-stamped read/write service spans.
     trace: TraceSink,
 }
@@ -65,7 +80,6 @@ impl Default for NvmDevice {
             write_port: Pipeline::new(WRITE_ISSUE_INTERVAL, WRITE_LATENCY),
             reads: 0,
             writes: 0,
-            write_counts: BTreeMap::new(),
             trace: TraceSink::Null,
         }
     }
@@ -109,8 +123,9 @@ impl NvmDevice {
     /// port picks it up; the cells finish programming at *completed*.
     pub fn write_line_ticket(&mut self, now: Cycle, addr: LineAddr, data: &Line) -> (Cycle, Cycle) {
         self.writes += 1;
-        *self.write_counts.entry(addr.as_u64()).or_insert(0) += 1;
-        self.lines.insert(addr.as_u64(), *data);
+        let line = self.cell(addr);
+        line.data = *data;
+        line.programs += 1;
         let completed = self.write_port.acquire(now);
         let accepted = Cycle::new(completed.as_u64() - (WRITE_LATENCY - WRITE_ISSUE_INTERVAL));
         if self.trace.is_enabled() {
@@ -132,8 +147,13 @@ impl NvmDevice {
     pub fn peek(&self, addr: LineAddr) -> Line {
         self.lines
             .get(&addr.as_u64())
-            .copied()
-            .unwrap_or([0; LINE_SIZE])
+            .map_or([0; LINE_SIZE], |line| line.data)
+    }
+
+    /// The resident entry for `addr`, created blank if the line was never
+    /// stored.
+    fn cell(&mut self, addr: LineAddr) -> &mut StoredLine {
+        self.lines.entry(addr.as_u64()).or_insert(StoredLine::BLANK)
     }
 
     /// Writes a line's contents without consuming device time.
@@ -141,16 +161,16 @@ impl NvmDevice {
     /// Used by the ADR drain path, whose energy budget is accounted
     /// separately from run-time device ports, and by test setup.
     pub fn poke(&mut self, addr: LineAddr, data: &Line) {
-        self.lines.insert(addr.as_u64(), *data);
+        self.cell(addr).data = *data;
     }
 
     /// Applies an attacker mutation to a line (spoofing/relocation attacks).
     ///
     /// Returns the previous contents.
     pub fn tamper(&mut self, addr: LineAddr, f: impl FnOnce(&mut Line)) -> Line {
-        let entry = self.lines.entry(addr.as_u64()).or_insert([0; LINE_SIZE]);
-        let before = *entry;
-        f(entry);
+        let data = &mut self.cell(addr).data;
+        let before = *data;
+        f(data);
         before
     }
 
@@ -172,7 +192,7 @@ impl NvmDevice {
 
     /// Replays previously captured contents into a line (replay attack).
     pub fn replay_snapshot(&mut self, addr: LineAddr, old: &Line) {
-        self.lines.insert(addr.as_u64(), *old);
+        self.poke(addr, old);
     }
 
     /// Captures every resident line in `[start, end)`, sorted by address.
@@ -191,7 +211,7 @@ impl NvmDevice {
     /// write burst: some lines carry the new epoch, the rest the old one.
     pub fn restore_lines(&mut self, lines: &[(LineAddr, Line)]) {
         for (addr, data) in lines {
-            self.lines.insert(addr.as_u64(), *data);
+            self.poke(*addr, data);
         }
     }
 
@@ -213,17 +233,22 @@ impl NvmDevice {
 
     /// Timed writes a given line has endured.
     pub fn line_write_count(&self, addr: LineAddr) -> u64 {
-        self.write_counts.get(&addr.as_u64()).copied().unwrap_or(0)
+        self.lines
+            .get(&addr.as_u64())
+            .map_or(0, |line| line.programs)
     }
 
     /// The endurance hot spot: the most-written line and its write count.
     /// Ties resolve to the lowest address (ordered iteration), so the answer
-    /// is a pure function of the write history.
+    /// is a pure function of the write history. `None` until some line has
+    /// taken a timed write.
     pub fn max_line_writes(&self) -> Option<(LineAddr, u64)> {
-        self.write_counts
+        self.lines
             .iter()
+            .map(|(&a, line)| (a, line.programs))
+            .filter(|&(_, c)| c > 0)
             .max_by(|(a1, c1), (a2, c2)| c1.cmp(c2).then(a2.cmp(a1)))
-            .map(|(&a, &c)| (LineAddr::containing(a), c))
+            .map(|(a, c)| (LineAddr::containing(a), c))
     }
 
     /// Number of distinct lines ever written.
@@ -386,6 +411,50 @@ mod tests {
         // program operations in this model.
         nvm.poke(addr(0), &[2; 64]);
         assert_eq!(nvm.line_write_count(addr(0)), 3);
+    }
+
+    #[test]
+    fn untimed_stores_never_count_as_program_cycles() {
+        let mut nvm = NvmDevice::new();
+        nvm.poke(addr(0), &[1; 64]);
+        nvm.tamper(addr(64), |line| line[0] = 2);
+        nvm.flip_bit(addr(128), 3);
+        nvm.replay_snapshot(addr(192), &[4; 64]);
+        nvm.restore_lines(&[(addr(256), [5; 64]), (addr(0), [6; 64])]);
+        for a in [0, 64, 128, 192, 256] {
+            assert_eq!(nvm.line_write_count(addr(a)), 0, "line {a:#x}");
+        }
+        assert_eq!(nvm.max_line_writes(), None, "only poked, never programmed");
+        assert_eq!(nvm.resident_lines(), 5, "poked lines are resident");
+        assert_eq!(nvm.peek(addr(0)), [6; 64]);
+        let stats = nvm.stats();
+        let keys: Vec<&str> = stats.iter().map(|(k, _)| k).collect();
+        assert_eq!(
+            keys,
+            [
+                "nvm.max_line_writes",
+                "nvm.reads",
+                "nvm.resident_lines",
+                "nvm.writes"
+            ]
+        );
+        assert_eq!(stats.get("nvm.max_line_writes"), Some(0.0));
+
+        // A programmed line keeps its count across later untimed stores,
+        // and a poked line's first timed write counts from zero.
+        nvm.write_line(Cycle::ZERO, addr(64), &[7; 64]);
+        nvm.write_line(Cycle::ZERO, addr(64), &[8; 64]);
+        nvm.write_line(Cycle::ZERO, addr(0), &[9; 64]);
+        nvm.poke(addr(64), &[1; 64]);
+        nvm.tamper(addr(64), |line| line[1] = 1);
+        nvm.flip_bit(addr(64), 0);
+        nvm.replay_snapshot(addr(64), &[2; 64]);
+        nvm.restore_lines(&[(addr(64), [3; 64])]);
+        assert_eq!(nvm.line_write_count(addr(64)), 2);
+        assert_eq!(nvm.line_write_count(addr(0)), 1);
+        assert_eq!(nvm.max_line_writes(), Some((addr(64), 2)));
+        assert_eq!(nvm.resident_lines(), 5);
+        assert_eq!(nvm.stats().get("nvm.writes"), Some(3.0));
     }
 
     #[test]

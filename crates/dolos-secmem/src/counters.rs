@@ -15,6 +15,12 @@ pub const MINOR_MAX: u8 = 0x7F;
 /// Number of minor counters per block (one per line of a 4 KiB page).
 pub const MINORS_PER_BLOCK: usize = 64;
 
+/// Minors per codec group: 8 seven-bit fields fill exactly 7 bytes.
+const MINORS_PER_GROUP: usize = 8;
+
+/// Bytes of the serialized block one codec group occupies.
+const GROUP_BYTES: usize = 7;
+
 /// The effective encryption counter of one cacheline.
 ///
 /// Folded into the IV as a single 64-bit value: `major * 128 + minor`, which
@@ -155,12 +161,56 @@ impl CounterBlock {
 
     /// Serializes to the 64-byte NVM representation
     /// (8-byte major ‖ 56 bytes holding 64 7-bit minors).
+    ///
+    /// The minors form one LSB-first bitstream: minor `i` occupies stream
+    /// bits `7i..7i + 7`. Every 8 minors fill exactly 7 bytes, so each group
+    /// packs into one little-endian `u64` whose low 7 bytes are stored.
     pub fn to_line(&self) -> Line {
         let mut out = [0u8; 64];
         out[0..8].copy_from_slice(&self.major.to_le_bytes());
-        // Pack 64 x 7-bit minors into 56 bytes.
+        let groups = out[8..].chunks_exact_mut(GROUP_BYTES);
+        for (bytes, group) in groups.zip(self.minors.chunks_exact(MINORS_PER_GROUP)) {
+            let word = group
+                .iter()
+                .enumerate()
+                .fold(0u64, |w, (k, &m)| w | u64::from(m & MINOR_MAX) << (7 * k));
+            bytes.copy_from_slice(&word.to_le_bytes()[..GROUP_BYTES]);
+        }
+        out
+    }
+
+    /// Deserializes from the 64-byte NVM representation. Every byte
+    /// pattern decodes; see [`Self::to_line`] for the layout.
+    pub fn from_line(line: &Line) -> Self {
+        let mut major_bytes = [0u8; 8];
+        major_bytes.copy_from_slice(&line[0..8]);
+        let major = u64::from_le_bytes(major_bytes);
+        let mut minors = [0u8; MINORS_PER_BLOCK];
+        let groups = line[8..].chunks_exact(GROUP_BYTES);
+        for (bytes, group) in groups.zip(minors.chunks_exact_mut(MINORS_PER_GROUP)) {
+            let mut word = [0u8; 8];
+            word[..GROUP_BYTES].copy_from_slice(bytes);
+            let word = u64::from_le_bytes(word);
+            for (k, m) in group.iter_mut().enumerate() {
+                *m = (word >> (7 * k)) as u8 & MINOR_MAX;
+            }
+        }
+        Self { major, minors }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use dolos_sim::rng::XorShift;
+
+    /// The bit-serial codec the word-wise one replaced, kept as the
+    /// reference the lockstep test checks against.
+    fn reference_to_line(block: &CounterBlock) -> Line {
+        let mut out = [0u8; 64];
+        out[0..8].copy_from_slice(&block.major.to_le_bytes());
         let mut bit = 0usize;
-        for &m in &self.minors {
+        for &m in &block.minors {
             let byte = bit / 8;
             let off = bit % 8;
             let v = u16::from(m & MINOR_MAX) << off;
@@ -173,8 +223,7 @@ impl CounterBlock {
         out
     }
 
-    /// Deserializes from the 64-byte NVM representation.
-    pub fn from_line(line: &Line) -> Self {
+    fn reference_from_line(line: &Line) -> CounterBlock {
         let mut major_bytes = [0u8; 8];
         major_bytes.copy_from_slice(&line[0..8]);
         let major = u64::from_le_bytes(major_bytes);
@@ -192,13 +241,62 @@ impl CounterBlock {
             *m = ((lo | hi) & u16::from(MINOR_MAX)) as u8;
             bit += 7;
         }
-        Self { major, minors }
+        CounterBlock { major, minors }
     }
-}
 
-#[cfg(test)]
-mod tests {
-    use super::*;
+    fn random_line(rng: &mut XorShift) -> Line {
+        let mut line = [0u8; 64];
+        for chunk in line.chunks_exact_mut(8) {
+            chunk.copy_from_slice(&rng.next_u64().to_le_bytes());
+        }
+        line
+    }
+
+    #[test]
+    fn codec_matches_the_bit_serial_reference() {
+        let mut rng = XorShift::new(0xC0DE_C0DE);
+        for _ in 0..100_000 {
+            // Decoding: any 64 bytes, including the unused high bits.
+            let line = random_line(&mut rng);
+            let decoded = CounterBlock::from_line(&line);
+            assert_eq!(decoded, reference_from_line(&line), "from_line {line:?}");
+            // Encoding: raw bytes as minors, so values above 127 exercise
+            // the mask.
+            let raw = random_line(&mut rng);
+            let mut block = decoded;
+            block.minors.copy_from_slice(&raw);
+            assert_eq!(
+                block.to_line(),
+                reference_to_line(&block),
+                "to_line {block:?}"
+            );
+        }
+    }
+
+    #[test]
+    fn on_nvm_layout_is_pinned() {
+        let mut block = CounterBlock::new();
+        block.major = 0x0102_0304_0506_0708;
+        for (i, m) in block.minors.iter_mut().enumerate() {
+            *m = ((i * 37 + 11) % 128) as u8;
+        }
+        block.minors[0] = MINOR_MAX;
+        block.minors[63] = MINOR_MAX;
+        #[rustfmt::skip]
+        let expected: Line = [
+            0x08, 0x07, 0x06, 0x05, 0x04, 0x03, 0x02, 0x01,
+            0x7f, 0x58, 0x55, 0xff, 0x21, 0xa6, 0x1d, 0x33,
+            0x6c, 0x5f, 0x74, 0x64, 0x47, 0x6c, 0x5b, 0x40,
+            0x49, 0xf9, 0xa6, 0xe4, 0xbc, 0x03, 0x54, 0x53,
+            0x7e, 0xe1, 0x85, 0x0d, 0x2b, 0x68, 0x5d, 0xf3,
+            0x23, 0x27, 0x5c, 0x53, 0x7c, 0x47, 0x78, 0x66,
+            0xc4, 0xac, 0x7b, 0x50, 0x51, 0xfd, 0xa0, 0x65,
+            0xfd, 0x23, 0x64, 0x5b, 0x72, 0xe3, 0x06, 0xfe,
+        ];
+        assert_eq!(block.to_line(), expected);
+        assert_eq!(reference_to_line(&block), expected);
+        assert_eq!(CounterBlock::from_line(&expected), block);
+    }
 
     #[test]
     fn fresh_block_is_zero() {

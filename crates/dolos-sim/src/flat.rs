@@ -1,17 +1,23 @@
 //! A flat, sorted map keyed by `u64`.
 //!
-//! Several hot per-line metadata tables in the Ma-SU (ECC/MAC sidecar,
-//! pending counter-update tallies) were `HashMap<u64, u64>`s. They have two
-//! problems there: hashing dominates the lookup cost for small integer keys,
-//! and iteration order depends on the process-random hasher state, which is
-//! one silent hole in the "every result is a pure function of the inputs"
-//! guarantee. [`FlatMap`] is a sorted `Vec<(u64, V)>` with binary-search
-//! lookups: cache-friendly probes and iteration in ascending key order,
-//! always.
+//! Small per-line metadata tables (the WPQ's tag index, the Anubis shadow
+//! table's index, the Ma-SU's pending counter-update tallies, the integrity
+//! trees' node MACs and the WHISPER workloads' mirrors) were
+//! `HashMap<u64, _>`s. They have two problems there: hashing dominates the
+//! lookup cost for small integer keys, and iteration order depends on the
+//! process-random hasher state, which is one silent hole in the "every
+//! result is a pure function of the inputs" guarantee. [`FlatMap`] is a
+//! sorted `Vec<(u64, V)>` with binary-search lookups: cache-friendly probes
+//! and iteration in ascending key order, always.
 //!
-//! Inserting a *new* key is `O(n)` (a memmove); the workloads here touch a
-//! working set that grows once and is then hit repeatedly, so lookups and
-//! updates-in-place dominate.
+//! Inserting a *new* key is `O(n)` (a memmove), so `FlatMap` fits tables
+//! that stay small (bounded by a queue or cache capacity) or whose key set
+//! stops growing early, so that lookups and in-place updates dominate. It is
+//! the wrong choice for a large table that keeps taking new keys. The Ma-SU's
+//! per-line ECC sidecar is one: on the paper-eager benchmark about 27% of its
+//! inserts add a key, to a table of ~3.3k entries on average, and as a
+//! `FlatMap` that memmove was a measurable share of every write. It is a
+//! `BTreeMap` now, which keeps the ordered iteration at `O(log n)` per insert.
 //!
 //! # Examples
 //!

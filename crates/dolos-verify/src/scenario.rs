@@ -699,6 +699,44 @@ mod tests {
     }
 
     #[test]
+    fn corrupted_scenarios_parse_or_fail_cleanly() {
+        let valid: Vec<String> = (0..24)
+            .map(|seed| {
+                let config = ScenarioConfig {
+                    rounds: 3,
+                    banks: if seed % 2 == 0 { 1 } else { 4 },
+                    ..ScenarioConfig::default()
+                };
+                Scenario::generate(seed, &config).to_string()
+            })
+            .collect();
+        let mut rng = XorShift::new(0x5CE7_A210);
+        let (mut accepted, mut rejected) = (0, 0);
+        for case in 0..900 {
+            let mut bytes = valid[case % valid.len()].clone().into_bytes();
+            let at = rng.next_below(bytes.len() as u64) as usize;
+            match case % 3 {
+                0 => bytes.truncate(at),
+                1 => bytes[at] ^= 1 << rng.next_below(8),
+                _ => bytes[at] = rng.next_below(256) as u8,
+            }
+            let text = String::from_utf8_lossy(&bytes);
+            match text.parse::<Scenario>() {
+                // Whatever the parser accepts is a scenario the grammar can
+                // express: it renders and parses back to itself.
+                Ok(mutant) => {
+                    let rendered = mutant.to_string();
+                    assert_eq!(rendered.parse::<Scenario>().ok(), Some(mutant), "{text}");
+                    accepted += 1;
+                }
+                Err(_) => rejected += 1,
+            }
+        }
+        // Both outcomes occur, so the sweep reaches past the first token.
+        assert!(accepted * rejected > 0, "{accepted} ok, {rejected} err");
+    }
+
+    #[test]
     fn parser_rejects_malformed_bank_tokens() {
         assert!("seed=1;keys=8;banks=x;[t4]".parse::<Scenario>().is_err());
         assert!("seed=1;keys=8;[t4+tornb(1)]".parse::<Scenario>().is_err());
