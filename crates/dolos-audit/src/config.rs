@@ -191,7 +191,7 @@ impl Config {
                 ("dolos-core".to_string(), 20),
                 ("dolos-nvm".to_string(), 3),
                 ("dolos-secmem".to_string(), 2),
-                ("dolos-whisper".to_string(), 15),
+                ("dolos-whisper".to_string(), 13),
                 ("dolos-bench".to_string(), 1),
             ],
             crate_deps: BTreeMap::new(),

@@ -201,7 +201,7 @@ fn lint_nondeterminism(tokens: &[Token], path: &str, out: &mut Vec<Finding>) {
                 lint: LINT_NONDETERMINISM.into(),
                 message: format!(
                     "`{}` iterates in a process-random hasher order; use \
-                     dolos_sim::flat::FlatMap/FlatSet (small, u64-keyed) or \
+                     dolos_sim::flat::FlatMap (small, u64-keyed) or \
                      BTreeMap/BTreeSet in deterministic crates",
                     t.text
                 ),

@@ -1,9 +1,12 @@
 //! A set-associative write-back cache with LRU replacement.
 //!
-//! Used for both the counter cache (128 KiB, 4-way) and the Merkle-tree
-//! metadata cache (256 KiB, 8-way) from Table 1. The cache stores the actual
-//! 64-byte payloads: dirty blocks exist *only* here until written back, which
-//! is precisely the volatility that makes secure-NVM crash consistency hard.
+//! Generic over the payload each way carries. The counter cache (128 KiB,
+//! 4-way) and the Merkle-tree metadata cache (256 KiB, 8-way) from Table 1
+//! use the default, a 64-byte [`Line`]: dirty blocks exist *only* here until
+//! written back, which is precisely the volatility that makes secure-NVM
+//! crash consistency hard. The WHISPER front end's CPU caches are tags only
+//! (`SetAssocCache<()>`): their bytes live in the environment's line image,
+//! so a way there is a key, a dirty bit and an LRU stamp.
 
 use std::collections::BTreeMap;
 
@@ -22,24 +25,25 @@ pub enum Access {
 
 /// A block evicted to make room during a fill.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub struct Eviction {
+pub struct Eviction<P = Line> {
     /// The evicted block's key.
     pub key: u64,
     /// The evicted payload.
-    pub data: Line,
+    pub data: P,
     /// Whether the block was dirty (must be written back).
     pub dirty: bool,
 }
 
 #[derive(Debug, Clone)]
-struct Way {
+struct Way<P> {
     key: u64,
-    data: Line,
+    data: P,
     dirty: bool,
     last_use: u64,
 }
 
-/// A set-associative, write-back, LRU cache keyed by block index.
+/// A set-associative, write-back, LRU cache keyed by block index, holding
+/// a `P` per block.
 ///
 /// # Examples
 ///
@@ -54,8 +58,8 @@ struct Way {
 /// assert_eq!(cache.get(5).unwrap()[0], 1);
 /// ```
 #[derive(Debug, Clone)]
-pub struct SetAssocCache {
-    sets: Vec<Vec<Way>>,
+pub struct SetAssocCache<P = Line> {
+    sets: Vec<Vec<Way<P>>>,
     ways: usize,
     tick: u64,
     hits: u64,
@@ -63,7 +67,7 @@ pub struct SetAssocCache {
     writebacks: u64,
 }
 
-impl SetAssocCache {
+impl<P: Copy> SetAssocCache<P> {
     /// Creates a cache with `sets` sets of `ways` ways.
     ///
     /// # Panics
@@ -118,7 +122,7 @@ impl SetAssocCache {
     /// [`Self::probe`] and [`Self::get`] fused: one way scan instead of
     /// two, with exactly `probe`'s statistics/LRU accounting (one tick,
     /// one hit or miss). Returns the cached payload on a hit.
-    pub fn probe_get(&mut self, key: u64) -> Option<&Line> {
+    pub fn probe_get(&mut self, key: u64) -> Option<&P> {
         self.tick += 1;
         let set = self.set_of(key);
         let tick = self.tick;
@@ -138,7 +142,7 @@ impl SetAssocCache {
     }
 
     /// Reads a cached payload without changing replacement state.
-    pub fn get(&self, key: u64) -> Option<&Line> {
+    pub fn get(&self, key: u64) -> Option<&P> {
         self.sets[self.set_of(key)]
             .iter()
             .find(|w| w.key == key)
@@ -148,7 +152,7 @@ impl SetAssocCache {
     /// Updates a cached payload in place, marking it dirty.
     ///
     /// Returns `false` if the block is not cached.
-    pub fn update(&mut self, key: u64, data: Line) -> bool {
+    pub fn update(&mut self, key: u64, data: P) -> bool {
         self.tick += 1;
         let set = self.set_of(key);
         let tick = self.tick;
@@ -167,7 +171,7 @@ impl SetAssocCache {
     /// written back by the caller.
     ///
     /// If `key` is already present its payload is replaced instead.
-    pub fn fill(&mut self, key: u64, data: Line, dirty: bool) -> Option<Eviction> {
+    pub fn fill(&mut self, key: u64, data: P, dirty: bool) -> Option<Eviction<P>> {
         self.tick += 1;
         let set_idx = self.set_of(key);
         let tick = self.tick;
@@ -207,7 +211,7 @@ impl SetAssocCache {
     }
 
     /// Removes a block, returning its payload and dirtiness.
-    pub fn invalidate(&mut self, key: u64) -> Option<Eviction> {
+    pub fn invalidate(&mut self, key: u64) -> Option<Eviction<P>> {
         let set_idx = self.set_of(key);
         let set = &mut self.sets[set_idx];
         let pos = set.iter().position(|w| w.key == key)?;
@@ -227,14 +231,14 @@ impl SetAssocCache {
     }
 
     /// Iterates over all resident blocks as `(key, data, dirty)`.
-    pub fn iter(&self) -> impl Iterator<Item = (u64, &Line, bool)> {
+    pub fn iter(&self) -> impl Iterator<Item = (u64, &P, bool)> {
         self.sets
             .iter()
             .flat_map(|s| s.iter().map(|w| (w.key, &w.data, w.dirty)))
     }
 
     /// All dirty resident blocks as `(key, data)`.
-    pub fn dirty_blocks(&self) -> Vec<(u64, Line)> {
+    pub fn dirty_blocks(&self) -> Vec<(u64, P)> {
         self.iter()
             .filter(|(_, _, dirty)| *dirty)
             .map(|(k, d, _)| (k, *d))
@@ -275,7 +279,7 @@ impl SetAssocCache {
     /// assertions). Returned as a `BTreeMap` so callers comparing or
     /// iterating the export see one canonical order — a public API must not
     /// leak hasher-dependent iteration order.
-    pub fn export(&self) -> BTreeMap<u64, (Line, bool)> {
+    pub fn export(&self) -> BTreeMap<u64, (P, bool)> {
         self.iter().map(|(k, d, dirty)| (k, (*d, dirty))).collect()
     }
 }
@@ -377,18 +381,25 @@ mod tests {
     }
 
     #[test]
+    fn tag_only_ways_carry_no_payload() {
+        // A 16-way set scan over tags reads 24-byte ways, not 88-byte ones.
+        assert_eq!(std::mem::size_of::<Way<()>>(), 24);
+        assert_eq!(std::mem::size_of::<Way<Line>>(), 24 + 64);
+    }
+
+    #[test]
     fn capacity_constructor_matches_table_1() {
         // 128 KiB 4-way counter cache = 512 sets.
-        let c = SetAssocCache::with_capacity_bytes(128 * 1024, 4);
+        let c: SetAssocCache = SetAssocCache::with_capacity_bytes(128 * 1024, 4);
         assert_eq!(c.sets.len(), 512);
         // 256 KiB 8-way MT cache = 512 sets.
-        let m = SetAssocCache::with_capacity_bytes(256 * 1024, 8);
+        let m: SetAssocCache = SetAssocCache::with_capacity_bytes(256 * 1024, 8);
         assert_eq!(m.sets.len(), 512);
     }
 
     #[test]
     #[should_panic(expected = "geometry")]
     fn zero_ways_panics() {
-        let _ = SetAssocCache::new(1, 0);
+        let _: SetAssocCache = SetAssocCache::new(1, 0);
     }
 }

@@ -6,6 +6,11 @@
 //! value and every periodic full-state export must agree, so any
 //! divergence in hit/miss behaviour, eviction choice, dirtiness
 //! propagation, or crash loss is caught with the exact operation index.
+//!
+//! A tags-only `SetAssocCache<()>` (the CPU caches' payload type) runs the
+//! same sequences alongside and must agree with the `Line` cache on every
+//! key, dirty flag, eviction and hit/miss count: the payload type never
+//! steers replacement.
 
 use std::collections::BTreeMap;
 
@@ -128,56 +133,85 @@ fn line(tag: u64) -> Line {
     l
 }
 
-/// Drives both caches through `ops` seeded operations and checks every
+/// An eviction's key and dirtiness: everything but the payload.
+fn tag_of<P>(ev: Option<Eviction<P>>) -> Option<(u64, bool)> {
+    ev.map(|ev| (ev.key, ev.dirty))
+}
+
+/// `(key, dirty)` of every resident block, in key order.
+fn tags<P: Copy>(cache: &SetAssocCache<P>) -> Vec<(u64, bool)> {
+    cache
+        .export()
+        .into_iter()
+        .map(|(k, (_, d))| (k, d))
+        .collect()
+}
+
+/// Drives all three caches through `ops` seeded operations and checks every
 /// return value plus a periodic full-state comparison.
 fn lockstep(seed: u64, sets: usize, ways: usize, keyspace: u64, ops: usize) {
     let mut rng = XorShift::new(seed);
-    let mut cache = SetAssocCache::new(sets, ways);
+    let mut cache: SetAssocCache = SetAssocCache::new(sets, ways);
+    let mut tag_cache: SetAssocCache<()> = SetAssocCache::new(sets, ways);
     let mut model = RefCache::new(sets, ways);
     for op in 0..ops {
         let key = rng.next_below(keyspace);
         match rng.next_below(100) {
             // Probe dominates: it is the hot path and the LRU driver.
             0..=39 => {
-                assert_eq!(cache.probe(key), model.probe(key), "op {op}: probe {key}");
+                let access = cache.probe(key);
+                assert_eq!(access, model.probe(key), "op {op}: probe {key}");
+                assert_eq!(tag_cache.probe(key), access, "op {op}: tag probe {key}");
             }
             40..=69 => {
                 let data = line(rng.next_u64());
                 let dirty = rng.chance(0.4);
+                let evicted = cache.fill(key, data, dirty);
                 assert_eq!(
-                    cache.fill(key, data, dirty),
-                    model.fill(key, data, dirty),
-                    "op {op}: fill {key}"
+                    tag_of(tag_cache.fill(key, (), dirty)),
+                    tag_of(evicted.clone()),
+                    "op {op}: tag fill {key}"
                 );
+                assert_eq!(evicted, model.fill(key, data, dirty), "op {op}: fill {key}");
             }
             70..=84 => {
                 let data = line(rng.next_u64());
+                let updated = cache.update(key, data);
+                assert_eq!(updated, model.update(key, data), "op {op}: update {key}");
                 assert_eq!(
-                    cache.update(key, data),
-                    model.update(key, data),
-                    "op {op}: update {key}"
+                    tag_cache.update(key, ()),
+                    updated,
+                    "op {op}: tag update {key}"
                 );
             }
             85..=94 => {
+                let removed = cache.invalidate(key);
                 assert_eq!(
-                    cache.invalidate(key),
-                    model.invalidate(key),
-                    "op {op}: invalidate {key}"
+                    tag_of(tag_cache.invalidate(key)),
+                    tag_of(removed.clone()),
+                    "op {op}: tag invalidate {key}"
                 );
+                assert_eq!(removed, model.invalidate(key), "op {op}: invalidate {key}");
             }
-            // Rare crash: both sides lose everything.
+            // Rare crash: every side loses everything.
             _ => {
                 cache.lose_all();
+                tag_cache.lose_all();
                 model.lose_all();
             }
         }
         assert_eq!(cache.contains(key), model.export().contains_key(&key));
+        assert_eq!(tag_cache.contains(key), cache.contains(key));
         if op % 64 == 0 {
             assert_eq!(cache.export(), model.export(), "op {op}: export diverged");
             assert_eq!(cache.len(), model.export().len(), "op {op}: len diverged");
+            assert_eq!(tags(&tag_cache), tags(&cache), "op {op}: tags diverged");
         }
     }
     assert_eq!(cache.export(), model.export());
+    assert_eq!(tags(&tag_cache), tags(&cache));
+    // Hits, misses, write-backs and resident count.
+    assert_eq!(tag_cache.stats("c"), cache.stats("c"));
     let mut dirty = cache.dirty_blocks();
     dirty.sort_by_key(|&(k, _)| k);
     let expect: Vec<(u64, Line)> = model

@@ -18,6 +18,8 @@
 //! inserts add a key, to a table of ~3.3k entries on average, and as a
 //! `FlatMap` that memmove was a measurable share of every write. It is a
 //! `BTreeMap` now, which keeps the ordered iteration at `O(log n)` per insert.
+//! The WHISPER environment's dirty-line set is another: it grows to every
+//! line a run dirties, so it is a flag in the environment's paged line image.
 //!
 //! # Examples
 //!
@@ -135,83 +137,6 @@ impl<V> FlatMap<V> {
     }
 }
 
-/// A set of `u64` keys, stored as a sorted vector.
-///
-/// The set-shaped sibling of [`FlatMap`], for dirty-line sets and uniqueness
-/// tracking whose iteration order must be reproducible. Same trade-off:
-/// `O(log n)` membership probes, `O(n)` insertion of a *new* element, and
-/// iteration in ascending order, always.
-///
-/// # Examples
-///
-/// ```
-/// use dolos_sim::flat::FlatSet;
-///
-/// let mut s = FlatSet::new();
-/// s.insert(9);
-/// s.insert(3);
-/// assert!(s.contains(9));
-/// assert_eq!(s.iter().collect::<Vec<_>>(), vec![3, 9]); // always sorted
-/// ```
-#[derive(Debug, Clone, PartialEq, Eq, Default)]
-pub struct FlatSet {
-    keys: Vec<u64>,
-}
-
-impl FlatSet {
-    /// Creates an empty set.
-    pub fn new() -> Self {
-        FlatSet { keys: Vec::new() }
-    }
-
-    /// Number of elements.
-    pub fn len(&self) -> usize {
-        self.keys.len()
-    }
-
-    /// True when the set holds no elements.
-    pub fn is_empty(&self) -> bool {
-        self.keys.is_empty()
-    }
-
-    /// True when `key` is present.
-    pub fn contains(&self, key: u64) -> bool {
-        self.keys.binary_search(&key).is_ok()
-    }
-
-    /// Inserts `key`, returning whether it was newly added.
-    pub fn insert(&mut self, key: u64) -> bool {
-        match self.keys.binary_search(&key) {
-            Ok(_) => false,
-            Err(i) => {
-                self.keys.insert(i, key);
-                true
-            }
-        }
-    }
-
-    /// Removes `key`, returning whether it was present.
-    pub fn remove(&mut self, key: u64) -> bool {
-        match self.keys.binary_search(&key) {
-            Ok(i) => {
-                self.keys.remove(i);
-                true
-            }
-            Err(_) => false,
-        }
-    }
-
-    /// Iterates elements in ascending order.
-    pub fn iter(&self) -> impl Iterator<Item = u64> + '_ {
-        self.keys.iter().copied()
-    }
-
-    /// Removes every element.
-    pub fn clear(&mut self) {
-        self.keys.clear();
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -274,32 +199,6 @@ mod tests {
         *m.get_mut_or_insert(2, 10) += 1;
         assert_eq!(m.get(4), Some(&2));
         assert_eq!(m.get(2), Some(&11));
-    }
-
-    #[test]
-    fn set_membership_round_trip() {
-        let mut s = FlatSet::new();
-        assert!(s.is_empty());
-        assert!(s.insert(5));
-        assert!(!s.insert(5)); // duplicate
-        assert!(s.insert(1));
-        assert!(s.contains(5));
-        assert!(!s.contains(2));
-        assert_eq!(s.len(), 2);
-        assert!(s.remove(5));
-        assert!(!s.remove(5));
-        assert_eq!(s.iter().collect::<Vec<_>>(), vec![1]);
-        s.clear();
-        assert!(s.is_empty());
-    }
-
-    #[test]
-    fn set_iterates_sorted() {
-        let mut s = FlatSet::new();
-        for k in [8u64, 2, 5, 1] {
-            s.insert(k);
-        }
-        assert_eq!(s.iter().collect::<Vec<_>>(), vec![1, 2, 5, 8]);
     }
 
     #[test]

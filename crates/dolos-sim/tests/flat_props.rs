@@ -1,15 +1,15 @@
-//! Property tests pinning `flat::FlatMap` / `flat::FlatSet` against the
-//! standard ordered collections.
+//! Property tests pinning `flat::FlatMap` against the standard ordered
+//! map.
 //!
-//! The tentpole migrations of PR 3 make `FlatMap` load-bearing across
-//! `dolos-secmem`, `dolos-nvm`, and `dolos-whisper` (it replaces every
-//! hasher-seeded `HashMap` in the deterministic crates), so its semantics
-//! are pinned here operation-for-operation against `BTreeMap`/`BTreeSet`
-//! under seeded op sequences from the in-repo deterministic RNG.
+//! `FlatMap` is load-bearing across `dolos-secmem`, `dolos-nvm`, and
+//! `dolos-whisper` (it replaced every hasher-seeded `HashMap` in the
+//! deterministic crates), so its semantics are pinned here
+//! operation-for-operation against `BTreeMap` under seeded op sequences
+//! from the in-repo deterministic RNG.
 
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeMap;
 
-use dolos_sim::flat::{FlatMap, FlatSet};
+use dolos_sim::flat::FlatMap;
 use dolos_sim::rng::XorShift;
 
 /// Narrow key space so the op mix hits overwrite/remove-present/get-present
@@ -87,41 +87,6 @@ fn flat_map_matches_btree_map_under_random_ops() {
         let mut sorted = keys.clone();
         sorted.sort_unstable();
         assert_eq!(keys, sorted);
-    }
-}
-
-#[test]
-fn flat_set_matches_btree_set_under_random_ops() {
-    for seed in [3u64, 11, 0xC0FFEE] {
-        let mut rng = XorShift::new(seed);
-        let mut flat = FlatSet::new();
-        let mut btree: BTreeSet<u64> = BTreeSet::new();
-        for step in 0..OPS {
-            let key = rng.next_below(KEY_SPACE);
-            match rng.next_below(4) {
-                0 | 1 => {
-                    assert_eq!(
-                        flat.insert(key),
-                        btree.insert(key),
-                        "seed {seed} step {step}: insert({key}) diverged"
-                    );
-                }
-                2 => {
-                    assert_eq!(
-                        flat.remove(key),
-                        btree.remove(&key),
-                        "seed {seed} step {step}: remove({key}) diverged"
-                    );
-                }
-                _ => {
-                    assert_eq!(flat.contains(key), btree.contains(&key));
-                }
-            }
-            assert_eq!(flat.len(), btree.len());
-        }
-        let flat_keys: Vec<u64> = flat.iter().collect();
-        let btree_keys: Vec<u64> = btree.iter().copied().collect();
-        assert_eq!(flat_keys, btree_keys, "seed {seed}: final state diverged");
     }
 }
 

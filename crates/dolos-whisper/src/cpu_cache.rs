@@ -2,8 +2,10 @@
 //!
 //! Three levels — L1 32 KiB 2-way (2 cycles), L2 512 KiB 8-way (20 cycles),
 //! LLC 8 MiB 16-way (32 cycles) — tracked at cacheline granularity for
-//! *timing and eviction behaviour*; the data bytes themselves live in the
-//! environment's line image. Two event kinds leave the hierarchy toward the
+//! *timing and eviction behaviour*. The levels hold tags only
+//! (`SetAssocCache<()>`: a key, a dirty bit and an LRU stamp per way); the
+//! data bytes themselves live in the environment's line image
+//! ([`crate::env::PmEnv`]). Two event kinds leave the hierarchy toward the
 //! memory controller:
 //!
 //! * explicit `clwb` flushes (the workload's persists), and
@@ -64,9 +66,9 @@ pub struct CacheAccess {
 /// ```
 #[derive(Debug)]
 pub struct CpuCacheHierarchy {
-    l1: SetAssocCache,
-    l2: SetAssocCache,
-    llc: SetAssocCache,
+    l1: SetAssocCache<()>,
+    l2: SetAssocCache<()>,
+    llc: SetAssocCache<()>,
     hits: [u64; 3],
     memory_misses: u64,
     writebacks: u64,
@@ -99,7 +101,6 @@ impl CpuCacheHierarchy {
     /// (dirtiness propagates down, leaving the LLC as the last holder).
     pub fn access(&mut self, line: u64, write: bool) -> CacheAccess {
         use dolos_secmem::cache::Access;
-        let zero = [0u8; 64];
         let mut writebacks = Vec::new();
         let (latency, memory_miss) = if self.l1.probe(line) == Access::Hit {
             self.hits[0] += 1;
@@ -118,25 +119,25 @@ impl CpuCacheHierarchy {
         // outermost first so inner victims can land one level out. A dirty
         // victim leaving a level is installed dirty in the next level; a
         // dirty LLC victim becomes a memory write-back.
-        if let Some(ev) = self.llc.fill(line, zero, false) {
+        if let Some(ev) = self.llc.fill(line, (), false) {
             if ev.dirty {
                 writebacks.push(ev.key);
             }
         }
-        if let Some(ev) = self.l2.fill(line, zero, false) {
+        if let Some(ev) = self.l2.fill(line, (), false) {
             if ev.dirty {
-                if let Some(ev3) = self.llc.fill(ev.key, zero, true) {
+                if let Some(ev3) = self.llc.fill(ev.key, (), true) {
                     if ev3.dirty {
                         writebacks.push(ev3.key);
                     }
                 }
             }
         }
-        if let Some(ev) = self.l1.fill(line, zero, write) {
+        if let Some(ev) = self.l1.fill(line, (), write) {
             if ev.dirty {
-                if let Some(ev2) = self.l2.fill(ev.key, zero, true) {
+                if let Some(ev2) = self.l2.fill(ev.key, (), true) {
                     if ev2.dirty {
-                        if let Some(ev3) = self.llc.fill(ev2.key, zero, true) {
+                        if let Some(ev3) = self.llc.fill(ev2.key, (), true) {
                             if ev3.dirty {
                                 writebacks.push(ev3.key);
                             }
@@ -157,12 +158,11 @@ impl CpuCacheHierarchy {
     /// whether any level held it dirty — i.e., whether a write-back is due.
     pub fn clean(&mut self, line: u64) -> bool {
         let mut was_dirty = false;
-        let zero = [0u8; 64];
         for cache in [&mut self.l1, &mut self.l2, &mut self.llc] {
             if let Some(ev) = cache.invalidate(line) {
                 was_dirty |= ev.dirty;
                 // Re-install clean (clwb retains the cached copy).
-                cache.fill(line, zero, false);
+                cache.fill(line, (), false);
             }
         }
         was_dirty

@@ -5,6 +5,12 @@
 //! CPU caches), explicit `clwb`/`sfence` persistence, a bump allocator, and
 //! an instruction/cycle accounting model.
 //!
+//! The cache image is one paged line table indexed by address: a page holds
+//! 64 line slots of `{data, present, dirty}`, allocated on first touch. A
+//! store edits its slot in place, and `clwb`, `sfence` and dirty-eviction
+//! write-backs read and clear the dirty flag on that same slot. The CPU
+//! cache hierarchy beside it keeps tags only.
+//!
 //! Persistence semantics mirror x86: stores land in the (volatile) cache
 //! image; [`PmEnv::clwb`] queues a line for write-back; [`PmEnv::sfence`]
 //! issues every queued line to the memory controller *in parallel* (they
@@ -12,10 +18,7 @@
 //! the persistence domain. A crash loses the cache image and everything not
 //! yet fenced.
 
-use std::collections::BTreeMap;
-
 use dolos_core::{RecoveryReport, SecureMemorySystem, SecurityError};
-use dolos_sim::flat::FlatSet;
 use dolos_sim::Cycle;
 
 use crate::cpu_cache::CpuCacheHierarchy;
@@ -26,6 +29,66 @@ use crate::trace::{Trace, TraceOp};
 /// WPQ inter-arrival time lands in the few-hundred-cycle range the paper
 /// reports (473 cycles on average across WHISPER).
 pub const OP_COST: u64 = 12;
+
+/// Lines per page of the line image: a page covers 4 KiB of the region.
+const PAGE_LINES: usize = 64;
+
+/// One line of the CPU-side image.
+#[derive(Debug)]
+struct LineSlot {
+    data: [u8; 64],
+    /// The CPU holds a copy: `data` is the line's current value.
+    present: bool,
+    /// Modified since its last write-back.
+    dirty: bool,
+}
+
+impl LineSlot {
+    const EMPTY: Self = Self {
+        data: [0; 64],
+        present: false,
+        dirty: false,
+    };
+}
+
+/// The volatile line image: pages of [`PAGE_LINES`] slots indexed by
+/// address, each allocated on first touch. The page vector only grows as
+/// far as the highest line touched.
+#[derive(Debug, Default)]
+struct LineImage {
+    pages: Vec<Option<Box<[LineSlot; PAGE_LINES]>>>,
+}
+
+impl LineImage {
+    fn index(line: u64) -> (usize, usize) {
+        let n = (line / 64) as usize;
+        (n / PAGE_LINES, n % PAGE_LINES)
+    }
+
+    /// The slot of `line`, allocating its page if needed.
+    fn slot_mut(&mut self, line: u64) -> &mut LineSlot {
+        let (page, slot) = Self::index(line);
+        if page >= self.pages.len() {
+            self.pages.resize_with(page + 1, || None);
+        }
+        let page = self.pages[page].get_or_insert_with(|| Box::new([LineSlot::EMPTY; PAGE_LINES]));
+        &mut page[slot]
+    }
+
+    /// The slot of `line` if its page exists.
+    fn get_mut(&mut self, line: u64) -> Option<&mut LineSlot> {
+        let (page, slot) = Self::index(line);
+        self.pages
+            .get_mut(page)?
+            .as_deref_mut()
+            .map(|page| &mut page[slot])
+    }
+
+    /// Drops every page.
+    fn clear(&mut self) {
+        self.pages.clear();
+    }
+}
 
 /// The persistent-memory environment.
 ///
@@ -49,11 +112,8 @@ pub struct PmEnv {
     instructions: u64,
     heap_next: u64,
     heap_end: u64,
-    /// Volatile CPU-cache view of the region, keyed by line address.
-    /// Ordered: nothing in the environment may iterate in hasher order.
-    image: BTreeMap<u64, [u8; 64]>,
-    /// Lines modified since their last write-back.
-    dirty: FlatSet,
+    /// Volatile CPU-side copy of the region, one slot per line.
+    image: LineImage,
     /// Lines queued by `clwb`, persisted at the next `sfence`.
     flush_queue: Vec<u64>,
     fences: u64,
@@ -74,8 +134,7 @@ impl PmEnv {
             instructions: 0,
             heap_next: 64, // keep null (0) unallocated
             heap_end,
-            image: BTreeMap::new(),
-            dirty: FlatSet::new(),
+            image: LineImage::default(),
             flush_queue: Vec::new(),
             fences: 0,
             flushes: 0,
@@ -177,11 +236,12 @@ impl PmEnv {
     /// the CPU drops its copy.
     fn handle_writebacks(&mut self, evicted: Vec<u64>) {
         for line in evicted {
-            let Some(data) = self.image.remove(&line) else {
+            let Some(slot) = self.image.get_mut(line).filter(|slot| slot.present) else {
                 continue;
             };
-            if self.dirty.remove(line) {
-                let _ = self.system.persist_write(self.now, line, &data);
+            slot.present = false;
+            if std::mem::take(&mut slot.dirty) {
+                let _ = self.system.persist_write(self.now, line, &slot.data);
                 if let Some(trace) = self.recorder.as_mut() {
                     trace.push(TraceOp::Writeback(line));
                 }
@@ -192,25 +252,27 @@ impl PmEnv {
     }
 
     /// Accesses `line` through the cache hierarchy, loading it from memory
-    /// if no level (and no CPU-side copy) holds it.
-    fn touch_line(&mut self, line: u64, write: bool) -> [u8; 64] {
+    /// if no level (and no CPU-side copy) holds it. Returns the line's slot
+    /// in the image, present.
+    fn touch_line(&mut self, line: u64, write: bool) -> &mut LineSlot {
         let access = self.caches.access(line, write);
         self.now += access.latency;
         if let Some(trace) = self.recorder.as_mut() {
             trace.push(TraceOp::Delay(access.latency));
         }
         self.handle_writebacks(access.writebacks);
-        if let Some(data) = self.image.get(&line) {
-            return *data;
+        let slot = self.image.slot_mut(line);
+        if !slot.present {
+            // Memory read through the secure controller (timed + verified).
+            let (done, data) = self.system.read(self.now, line);
+            self.now = done;
+            slot.data = data;
+            slot.present = true;
+            if let Some(trace) = self.recorder.as_mut() {
+                trace.push(TraceOp::Read(line));
+            }
         }
-        // Memory read through the secure controller (timed + verified).
-        let (done, data) = self.system.read(self.now, line);
-        self.now = done;
-        self.image.insert(line, data);
-        if let Some(trace) = self.recorder.as_mut() {
-            trace.push(TraceOp::Read(line));
-        }
-        data
+        slot
     }
 
     /// Writes bytes at `addr` (volatile until flushed).
@@ -222,29 +284,33 @@ impl PmEnv {
             let line = Self::line_of(cur);
             let in_line = (cur - line) as usize;
             let take = (64 - in_line).min(bytes.len() - offset);
-            let mut data = self.touch_line(line, true);
-            data[in_line..in_line + take].copy_from_slice(&bytes[offset..offset + take]);
-            self.image.insert(line, data);
-            self.dirty.insert(line);
+            let slot = self.touch_line(line, true);
+            slot.data[in_line..in_line + take].copy_from_slice(&bytes[offset..offset + take]);
+            slot.dirty = true;
             offset += take;
         }
     }
 
     /// Reads bytes at `addr`.
     pub fn read_bytes(&mut self, addr: u64, len: usize) -> Vec<u8> {
-        self.work(1 + len as u64 / 8);
-        let mut out = Vec::with_capacity(len);
+        let mut out = vec![0; len];
+        self.read_into(addr, &mut out);
+        out
+    }
+
+    /// Fills `out` with the bytes at `addr`.
+    fn read_into(&mut self, addr: u64, out: &mut [u8]) {
+        self.work(1 + out.len() as u64 / 8);
         let mut offset = 0usize;
-        while offset < len {
+        while offset < out.len() {
             let cur = addr + offset as u64;
             let line = Self::line_of(cur);
             let in_line = (cur - line) as usize;
-            let take = (64 - in_line).min(len - offset);
-            let data = self.touch_line(line, false);
-            out.extend_from_slice(&data[in_line..in_line + take]);
+            let take = (64 - in_line).min(out.len() - offset);
+            let slot = self.touch_line(line, false);
+            out[offset..offset + take].copy_from_slice(&slot.data[in_line..in_line + take]);
             offset += take;
         }
-        out
     }
 
     /// Writes a u64 at `addr`.
@@ -254,8 +320,9 @@ impl PmEnv {
 
     /// Reads a u64 at `addr`.
     pub fn read_u64(&mut self, addr: u64) -> u64 {
-        let bytes = self.read_bytes(addr, 8);
-        u64::from_le_bytes(bytes.try_into().expect("8 bytes"))
+        let mut bytes = [0; 8];
+        self.read_into(addr, &mut bytes);
+        u64::from_le_bytes(bytes)
     }
 
     /// Queues every line overlapping `[addr, addr + len)` for write-back.
@@ -264,7 +331,8 @@ impl PmEnv {
         let last = Self::line_of(addr + len.max(1) - 1);
         let mut line = first;
         loop {
-            if self.dirty.contains(line) && !self.flush_queue.contains(&line) {
+            let dirty = self.image.get_mut(line).is_some_and(|slot| slot.dirty);
+            if dirty && !self.flush_queue.contains(&line) {
                 self.flush_queue.push(line);
                 self.flushes += 1;
                 self.work(1);
@@ -291,10 +359,12 @@ impl PmEnv {
             trace.push(TraceOp::PersistBatch(queue.clone()));
         }
         for line in queue {
-            let data = *self.image.get(&line).expect("flushed lines are cached");
-            let done = self.system.persist_write(start, line, &data);
+            // Queued lines are dirty, hence present: a write-back that
+            // evicted one also dropped it from the queue.
+            let slot = self.image.slot_mut(line);
+            slot.dirty = false;
+            let done = self.system.persist_write(start, line, &slot.data);
             fence_done = fence_done.max(done);
-            self.dirty.remove(line);
             self.caches.clean(line);
         }
         self.now = fence_done;
@@ -310,7 +380,6 @@ impl PmEnv {
     /// lost; the ADR dump runs.
     pub fn crash(&mut self) {
         self.image.clear();
-        self.dirty.clear();
         self.flush_queue.clear();
         self.caches.lose_all();
         let now = self.now;
@@ -346,11 +415,57 @@ mod tests {
 
     #[test]
     fn cross_line_writes() {
+        let default = ControllerConfig::DEFAULT_REGION_BYTES;
+        // (region bytes, address, length): a span over four lines, one
+        // across the boundary between two 64-line image pages, and the
+        // last line of a one-page region.
+        for (region, addr, len) in [
+            (default, 124, 200),
+            (default, 4096 - 100, 200),
+            (4096, 4032, 64),
+        ] {
+            let mut config = ControllerConfig::dolos(MiSuKind::Partial);
+            config.region_bytes = region;
+            let mut e = PmEnv::new(config);
+            e.alloc(addr + len - 64);
+            let data: Vec<u8> = (0..len).map(|i| i as u8 ^ 0x5A).collect();
+            e.write_bytes(addr, &data);
+            assert_eq!(e.read_bytes(addr, len as usize), data, "at {addr}");
+            let tail = u64::from_le_bytes(data[data.len() - 8..].try_into().unwrap());
+            assert_eq!(e.read_u64(addr + len - 8), tail, "at {addr}");
+            // Persisted, the bytes come back from memory after a crash.
+            e.persist(addr, len);
+            e.crash();
+            e.recover().expect("clean recovery");
+            assert_eq!(e.read_bytes(addr, len as usize), data, "at {addr}");
+        }
+    }
+
+    #[test]
+    fn line_image_grows_to_the_highest_touched_page_and_crash_drops_it() {
         let mut e = env();
-        let p = e.alloc(256);
-        let data: Vec<u8> = (0..200u8).collect();
-        e.write_bytes(p + 60, &data);
-        assert_eq!(e.read_bytes(p + 60, 200), data);
+        let allocated = |e: &PmEnv| e.image.pages.iter().filter(|p| p.is_some()).count();
+        e.write_u64(10 * 4096 + 64, 7);
+        assert_eq!(e.image.pages.len(), 11);
+        assert_eq!(allocated(&e), 1);
+        assert_eq!(e.read_u64(8), 0);
+        assert_eq!((e.image.pages.len(), allocated(&e)), (11, 2));
+        e.crash();
+        assert!(e.image.pages.is_empty());
+        e.recover().expect("clean recovery");
+        assert_eq!(e.read_u64(10 * 4096 + 64), 0);
+    }
+
+    #[test]
+    fn clwb_of_untouched_lines_allocates_and_queues_nothing() {
+        let mut e = env();
+        e.write_u64(64, 1);
+        e.clwb(64 * 4096, 64 * 1024);
+        assert_eq!(e.flushes(), 0);
+        assert_eq!(e.image.pages.len(), 1);
+        e.clwb(64, 8);
+        e.clwb(64, 8);
+        assert_eq!(e.flushes(), 1, "a queued line is queued once");
     }
 
     #[test]
@@ -438,5 +553,61 @@ mod tests {
         config.region_bytes = 4096;
         let mut e = PmEnv::new(config);
         e.alloc(8192);
+    }
+    /// Dirtying more distinct lines than the LLC holds, with no flush at
+    /// all, is the only way WHISPER-style code reaches the dirty-eviction
+    /// write-back path (every workload commit flushes). The counts and the
+    /// clock are pinned: any change to the line image or the cache tags
+    /// that moves one simulated event shows here.
+    #[test]
+    fn llc_dirty_evictions_write_back_and_survive_crash() {
+        use crate::cpu_cache::LLC_BYTES;
+        let value = |i: u64| i ^ 0xA5A5;
+        let mut e = env();
+        e.start_recording();
+        let lines = (LLC_BYTES / 64) as u64 + 4096;
+        let base = e.alloc(lines * 64);
+        for i in 0..lines {
+            e.write_u64(base + i * 64, value(i));
+        }
+        let written_back = |e: &PmEnv| -> Vec<u64> {
+            let trace = e.recorder.as_ref().expect("recording");
+            trace
+                .iter()
+                .filter_map(|op| match op {
+                    TraceOp::Writeback(line) => Some((line - base) / 64),
+                    _ => None,
+                })
+                .collect()
+        };
+        assert_eq!(written_back(&e).len(), 5248);
+        assert_eq!(e.now().as_u64(), 10_678_320);
+        assert_eq!(e.system().persists(), 5248);
+        assert_eq!(e.flushes(), 0);
+
+        // The volatile view: written-back lines come back from memory,
+        // cached ones from the image.
+        for i in (0..lines).step_by(997) {
+            assert_eq!(e.read_u64(base + i * 64), value(i), "line {i}");
+        }
+        let survivors = written_back(&e);
+        assert_eq!(survivors.len(), 5252);
+        assert_eq!(e.now().as_u64(), 18_154_382);
+        assert_eq!(e.system().persists(), 5252);
+
+        // Only written-back lines reach the persistence domain.
+        e.crash();
+        e.recover().expect("clean recovery");
+        for &i in &survivors {
+            assert_eq!(e.read_u64(base + i * 64), value(i), "written back {i}");
+        }
+        let lost: Vec<u64> = (0..lines)
+            .step_by(101)
+            .filter(|i| !survivors.contains(i))
+            .collect();
+        assert_eq!(lost.len(), 1283);
+        for &i in &lost {
+            assert_eq!(e.read_u64(base + i * 64), 0, "never written back {i}");
+        }
     }
 }
