@@ -146,8 +146,11 @@ impl Config {
                 // The AES-NI backend, the workspace's only unsafe code: it
                 // must never abort, whatever it is handed.
                 "dolos-crypto/src/aes/ni.rs",
+                // The falsifier's oracles: a crash checker must report a
+                // failure, never abort on one.
                 "dolos-verify/src/engine.rs",
                 "dolos-verify/src/campaign.rs",
+                "dolos-verify/src/enumerate.rs",
                 "dolos-trace/src/hist.rs",
                 "dolos-trace/src/attrib.rs",
                 "dolos-trace/src/profile.rs",

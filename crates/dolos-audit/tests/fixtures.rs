@@ -518,6 +518,25 @@ fn graft_panic_in_claim_queue_fires_strict_panic() {
     );
 }
 
+#[test]
+fn graft_panic_in_crash_enumerator_fires_strict_panic() {
+    // The exhaustive crash enumerator is a falsifier: it must report a
+    // failing case, never abort on one.
+    let report = grafted_workspace(
+        "dolos-verify/src/enumerate.rs",
+        "let ops = stream(letters);",
+        "let ops = stream(letters);\n            ops.first().expect(\"a letter yields an op\");",
+    );
+    assert!(
+        report
+            .findings
+            .iter()
+            .any(|f| f.lint == "panic-path" && f.file.ends_with("enumerate.rs")),
+        "{}",
+        report.to_text()
+    );
+}
+
 // --- the real workspace ---------------------------------------------------
 
 #[test]

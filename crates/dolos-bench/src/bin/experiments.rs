@@ -34,6 +34,10 @@
 //! `cells`/`sim_cycles` only) to PATH; CI `cmp`s it against the committed
 //! `ci/bench_sim_cycles.golden.json` so simulated timing cannot drift
 //! unnoticed under wall-clock optimizations.
+//!
+//! Exit status is 0 on success, 1 when a run fails (an output file cannot
+//! be written, or a `--repeat` run diverges), and 2 for a malformed command
+//! line, `--transactions 0` included.
 
 use std::process::ExitCode;
 use std::time::{Instant, SystemTime, UNIX_EPOCH};
@@ -52,7 +56,7 @@ fn usage() -> ExitCode {
             .collect::<Vec<_>>()
             .join("|")
     );
-    ExitCode::FAILURE
+    ExitCode::from(2)
 }
 
 fn main() -> ExitCode {
@@ -70,9 +74,10 @@ fn main() -> ExitCode {
             "all" => selected.extend(ExperimentId::ALL),
             "bench" => bench = true,
             "--trace" => trace = true,
+            // Zero transactions would turn every slowdown ratio into NaN.
             "--transactions" => match iter.next().and_then(|v| v.parse().ok()) {
-                Some(n) => config.transactions = n,
-                None => return usage(),
+                Some(n) if n >= 1 => config.transactions = n,
+                _ => return usage(),
             },
             "--warmup" => match iter.next().and_then(|v| v.parse().ok()) {
                 Some(n) => config.warmup = n,

@@ -26,7 +26,7 @@
 //! un-diverged state; the non-secure reference has no detection duty —
 //! absorbed corruption is recorded, not failed.
 
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, BTreeSet};
 
 use dolos_core::inject::{FaultPlan, InjectionPoint};
 use dolos_core::{ControllerConfig, ControllerKind, SecureMemorySystem, SecurityError};
@@ -37,7 +37,7 @@ use dolos_sim::Cycle;
 use dolos_whisper::gen::{self, TraceGenConfig};
 use dolos_whisper::trace::TraceOp;
 
-use crate::scenario::{is_scheme_independent, Scenario, TamperSpec};
+use crate::scenario::{is_scheme_independent, Scenario, TamperSpec, VerifyRound};
 
 /// The six designs the conformance matrix sweeps, in report order
 /// ([`ControllerKind::ALL`]): the non-secure reference, the infeasible
@@ -52,10 +52,9 @@ pub fn verify_schemes() -> [ControllerConfig; 6] {
 pub enum EngineOp {
     /// Advance simulated time.
     Advance(u64),
-    /// One fence batch of persist calls with baked payloads.
+    /// Persist calls with baked payloads: one fence batch, or a single
+    /// background writeback (same persist path).
     Batch(Vec<(u64, Line)>),
-    /// A background writeback (persists through the same path).
-    Writeback(u64, Line),
     /// A demand read, checked against the model.
     Read(u64),
 }
@@ -84,25 +83,22 @@ pub fn build_round_ops(scenario: &Scenario, round: usize, txns: usize) -> Vec<En
     };
     let trace = gen::generate(seed, &gen_config);
     let mut pay = XorShift::new(seed ^ 0x0BAD_F00D);
-    let mut ops = Vec::with_capacity(trace.len());
-    for op in trace.iter() {
-        match op {
-            TraceOp::Work(n) | TraceOp::Delay(n) => ops.push(EngineOp::Advance(*n)),
-            TraceOp::PersistBatch(lines) => ops.push(EngineOp::Batch(
-                lines
-                    .iter()
-                    .map(|&addr| (addr, bake_line(&mut pay)))
-                    .collect(),
-            )),
-            TraceOp::Writeback(addr) => ops.push(EngineOp::Writeback(*addr, bake_line(&mut pay))),
-            TraceOp::Read(addr) => ops.push(EngineOp::Read(*addr)),
-        }
-    }
-    ops
+    let mut bake = |addr: u64| (addr, bake_line(&mut pay));
+    trace
+        .iter()
+        .map(|op| match op {
+            TraceOp::Work(n) | TraceOp::Delay(n) => EngineOp::Advance(*n),
+            TraceOp::PersistBatch(lines) => {
+                EngineOp::Batch(lines.iter().map(|&a| bake(a)).collect())
+            }
+            TraceOp::Writeback(addr) => EngineOp::Batch(vec![bake(*addr)]),
+            TraceOp::Read(addr) => EngineOp::Read(*addr),
+        })
+        .collect()
 }
 
 /// Everything one scheme's replay of a scenario observed.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct SchemeObservation {
     /// Scheme name.
     pub scheme: &'static str,
@@ -142,9 +138,7 @@ impl SchemeObservation {
     }
 }
 
-fn zero_line() -> Line {
-    [0u8; 64]
-}
+const ZERO_LINE: Line = [0u8; 64];
 
 fn render_line_prefix(line: &Line) -> String {
     format!(
@@ -208,6 +202,19 @@ fn apply_tamper(
 /// Replays `scenario` on one scheme, checking every obligation against the
 /// shared model. Deterministic: equal inputs give equal observations.
 pub fn run_scheme(config: &ControllerConfig, scenario: &Scenario) -> SchemeObservation {
+    replay_scheme(config, scenario, |index, round| {
+        build_round_ops(scenario, index, round.txns)
+    })
+}
+
+/// The one replay loop: [`run_scheme`] with each round's operation stream
+/// taken from `round_ops(index, round)`. The [`mod@crate::enumerate`] checker
+/// feeds it hand-built streams.
+pub(crate) fn replay_scheme(
+    config: &ControllerConfig,
+    scenario: &Scenario,
+    mut round_ops: impl FnMut(usize, &VerifyRound) -> Vec<EngineOp>,
+) -> SchemeObservation {
     // The scenario's bank axis applies uniformly: every scheme replays the
     // stream on the same NVM geometry (banks=1 leaves the config untouched).
     let config = config.clone().with_banks(scenario.banks.max(1));
@@ -217,21 +224,11 @@ pub fn run_scheme(config: &ControllerConfig, scenario: &Scenario) -> SchemeObser
     let mut model: BTreeMap<u64, Line> = BTreeMap::new();
     let mut obs = SchemeObservation {
         scheme: config.kind.name(),
-        divergences: Vec::new(),
-        fired: Vec::new(),
-        commits: 0,
-        reads_checked: 0,
-        lines_checked: 0,
-        nested_fired: false,
-        inflight_old: 0,
-        inflight_new: 0,
-        tamper_detected: false,
-        tamper_harmless: false,
-        tamper_absorbed: false,
+        ..SchemeObservation::default()
     };
 
     for (index, round) in scenario.rounds.iter().enumerate() {
-        let ops = build_round_ops(scenario, index, round.txns);
+        let ops = round_ops(index, round);
 
         // Stale-epoch snapshot for a scheduled torn dump, taken before this
         // round's crash overwrites the region.
@@ -254,61 +251,44 @@ pub fn run_scheme(config: &ControllerConfig, scenario: &Scenario) -> SchemeObser
         // The write a `masu-drain` cut left in flight: (address, new value).
         let mut inflight: Option<(u64, Line)> = None;
 
-        // One persist call; returns false when the stream must stop (the
-        // armed fault fired or the call failed outright).
-        let mut persist = |sys: &mut SecureMemorySystem,
-                           t: &mut Cycle,
-                           obs: &mut SchemeObservation,
-                           model: &mut BTreeMap<u64, Line>,
-                           addr: u64,
-                           payload: Line|
-         -> bool {
-            match sys.try_persist_write(*t, addr, &payload) {
-                Ok(done) => {
-                    *t = done;
-                    model.insert(addr, payload);
-                    obs.commits += 1;
-                    persist_index += 1;
-                    true
-                }
-                Err(SecurityError::PowerInterrupted { point }) => {
-                    match point {
-                        // The insert-point fault fires after the ADR domain
-                        // accepted the line: that persist is committed.
-                        InjectionPoint::WpqInsert => {
-                            model.insert(addr, payload);
-                            obs.commits += 1;
-                        }
-                        // The drain engine fired before or after this
-                        // write's insert: old or new, decided at recovery.
-                        InjectionPoint::MasuDrain => inflight = Some((addr, payload)),
-                        // persist-start / misu-protect: the line never
-                        // reached the persistence domain and is lost.
-                        _ => {}
-                    }
-                    fired = Some((point, persist_index));
-                    false
-                }
-                Err(e) => {
-                    obs.divergences
-                        .push(format!("round {index}: persist failed: {e}"));
-                    false
-                }
-            }
-        };
-
+        // The stream stops when the armed fault fires or a persist call
+        // fails outright.
         'stream: for op in &ops {
             match op {
                 EngineOp::Advance(n) => t += *n,
                 EngineOp::Batch(lines) => {
                     for &(addr, payload) in lines {
-                        if !persist(&mut sys, &mut t, &mut obs, &mut model, addr, payload) {
-                            break 'stream;
+                        let point = match sys.try_persist_write(t, addr, &payload) {
+                            Ok(done) => {
+                                t = done;
+                                model.insert(addr, payload);
+                                obs.commits += 1;
+                                persist_index += 1;
+                                continue;
+                            }
+                            Err(SecurityError::PowerInterrupted { point }) => point,
+                            Err(e) => {
+                                obs.divergences
+                                    .push(format!("round {index}: persist failed: {e}"));
+                                break 'stream;
+                            }
+                        };
+                        match point {
+                            // The insert-point fault fires after the ADR
+                            // domain accepted the line: that persist is
+                            // committed.
+                            InjectionPoint::WpqInsert => {
+                                model.insert(addr, payload);
+                                obs.commits += 1;
+                            }
+                            // The drain engine fired before or after this
+                            // write's insert: old or new, decided at recovery.
+                            InjectionPoint::MasuDrain => inflight = Some((addr, payload)),
+                            // persist-start / misu-protect: the line never
+                            // reached the persistence domain and is lost.
+                            _ => {}
                         }
-                    }
-                }
-                EngineOp::Writeback(addr, payload) => {
-                    if !persist(&mut sys, &mut t, &mut obs, &mut model, *addr, *payload) {
+                        fired = Some((point, persist_index));
                         break 'stream;
                     }
                 }
@@ -316,7 +296,7 @@ pub fn run_scheme(config: &ControllerConfig, scenario: &Scenario) -> SchemeObser
                     let (done, data) = sys.read(t, *addr);
                     t = done;
                     obs.reads_checked += 1;
-                    let expect = model.get(addr).copied().unwrap_or_else(zero_line);
+                    let expect = model.get(addr).copied().unwrap_or(ZERO_LINE);
                     if data != expect {
                         obs.divergences.push(format!(
                             "round {index}: read {addr:#x} returned {} want {}",
@@ -348,16 +328,10 @@ pub fn run_scheme(config: &ControllerConfig, scenario: &Scenario) -> SchemeObser
         }
 
         // --- adversarial window ---
-        let tampered = match round.tamper {
-            Some(spec) => apply_tamper(
-                sys.nvm_mut(),
-                &layout,
-                spec,
-                &dump_snapshot,
-                config.usable_wpq_entries(),
-            ),
-            None => false,
-        };
+        let tampered = round.tamper.is_some_and(|spec| {
+            let per_bank_slots = config.usable_wpq_entries();
+            apply_tamper(sys.nvm_mut(), &layout, spec, &dump_snapshot, per_bank_slots)
+        });
 
         // --- boot, retrying once on a scheduled nested crash ---
         if let Some(nth) = round.nested {
@@ -389,52 +363,51 @@ pub fn run_scheme(config: &ControllerConfig, scenario: &Scenario) -> SchemeObser
             return obs;
         }
 
-        // --- recovered state vs the model, line by line ---
-        let mut mismatches: Vec<(u64, Line, Line)> = Vec::new();
-        for (&addr, expect) in &model {
-            if inflight.is_some_and(|(a, _)| a == addr) {
-                continue; // checked old-or-new below
-            }
-            let (_, data) = sys.read(Cycle::ZERO, addr);
-            obs.lines_checked += 1;
-            if data != *expect {
-                mismatches.push((addr, data, *expect));
+        // --- recovered state vs the model, line by line: every modelled
+        // line plus every line the round's stream names, so a lost first
+        // write to a fresh line must read back as zero ---
+        let mut lines: BTreeSet<u64> = model.keys().copied().collect();
+        for op in &ops {
+            match op {
+                EngineOp::Batch(batch) => lines.extend(batch.iter().map(|&(addr, _)| addr)),
+                EngineOp::Read(addr) => lines.extend([*addr]),
+                EngineOp::Advance(_) => {}
             }
         }
-        if let Some((addr, new)) = inflight {
-            let old = model.get(&addr).copied().unwrap_or_else(zero_line);
+        let mut diverged = false;
+        for addr in lines {
+            let old = model.get(&addr).copied().unwrap_or(ZERO_LINE);
             let (_, data) = sys.read(Cycle::ZERO, addr);
             obs.lines_checked += 1;
-            if data == new {
+            // The in-flight write may recover its old or its new value.
+            let new = inflight.and_then(|(a, new)| (a == addr).then_some(new));
+            if new == Some(data) {
                 obs.inflight_new += 1;
-                model.insert(addr, new);
-            } else if data == old {
-                obs.inflight_old += 1;
-            } else {
-                mismatches.push((addr, data, new));
+                model.insert(addr, data);
+                continue;
             }
-        }
-        let diverged = !mismatches.is_empty();
-        for (addr, data, expect) in mismatches {
-            if tampered && !secure {
-                continue; // absorbed by the non-secure reference
+            if data == old {
+                obs.inflight_old += u64::from(new.is_some());
+                continue;
             }
-            obs.divergences.push(format!(
-                "round {index}: recovered {addr:#x} holds {} want {}{}",
-                render_line_prefix(&data),
-                render_line_prefix(&expect),
-                if tampered { " (silent corruption)" } else { "" }
-            ));
+            let want = new.unwrap_or(old);
+            diverged = true;
+            // The non-secure reference absorbs tampering without failing.
+            if secure || !tampered {
+                obs.divergences.push(format!(
+                    "round {index}: recovered {addr:#x} holds {} want {}{}",
+                    render_line_prefix(&data),
+                    render_line_prefix(&want),
+                    if tampered { " (silent corruption)" } else { "" }
+                ));
+            }
         }
         if !obs.divergences.is_empty() {
             return obs;
         }
         if tampered {
-            if diverged {
-                obs.tamper_absorbed = true;
-            } else {
-                obs.tamper_harmless = true;
-            }
+            obs.tamper_absorbed = diverged;
+            obs.tamper_harmless = !diverged;
             return obs; // tamper rounds are terminal
         }
     }
@@ -565,7 +538,6 @@ mod tests {
     fn persist_start_cut_loses_the_interrupted_write() {
         // Pin the cut semantics: a fault at persist-start#0 means zero
         // commits in that round, wpq-insert#0 means exactly one.
-        use dolos_core::inject::InjectionPoint;
         for (point, expect) in [
             (InjectionPoint::PersistStart, 0),
             (InjectionPoint::WpqInsert, 1),
@@ -574,18 +546,19 @@ mod tests {
                 seed: 77,
                 keyspace: 16,
                 banks: 1,
-                rounds: vec![crate::scenario::VerifyRound {
+                rounds: vec![VerifyRound {
                     txns: 3,
                     fault: Some((point, 0)),
-                    quiesce: false,
-                    nested: None,
-                    tamper: None,
+                    ..VerifyRound::default()
                 }],
             };
             let verdict = run_scenario(&scenario);
             assert!(verdict.pass(), "{:?}", verdict.first_failure());
             for obs in &verdict.observations {
                 assert_eq!(obs.commits, expect, "{} at {}", obs.scheme, point.name());
+                // The lost write's line is still checked after recovery:
+                // it must read back zero, not the interrupted payload.
+                assert!(obs.lines_checked > 0, "{}", obs.scheme);
                 assert_eq!(obs.fired, vec![format!("{}#0", point.name())]);
             }
         }
@@ -650,12 +623,10 @@ mod tests {
         // bank 1's entire shard to that stale image. The victim slots fail
         // MAC/root verification on every dolos scheme; the schemes without
         // a dump region have nothing to tear and skip the tamper.
-        let cut = crate::scenario::VerifyRound {
+        let cut = VerifyRound {
             txns: 6,
-            fault: Some((dolos_core::inject::InjectionPoint::WpqInsert, 7)),
-            quiesce: false,
-            nested: None,
-            tamper: None,
+            fault: Some((InjectionPoint::WpqInsert, 7)),
+            ..VerifyRound::default()
         };
         let scenario = Scenario {
             seed: 3,
@@ -663,7 +634,7 @@ mod tests {
             banks: 4,
             rounds: vec![
                 cut.clone(),
-                crate::scenario::VerifyRound {
+                VerifyRound {
                     tamper: Some(TamperSpec::TornBank { bank: 1, drop: 13 }),
                     ..cut
                 },
@@ -699,16 +670,15 @@ mod tests {
             seed: 3,
             keyspace: 16,
             banks: 1,
-            rounds: vec![crate::scenario::VerifyRound {
+            rounds: vec![VerifyRound {
                 txns: 4,
-                fault: Some((dolos_core::inject::InjectionPoint::WpqInsert, 2)),
-                quiesce: false,
-                nested: None,
+                fault: Some((InjectionPoint::WpqInsert, 2)),
                 tamper: Some(TamperSpec::FlipBit {
                     region: MetaRegion::WpqDump,
                     pick: 0,
                     bit: 9,
                 }),
+                ..VerifyRound::default()
             }],
         };
         let verdict = run_scenario(&scenario);

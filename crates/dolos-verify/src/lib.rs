@@ -22,6 +22,10 @@
 //!   configured 16/13/10, and security on/off never changing data
 //!   semantics ([`campaign`]).
 //!
+//! Alongside the seeded campaigns, [`enumerate()`] runs every short op
+//! sequence under every power cut on every design through the same
+//! engine, shortest first ([`mod@enumerate`]).
+//!
 //! Counterexamples shrink to minimal replayable reproducers through
 //! [`shrink_with`]; campaigns parallelize over
 //! [`dolos_sim::pool`] with byte-identical reports at any `--jobs` value.
@@ -33,6 +37,7 @@
 
 pub mod campaign;
 pub mod engine;
+pub mod enumerate;
 pub mod scenario;
 
 pub use campaign::{
@@ -43,6 +48,7 @@ pub use engine::{
     build_round_ops, run_scenario, run_scheme, verify_schemes, EngineOp, ScenarioVerdict,
     SchemeObservation,
 };
+pub use enumerate::{enumerate, Letter, ALPHABET};
 pub use scenario::{
     check_geometry, shrink_with, Scenario, ScenarioConfig, TamperSpec, VerifyRound, CUT_POINTS,
 };

@@ -81,7 +81,7 @@ impl fmt::Display for TamperSpec {
 }
 
 /// One crash round of a scenario.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct VerifyRound {
     /// Transactions generated for the round's operation stream.
     pub txns: usize,
@@ -153,7 +153,7 @@ pub const CUT_POINTS: [InjectionPoint; 2] =
 /// Every injection point the `@cut#n` grammar accepts: [`CUT_POINTS`] plus
 /// the two scheme-dependent cuts. Recovery replay is the nested `+n#`
 /// token, not a stream cut.
-const GRAMMAR_CUTS: [InjectionPoint; 4] = [
+pub(crate) const GRAMMAR_CUTS: [InjectionPoint; 4] = [
     InjectionPoint::PersistStart,
     InjectionPoint::MisuProtect,
     InjectionPoint::WpqInsert,
@@ -352,9 +352,7 @@ fn parse_round(text: &str) -> Result<VerifyRound, ParseScenarioError> {
     let mut round = VerifyRound {
         txns,
         fault,
-        quiesce: false,
-        nested: None,
-        tamper: None,
+        ..VerifyRound::default()
     };
     for token in tokens {
         if token == "q" {

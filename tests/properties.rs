@@ -148,35 +148,6 @@ fn wpq_matches_fifo_model() {
 }
 
 #[test]
-fn fenced_writes_survive_crash_at_any_point() {
-    let mut rng = XorShift::new(0xCAFE);
-    for _ in 0..64 {
-        let misu = MiSuKind::ALL[rng.next_below(3) as usize];
-        let mut sys = SecureMemorySystem::new(ControllerConfig::dolos(misu));
-        let count = 1 + rng.next_below(39) as usize;
-        let writes: Vec<(u64, u8)> = (0..count)
-            .map(|_| (rng.next_below(32), rng.next_below(256) as u8))
-            .collect();
-        let crash_point = rng.next_below(count as u64) as usize;
-        let mut t = Cycle::ZERO;
-        let mut committed: std::collections::HashMap<u64, u8> = std::collections::HashMap::new();
-        for (i, &(line, value)) in writes.iter().enumerate() {
-            if i == crash_point {
-                break;
-            }
-            t = sys.persist_write(t, line * 64, &[value; 64]);
-            committed.insert(line, value);
-        }
-        sys.crash(t);
-        sys.recover().expect("clean recovery");
-        for (&line, &value) in &committed {
-            let (_, data) = sys.read(Cycle::ZERO, line * 64);
-            assert_eq!(data, [value; 64], "{misu} line {line} lost");
-        }
-    }
-}
-
-#[test]
 fn reads_always_return_last_write() {
     let mut rng = XorShift::new(0x9EAD);
     for _ in 0..64 {
