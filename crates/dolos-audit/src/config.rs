@@ -3,14 +3,15 @@
 //! The policy is data, not code — lints read it, fixtures construct their
 //! own. [`Config::workspace`] is the single source of truth for the real
 //! repository and is what `cargo run -p dolos-audit -- check` enforces.
+//!
+//! Checks that resolved types express better live in clippy, not here:
+//! `crates/clippy.toml` disallows hasher-seeded collections and host
+//! clocks, and `#![deny(clippy::unwrap_used, ...)]` attributes make the
+//! budget-0 crates and three strict modules reject every panic site.
 
 use std::collections::{BTreeMap, BTreeSet};
 
-/// Lint name: hasher-seeded collections in deterministic crates.
-pub const LINT_NONDETERMINISM: &str = "nondeterminism";
-/// Lint name: wall-clock or ambient-entropy reads outside the bench crate.
-pub const LINT_WALL_CLOCK: &str = "wall-clock";
-/// Lint name: unwrap/expect/panic on recovery paths, plus per-crate ratchets.
+/// Lint name: per-crate ratchets on unwrap/expect/panic sites.
 pub const LINT_PANIC_PATH: &str = "panic-path";
 /// Lint name: NVM writes not reachable from the WPQ drain/recovery roots.
 pub const LINT_PERSISTENCE_DOMAIN: &str = "persistence-domain";
@@ -22,47 +23,11 @@ pub const LINT_HOT_ALLOC: &str = "hot-alloc";
 pub const LINT_SUPPRESSION: &str = "suppression";
 
 /// Every lint an `audit:allow` comment may name.
-pub const KNOWN_LINTS: [&str; 6] = [
-    LINT_NONDETERMINISM,
-    LINT_WALL_CLOCK,
+pub const KNOWN_LINTS: [&str; 4] = [
     LINT_PANIC_PATH,
     LINT_PERSISTENCE_DOMAIN,
     LINT_SECRET_FLOW,
     LINT_HOT_ALLOC,
-];
-
-/// One-line descriptions for `dolos-audit list-lints`, in registry order.
-/// The `suppression` meta-lint is listed too — it cannot be allowed, but it
-/// does appear in findings.
-pub const LINT_DESCRIPTIONS: [(&str, &str); 7] = [
-    (
-        LINT_NONDETERMINISM,
-        "hasher-seeded collections (HashMap/HashSet/...) in deterministic crates",
-    ),
-    (
-        LINT_WALL_CLOCK,
-        "wall-clock/entropy reads (Instant, SystemTime, thread_rng, ...) outside dolos-bench",
-    ),
-    (
-        LINT_PANIC_PATH,
-        "unwrap/expect/panic on recovery paths; per-crate ratchet budgets elsewhere",
-    ),
-    (
-        LINT_PERSISTENCE_DOMAIN,
-        "NvmDevice write calls not reachable from the WPQ drain/persist/recovery roots",
-    ),
-    (
-        LINT_SECRET_FLOW,
-        "key-bearing values (Aes128, MacEngine) reaching formatting/serialization sinks",
-    ),
-    (
-        LINT_HOT_ALLOC,
-        "allocating calls (Vec::new, vec!, clone, format!, ...) reachable from hot-path roots",
-    ),
-    (
-        LINT_SUPPRESSION,
-        "malformed, unknown, reason-less, or stale audit:allow comments (not allowable)",
-    ),
 ];
 
 /// `NvmDevice` methods that write lines without passing through the WPQ.
@@ -77,14 +42,6 @@ pub const DEVICE_WRITE_METHODS: [&str; 5] = [
 /// The audit policy for one run.
 #[derive(Debug, Clone)]
 pub struct Config {
-    /// Crates whose results must be a pure function of their inputs. The
-    /// nondeterminism lint bans hasher-seeded collections here.
-    pub deterministic_crates: Vec<String>,
-    /// Crates allowed to read wall-clock time and ambient entropy.
-    pub clock_exempt_crates: Vec<String>,
-    /// Path suffixes of recovery/crash-oracle files where every panic site
-    /// is an individual finding (no budget).
-    pub strict_panic_files: Vec<String>,
     /// Path suffixes of files allowed to call `NvmDevice` write methods
     /// directly regardless of reachability (the device itself — its own
     /// methods are the write primitives).
@@ -101,8 +58,8 @@ pub struct Config {
     /// Path suffixes of files whose formatting impls for secret types are
     /// the sanctioned redacted ones.
     pub sanctioned_debug_files: Vec<String>,
-    /// Per-crate maximums for unsuppressed panic sites outside strict
-    /// files. Crates not listed have budget 0. Every number may only go
+    /// Per-crate maximums for unsuppressed panic sites. Crates not listed
+    /// have budget 0. Every number may only go
     /// DOWN: lowering one after a cleanup prevents regressions; raising
     /// one needs a written justification in the PR that does so.
     pub panic_budgets: Vec<(String, usize)>,
@@ -117,46 +74,6 @@ impl Config {
     /// The policy enforced on this repository.
     pub fn workspace() -> Self {
         Self {
-            deterministic_crates: to_vec(&[
-                "dolos",
-                "dolos-core",
-                "dolos-crypto",
-                "dolos-secmem",
-                "dolos-nvm",
-                "dolos-sim",
-                "dolos-whisper",
-                "dolos-verify",
-                "dolos-trace",
-            ]),
-            clock_exempt_crates: to_vec(&["dolos-bench"]),
-            strict_panic_files: to_vec(&[
-                "dolos-core/src/masu.rs",
-                "dolos-nvm/src/bank.rs",
-                // The work-stealing claim queue and the Ma-SU pad cache: a
-                // panic in either corrupts a whole sweep or the decrypt
-                // path, so no budgeted sites are tolerated.
-                "dolos-sim/src/queue.rs",
-                "dolos-crypto/src/padcache.rs",
-                // Parsers of input from outside the program: a hostile
-                // trace file, report or scenario string must yield an
-                // error, never a panic.
-                "dolos-whisper/src/trace.rs",
-                "dolos-sim/src/json.rs",
-                "dolos-verify/src/scenario.rs",
-                // The AES-NI backend, the workspace's only unsafe code: it
-                // must never abort, whatever it is handed.
-                "dolos-crypto/src/aes/ni.rs",
-                // The falsifier's oracles: a crash checker must report a
-                // failure, never abort on one.
-                "dolos-verify/src/engine.rs",
-                "dolos-verify/src/campaign.rs",
-                "dolos-verify/src/enumerate.rs",
-                "dolos-trace/src/hist.rs",
-                "dolos-trace/src/attrib.rs",
-                "dolos-trace/src/profile.rs",
-                "dolos-trace/src/chrome.rs",
-                "dolos-trace/src/lib.rs",
-            ]),
             // PR 3..7 sanctioned whole controller/masu/misu files; the
             // call-graph form of the lint covers those sites through the
             // persistence roots below, so only the device itself remains.
@@ -209,11 +126,8 @@ impl Config {
 
     /// The panic budget for a crate (0 when unlisted).
     pub fn panic_budget_for(&self, krate: &str) -> usize {
-        self.panic_budgets
-            .iter()
-            .find(|(k, _)| k == krate)
-            .map(|(_, b)| *b)
-            .unwrap_or(0)
+        let budget = self.panic_budgets.iter().find(|(k, _)| k == krate);
+        budget.map_or(0, |(_, b)| *b)
     }
 }
 

@@ -23,7 +23,7 @@
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
 
 use crate::items::{parse_items, parse_params, FileItems, FnItem};
-use crate::lexer::{Token, TokenKind};
+use crate::lexer::{idents_in, matching_close, Token, TokenKind};
 
 /// One file presented to the graph builder.
 #[derive(Debug)]
@@ -127,7 +127,6 @@ pub struct Graph {
     pub nodes: Vec<FnNode>,
     /// Deduplicated resolved callee node ids per node.
     pub edges: Vec<Vec<usize>>,
-    by_name: BTreeMap<String, Vec<usize>>,
 }
 
 /// Reachability from a root set: membership plus BFS parent pointers.
@@ -192,11 +191,7 @@ impl Graph {
             }
             edges[id] = all.into_iter().collect();
         }
-        Graph {
-            nodes,
-            edges,
-            by_name,
-        }
+        Graph { nodes, edges }
     }
 
     /// Node ids whose function matches any `Type::name` / `name` pattern.
@@ -208,11 +203,6 @@ impl Graph {
             }
         }
         out
-    }
-
-    /// All nodes with a given bare name.
-    pub fn by_name(&self, name: &str) -> &[usize] {
-        self.by_name.get(name).map(Vec::as_slice).unwrap_or(&[])
     }
 
     /// BFS over call edges from the given roots.
@@ -261,17 +251,7 @@ impl Graph {
         node: usize,
         range: (usize, usize),
     ) -> Vec<&'a str> {
-        let tokens = &files[self.nodes[node].file].tokens;
-        let (lo, hi) = range;
-        let hi = hi.min(tokens.len());
-        if lo >= hi {
-            return Vec::new();
-        }
-        tokens[lo..hi]
-            .iter()
-            .filter(|t| t.kind == TokenKind::Ident)
-            .map(|t| t.text.as_str())
-            .collect()
+        idents_in(&files[self.nodes[node].file].tokens, range.0, range.1)
     }
 
     /// Whether the token sequence `self . <field>` (for any `field` in the
@@ -289,8 +269,7 @@ impl Graph {
         for j in lo..hi.saturating_sub(2) {
             if tokens[j].kind == TokenKind::Ident
                 && tokens[j].text == "self"
-                && tokens[j + 1].kind == TokenKind::Punct
-                && tokens[j + 1].text == "."
+                && tokens[j + 1].is_punct(".")
                 && tokens[j + 2].kind == TokenKind::Ident
                 && fields.contains(&tokens[j + 2].text)
             {
@@ -349,14 +328,12 @@ fn extract_calls(
         if t.kind != TokenKind::Ident || NON_CALL_KEYWORDS.contains(&t.text.as_str()) {
             continue;
         }
-        let next = own.get(k + 1).map(|&j| &tokens[j]);
-        let next_is = |p: &str| next.is_some_and(|n| n.kind == TokenKind::Punct && n.text == p);
+        let next_is = |p: &str| own.get(k + 1).is_some_and(|&j| tokens[j].is_punct(p));
         if next_is("!") {
             // Macro invocation: `name ! ( .. )` / `[ .. ]` / `{ .. }`.
             if let Some(&dj) = own.get(k + 2) {
-                let d = &tokens[dj];
-                if d.kind == TokenKind::Punct && ["(", "[", "{"].contains(&d.text.as_str()) {
-                    let close = match_delim(tokens, dj);
+                if ["(", "[", "{"].iter().any(|d| tokens[dj].is_punct(d)) {
+                    let close = matching_close(tokens, dj, tokens.len());
                     macros.push(MacroUse {
                         name: t.text.clone(),
                         line: t.line,
@@ -370,11 +347,9 @@ fn extract_calls(
             continue;
         }
         let open = own[k + 1];
-        let close = match_delim(tokens, open);
+        let close = matching_close(tokens, open, tokens.len());
         let prev = |back: usize| k.checked_sub(back).map(|p| &tokens[own[p]]);
-        let is_p = |t: Option<&Token>, p: &str| {
-            t.is_some_and(|t| t.kind == TokenKind::Punct && t.text == p)
-        };
+        let is_p = |t: Option<&Token>, p: &str| t.is_some_and(|t| t.is_punct(p));
         let callee = if is_p(prev(1), ".") {
             // Method call: walk the receiver dot-chain backwards.
             let mut recv = Vec::new();
@@ -385,7 +360,7 @@ fn extract_calls(
                     break;
                 }
                 recv.push(rt.text.clone());
-                if p >= 2 && is_p(Some(&tokens[own[(p - 1) as usize]]), ".") {
+                if p >= 2 && tokens[own[(p - 1) as usize]].is_punct(".") {
                     p -= 2;
                 } else {
                     break;
@@ -427,56 +402,20 @@ fn extract_calls(
     (calls, macros)
 }
 
-/// Index of the token matching the delimiter at `open` (the close token
-/// itself), or the last index if unbalanced.
-fn match_delim(tokens: &[Token], open: usize) -> usize {
-    let (o, c) = match tokens[open].text.as_str() {
-        "(" => ("(", ")"),
-        "[" => ("[", "]"),
-        _ => ("{", "}"),
-    };
-    let mut depth = 0i32;
-    for (j, t) in tokens.iter().enumerate().skip(open) {
-        if t.kind == TokenKind::Punct {
-            if t.text == o {
-                depth += 1;
-            } else if t.text == c {
-                depth -= 1;
-                if depth == 0 {
-                    return j;
-                }
-            }
-        }
-    }
-    tokens.len().saturating_sub(1)
-}
-
 /// Transitive closure of the crate dependency map.
 fn dep_closure(direct: &BTreeMap<String, BTreeSet<String>>) -> BTreeMap<String, BTreeSet<String>> {
-    let mut closure = direct.clone();
-    loop {
-        let mut grew = false;
-        let snapshot = closure.clone();
-        for deps in closure.values_mut() {
-            let mut add = BTreeSet::new();
-            for d in deps.iter() {
-                if let Some(transitive) = snapshot.get(d) {
-                    for t in transitive {
-                        if !deps.contains(t) {
-                            add.insert(t.clone());
-                        }
-                    }
-                }
-            }
-            if !add.is_empty() {
-                deps.extend(add);
-                grew = true;
+    let mut closure = BTreeMap::new();
+    for (krate, deps) in direct {
+        let mut seen = BTreeSet::new();
+        let mut stack: Vec<&String> = deps.iter().collect();
+        while let Some(dep) = stack.pop() {
+            if seen.insert(dep.clone()) {
+                stack.extend(direct.get(dep).into_iter().flatten());
             }
         }
-        if !grew {
-            return closure;
-        }
+        closure.insert(krate.clone(), seen);
     }
+    closure
 }
 
 /// Resolves one call site to candidate node ids.

@@ -36,28 +36,18 @@ use crate::config::{
 use crate::graph::{Callee, Graph, GraphFile};
 use crate::report::Finding;
 
-/// Format-family macros that are sinks when a secret appears directly in
-/// their arguments.
-const FORMAT_MACROS_DIRECT: [&str; 10] = [
-    "format",
-    "print",
-    "println",
-    "eprint",
-    "eprintln",
-    "write",
-    "writeln",
-    "panic",
-    "todo",
-    "unimplemented",
-];
-
-/// Macros whose use with a *parameter* marks a function as "formats a
-/// parameter" for the interprocedural step. Assert/panic families are
-/// excluded: their messages only render on failure and including them
-/// would flag every guard-carrying crypto helper.
-const FORMAT_MACROS_INTERPROC: [&str; 7] = [
+/// Format-family macros: sinks when a secret appears directly in their
+/// arguments, and their use with a *parameter* marks a function as "formats
+/// a parameter" for the interprocedural step.
+const FORMAT_MACROS: [&str; 7] = [
     "format", "print", "println", "eprint", "eprintln", "write", "writeln",
 ];
+
+/// Aborting macros: direct sinks too, but excluded from the interprocedural
+/// step (as are the assert families): their messages only render on
+/// failure, and including them would flag every guard-carrying crypto
+/// helper.
+const ABORT_MACROS: [&str; 3] = ["panic", "todo", "unimplemented"];
 
 /// Method names that serialize or format their receiver/arguments.
 const SINK_METHODS: [&str; 5] = ["to_json", "serialize", "to_string", "fmt", "write_json"];
@@ -118,16 +108,6 @@ fn secret_fields_by_type(
     map
 }
 
-/// Parameter names of `node` whose declared type names a secret type.
-fn secret_params(graph: &Graph, node: usize, secret_types: &[String]) -> BTreeSet<String> {
-    graph.nodes[node]
-        .params
-        .iter()
-        .filter(|(_, tys)| tys.iter().any(|t| secret_types.contains(t)))
-        .map(|(name, _)| name.clone())
-        .collect()
-}
-
 fn lint_secret_flow(files: &[GraphFile], graph: &Graph, config: &Config, out: &mut Vec<Finding>) {
     let secret_types = &config.secret_types;
     let fields_by_type = secret_fields_by_type(files, secret_types);
@@ -177,44 +157,38 @@ fn lint_secret_flow(files: &[GraphFile], graph: &Graph, config: &Config, out: &m
     }
 
     // "Formats a parameter" fixpoint over the call graph.
-    let mut formats_param = vec![false; graph.nodes.len()];
-    for (id, n) in graph.nodes.iter().enumerate() {
-        let params: BTreeSet<String> = n.params.iter().map(|(p, _)| p.clone()).collect();
-        if params.is_empty() {
-            continue;
-        }
-        let uses_param = |idents: &[&str]| idents.iter().any(|i| params.contains(*i));
-        let base = n.macros.iter().any(|m| {
-            FORMAT_MACROS_INTERPROC.contains(&m.name.as_str())
-                && uses_param(&graph.arg_idents(files, id, m.args))
-        }) || n.calls.iter().any(|c| {
-            SINK_METHODS.contains(&c.callee.name())
-                && (c.recv.iter().any(|r| params.contains(r))
-                    || uses_param(&graph.arg_idents(files, id, c.args)))
-        });
-        formats_param[id] = base;
-    }
+    let params: Vec<BTreeSet<&str>> = graph
+        .nodes
+        .iter()
+        .map(|n| n.params.iter().map(|(p, _)| p.as_str()).collect())
+        .collect();
+    let uses_param = |id: usize, range| {
+        let idents = graph.arg_idents(files, id, range);
+        idents.iter().any(|i| params[id].contains(i))
+    };
+    let mut formats_param: Vec<bool> = (0..graph.nodes.len())
+        .map(|id| {
+            let n = &graph.nodes[id];
+            n.macros
+                .iter()
+                .any(|m| FORMAT_MACROS.contains(&m.name.as_str()) && uses_param(id, m.args))
+                || n.calls.iter().any(|c| {
+                    SINK_METHODS.contains(&c.callee.name())
+                        && (c.recv.iter().any(|r| params[id].contains(r.as_str()))
+                            || uses_param(id, c.args))
+                })
+        })
+        .collect();
     loop {
         let mut grew = false;
         for id in 0..graph.nodes.len() {
             if formats_param[id] {
                 continue;
             }
-            let params: BTreeSet<String> = graph.nodes[id]
-                .params
+            let feeds = graph.nodes[id]
+                .calls
                 .iter()
-                .map(|(p, _)| p.clone())
-                .collect();
-            if params.is_empty() {
-                continue;
-            }
-            let feeds = graph.nodes[id].calls.iter().any(|c| {
-                c.targets.iter().any(|t| formats_param[*t])
-                    && graph
-                        .arg_idents(files, id, c.args)
-                        .iter()
-                        .any(|i| params.contains(*i))
-            });
+                .any(|c| c.targets.iter().any(|t| formats_param[*t]) && uses_param(id, c.args));
             if feeds {
                 formats_param[id] = true;
                 grew = true;
@@ -227,7 +201,13 @@ fn lint_secret_flow(files: &[GraphFile], graph: &Graph, config: &Config, out: &m
 
     // Flow findings per function.
     for (id, n) in graph.nodes.iter().enumerate() {
-        let sparams = secret_params(graph, id, secret_types);
+        // Parameters whose declared type names a secret type.
+        let sparams: BTreeSet<&str> = n
+            .params
+            .iter()
+            .filter(|(_, tys)| tys.iter().any(|t| secret_types.contains(t)))
+            .map(|(name, _)| name.as_str())
+            .collect();
         let sfields = n
             .item
             .impl_type
@@ -244,7 +224,8 @@ fn lint_secret_flow(files: &[GraphFile], graph: &Graph, config: &Config, out: &m
                 .map(|i| i.to_string())
         };
         for m in &n.macros {
-            if !FORMAT_MACROS_DIRECT.contains(&m.name.as_str()) {
+            let name = m.name.as_str();
+            if !FORMAT_MACROS.contains(&name) && !ABORT_MACROS.contains(&name) {
                 continue;
             }
             let hit = secret_in(&graph.arg_idents(files, id, m.args))
@@ -266,7 +247,7 @@ fn lint_secret_flow(files: &[GraphFile], graph: &Graph, config: &Config, out: &m
         for c in &n.calls {
             let name = c.callee.name();
             if SINK_METHODS.contains(&name) {
-                let via_recv = c.recv.iter().any(|r| sparams.contains(r))
+                let via_recv = c.recv.iter().any(|r| sparams.contains(r.as_str()))
                     || (c.recv.first().map(String::as_str) == Some("self")
                         && c.recv.iter().skip(1).any(|r| sfields.contains(r)));
                 let hit = if via_recv {

@@ -1,7 +1,7 @@
 //! A lightweight item parser: `mod`/`impl`/`fn`/`struct` structure recovered
 //! from the token stream.
 //!
-//! The token lints in [`crate::lints`] see one flat stream per file; the
+//! The panic-site scan in [`crate::lints`] sees one flat stream per file; the
 //! interprocedural lints in [`crate::interproc`] need to know *which
 //! function* a token belongs to, which `impl` block that function sits in,
 //! and which types carry which derives and fields. This module recovers
@@ -11,7 +11,7 @@
 //! recognise it skips, so new syntax degrades to "fewer recorded items",
 //! never to a crash or a misattributed body.
 
-use crate::lexer::{Token, TokenKind};
+use crate::lexer::{idents_in, matching_close, Token, TokenKind};
 
 /// One `fn` item recovered from a file.
 #[derive(Debug, Clone)]
@@ -104,7 +104,7 @@ fn parse_block(
     let mut attr_line: Option<u32> = None;
     while i < end {
         let t = &tokens[i];
-        if t.kind == TokenKind::Punct && t.text == "#" {
+        if t.is_punct("#") {
             // Attribute: capture derive lists, remember the first line so a
             // `#[derive(Debug)]` finding points at the derive itself.
             let (next, derived) = parse_attribute(tokens, i, end);
@@ -125,7 +125,7 @@ fn parse_block(
                 // `pub(crate)` carries a paren group; skip it with the
                 // modifier so the item keyword is next.
                 if m == "pub" && is_punct(tokens.get(i + 1), "(") {
-                    i = skip_group(tokens, i + 1, end, "(", ")");
+                    i = matching_close(tokens, i + 1, end) + 1;
                 } else {
                     i += 1;
                 }
@@ -135,43 +135,29 @@ fn parse_block(
                 derives.clear();
                 attr_line = None;
             }
-            "mod" => {
-                // `mod name { ... }` — recurse with the same (no) impl
-                // context; `mod name;` — skip.
-                let open = seek_body_open(tokens, i + 1, end);
-                match open {
-                    Some(open) => {
-                        let close = match_brace_idx(tokens, open, end);
+            "mod" | "trait" => {
+                // `mod name { ... }` and trait default methods: recurse with
+                // no impl context; `mod name;` — skip.
+                match seek_body_open(tokens, i + 1, end) {
+                    Ok(open) => {
+                        let close = matching_close(tokens, open, end);
                         parse_block(tokens, open + 1, close, None, None, out);
                         i = close + 1;
                     }
-                    None => i = seek_past(tokens, i + 1, end, ";"),
+                    Err(semi) => i = semi + 1,
                 }
                 derives.clear();
                 attr_line = None;
             }
             "impl" => {
-                let Some(open) = seek_body_open(tokens, i + 1, end) else {
+                let Ok(open) = seek_body_open(tokens, i + 1, end) else {
                     i = end;
                     continue;
                 };
                 let (ty, tr) = parse_impl_header(tokens, i + 1, open);
-                let close = match_brace_idx(tokens, open, end);
+                let close = matching_close(tokens, open, end);
                 parse_block(tokens, open + 1, close, ty.as_deref(), tr.as_deref(), out);
                 i = close + 1;
-                derives.clear();
-                attr_line = None;
-            }
-            "trait" => {
-                // Default trait methods get fn items with no impl type.
-                match seek_body_open(tokens, i + 1, end) {
-                    Some(open) => {
-                        let close = match_brace_idx(tokens, open, end);
-                        parse_block(tokens, open + 1, close, None, None, out);
-                        i = close + 1;
-                    }
-                    None => i = seek_past(tokens, i + 1, end, ";"),
-                }
                 derives.clear();
                 attr_line = None;
             }
@@ -193,11 +179,10 @@ fn parse_block(
 
 /// Parses `#[...]` at `i`; returns (index past the attribute, derive names).
 fn parse_attribute(tokens: &[Token], i: usize, end: usize) -> (usize, Vec<String>) {
-    let Some(open) = tokens.get(i + 1).filter(|t| t.text == "[") else {
+    if !is_punct(tokens.get(i + 1), "[") {
         return (i + 1, Vec::new());
-    };
-    let _ = open;
-    let close = skip_group(tokens, i + 1, end, "[", "]");
+    }
+    let close = matching_close(tokens, i + 1, end) + 1;
     let mut derived = Vec::new();
     // `#[derive(A, B)]`: idents inside the parens after `derive`.
     if tokens.get(i + 2).is_some_and(|t| t.text == "derive") && is_punct(tokens.get(i + 3), "(") {
@@ -220,58 +205,26 @@ fn parse_fn(
         return i + 1;
     };
     let sig_start = i + 2;
-    // The body `{` is the first brace at angle/paren depth 0. Return types
-    // never contain a bare `{`; where-clauses end at it.
-    let mut j = sig_start;
-    let mut paren = 0i32;
-    let mut angle = 0i32;
-    let mut body_open = None;
-    while j < end {
-        let t = &tokens[j];
-        if t.kind == TokenKind::Punct {
-            match t.text.as_str() {
-                "(" | "[" => paren += 1,
-                ")" | "]" => paren -= 1,
-                "<" => angle += 1,
-                ">" => angle = (angle - 1).max(0),
-                "{" if paren == 0 => {
-                    body_open = Some(j);
-                    break;
-                }
-                ";" if paren == 0 && angle <= 0 => break, // bodiless decl
-                _ => {}
-            }
-        }
-        j += 1;
+    // Return types never contain a bare `{`; where-clauses end at it.
+    let (sig_end, body) = match seek_body_open(tokens, sig_start, end) {
+        Ok(open) => (open, (open, matching_close(tokens, open, end))),
+        Err(semi) => (semi, (0, 0)), // bodiless decl
+    };
+    out.fns.push(FnItem {
+        name: name_tok.text.clone(),
+        impl_type: impl_type.map(str::to_string),
+        impl_trait: impl_trait.map(str::to_string),
+        line: tokens[i].line,
+        signature: (sig_start, sig_end),
+        body,
+    });
+    if body == (0, 0) {
+        return sig_end + 1;
     }
-    match body_open {
-        Some(open) => {
-            let close = match_brace_idx(tokens, open, end);
-            out.fns.push(FnItem {
-                name: name_tok.text.clone(),
-                impl_type: impl_type.map(str::to_string),
-                impl_trait: impl_trait.map(str::to_string),
-                line: tokens[i].line,
-                signature: (sig_start, open),
-                body: (open, close),
-            });
-            // Recurse for nested fns (they re-enter parse_block through the
-            // generic scan: only item keywords are interpreted in there).
-            parse_block(tokens, open + 1, close, impl_type, impl_trait, out);
-            close + 1
-        }
-        None => {
-            out.fns.push(FnItem {
-                name: name_tok.text.clone(),
-                impl_type: impl_type.map(str::to_string),
-                impl_trait: impl_trait.map(str::to_string),
-                line: tokens[i].line,
-                signature: (sig_start, j),
-                body: (0, 0),
-            });
-            j + 1
-        }
-    }
+    // Recurse for nested fns (they re-enter parse_block through the
+    // generic scan: only item keywords are interpreted in there).
+    parse_block(tokens, body.0 + 1, body.1, impl_type, impl_trait, out);
+    body.1 + 1
 }
 
 /// Extracts `(type, trait)` from the tokens of an impl header
@@ -349,13 +302,13 @@ fn parse_type_item(
                 "<" => angle += 1,
                 ">" => angle = (angle - 1).max(0),
                 "{" if angle == 0 => {
-                    let close = match_brace_idx(tokens, j, end);
+                    let close = matching_close(tokens, j, end);
                     parse_fields(tokens, j + 1, close, &mut item.fields);
                     out.types.push(item);
                     return close + 1;
                 }
                 "(" if angle == 0 => {
-                    let close = skip_group(tokens, j, end, "(", ")");
+                    let close = matching_close(tokens, j, end) + 1;
                     let idents = ident_texts(tokens, j + 1, close.saturating_sub(1));
                     item.fields.push((String::new(), idents));
                     out.types.push(item);
@@ -381,12 +334,12 @@ fn parse_fields(tokens: &[Token], mut i: usize, end: usize, out: &mut Vec<(Strin
     while i < end {
         // Skip attributes and visibility on the field.
         if is_punct(tokens.get(i), "#") {
-            i = skip_group(tokens, i + 1, end, "[", "]");
+            i = matching_close(tokens, i + 1, end) + 1;
             continue;
         }
         if tokens[i].kind == TokenKind::Ident && tokens[i].text == "pub" {
             if is_punct(tokens.get(i + 1), "(") {
-                i = skip_group(tokens, i + 1, end, "(", ")");
+                i = matching_close(tokens, i + 1, end) + 1;
             } else {
                 i += 1;
             }
@@ -420,13 +373,13 @@ fn parse_fields(tokens: &[Token], mut i: usize, end: usize, out: &mut Vec<(Strin
             i = j + 1;
         } else if is_punct(tokens.get(i + 1), "(") {
             // Enum variant with payload: record payload type idents.
-            let close = skip_group(tokens, i + 1, end, "(", ")");
+            let close = matching_close(tokens, i + 1, end) + 1;
             let idents = ident_texts(tokens, i + 2, close.saturating_sub(1));
             out.push((name.text.clone(), idents));
             i = close;
         } else if is_punct(tokens.get(i + 1), "{") {
             // Struct-variant payload: recurse.
-            let close = match_brace_idx(tokens, i + 1, end);
+            let close = matching_close(tokens, i + 1, end);
             parse_fields(tokens, i + 2, close, out);
             i = close + 1;
         } else {
@@ -443,58 +396,31 @@ fn parse_fields(tokens: &[Token], mut i: usize, end: usize, out: &mut Vec<(Strin
 pub fn parse_params(tokens: &[Token], sig: (usize, usize)) -> Vec<(String, Vec<String>)> {
     let (lo, hi) = sig;
     let hi = hi.min(tokens.len());
-    let Some(open) =
-        (lo..hi).find(|&j| tokens[j].kind == TokenKind::Punct && tokens[j].text == "(")
-    else {
+    let Some(open) = (lo..hi).find(|&j| tokens[j].is_punct("(")) else {
         return Vec::new();
     };
-    let close = skip_group(tokens, open, hi, "(", ")");
+    let close = matching_close(tokens, open, hi) + 1;
     let mut out = Vec::new();
     parse_fields(tokens, open + 1, close.saturating_sub(1), &mut out);
     out
 }
 
 fn is_punct(t: Option<&Token>, p: &str) -> bool {
-    t.is_some_and(|t| t.kind == TokenKind::Punct && t.text == p)
+    t.is_some_and(|t| t.is_punct(p))
 }
 
-/// Identifier texts in `tokens[lo..hi]`, with the range clamped so truncated
-/// input can never produce an inverted slice.
+/// [`idents_in`] as owned strings.
 fn ident_texts(tokens: &[Token], lo: usize, hi: usize) -> Vec<String> {
-    let hi = hi.min(tokens.len());
-    if lo >= hi {
-        return Vec::new();
-    }
-    tokens[lo..hi]
-        .iter()
-        .filter(|t| t.kind == TokenKind::Ident)
-        .map(|t| t.text.clone())
+    idents_in(tokens, lo, hi)
+        .into_iter()
+        .map(String::from)
         .collect()
 }
 
-/// Index just past the group opened by `opener` at `i` (`i` must be at it).
-fn skip_group(tokens: &[Token], i: usize, end: usize, opener: &str, closer: &str) -> usize {
-    let mut depth = 0i32;
-    let mut j = i;
-    while j < end {
-        if tokens[j].kind == TokenKind::Punct {
-            if tokens[j].text == opener {
-                depth += 1;
-            } else if tokens[j].text == closer {
-                depth -= 1;
-                if depth == 0 {
-                    return j + 1;
-                }
-            }
-        }
-        j += 1;
-    }
-    j
-}
-
-/// First `{` at angle/paren depth 0 in `tokens[i..end)`, or `None` if a `;`
-/// arrives first.
-fn seek_body_open(tokens: &[Token], i: usize, end: usize) -> Option<usize> {
+/// `Ok` with the first `{` at paren depth 0 in `tokens[i..end)`, or `Err`
+/// with the index of a `;` at angle/paren depth 0 that arrives first (`end`
+/// when neither does).
+fn seek_body_open(tokens: &[Token], i: usize, end: usize) -> Result<usize, usize> {
     let mut angle = 0i32;
     let mut paren = 0i32;
     for (j, t) in tokens.iter().enumerate().take(end).skip(i) {
@@ -504,35 +430,13 @@ fn seek_body_open(tokens: &[Token], i: usize, end: usize) -> Option<usize> {
                 ">" => angle = (angle - 1).max(0),
                 "(" | "[" => paren += 1,
                 ")" | "]" => paren -= 1,
-                "{" if paren == 0 => return Some(j),
-                ";" if paren == 0 && angle <= 0 => return None,
+                "{" if paren == 0 => return Ok(j),
+                ";" if paren == 0 && angle <= 0 => return Err(j),
                 _ => {}
             }
         }
     }
-    None
-}
-
-/// Index of the `}` matching the `{` at `open` (or `end - 1` if unbalanced).
-fn match_brace_idx(tokens: &[Token], open: usize, end: usize) -> usize {
-    let mut depth = 0i32;
-    let mut j = open;
-    while j < end {
-        if tokens[j].kind == TokenKind::Punct {
-            match tokens[j].text.as_str() {
-                "{" => depth += 1,
-                "}" => {
-                    depth -= 1;
-                    if depth == 0 {
-                        return j;
-                    }
-                }
-                _ => {}
-            }
-        }
-        j += 1;
-    }
-    end.saturating_sub(1)
+    Err(end)
 }
 
 /// Index just past the first `p` at `i..end`, or `end`.

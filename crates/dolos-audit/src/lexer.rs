@@ -1,8 +1,8 @@
 //! A minimal comment- and string-aware Rust lexer.
 //!
-//! The audit lints match *token* patterns, not text: `Instantiates` in a doc
-//! comment must not trip the `Instant` lint, `"HashMap"` inside a string
-//! literal is data, and `// audit:allow(...)` suppressions live in comments.
+//! The audit matches *token* patterns, not text: `unwrap_or` must not count
+//! as `unwrap`, `".unwrap()"` inside a string literal is data, and
+//! `// audit:allow(...)` suppressions live in comments.
 //! A grep cannot make those distinctions; a full parser is overkill. This
 //! lexer sits in between: it understands Rust's comment forms (line, nested
 //! block), string forms (plain, raw, byte, raw-byte), char literals versus
@@ -27,6 +27,13 @@ pub struct Token {
     pub text: String,
     /// 1-based source line the token starts on.
     pub line: u32,
+}
+
+impl Token {
+    /// Whether this is the punctuation character `p`.
+    pub fn is_punct(&self, p: &str) -> bool {
+        self.kind == TokenKind::Punct && self.text == p
+    }
 }
 
 /// One `//` line comment (block comments are skipped, not captured: the
@@ -246,35 +253,18 @@ pub fn test_regions(tokens: &[Token]) -> Vec<(u32, u32)> {
             let attr_line = tokens[i].line;
             let mut j = i + 7;
             // Skip any further attributes (e.g. `#[allow(...)]`).
-            while j + 1 < tokens.len()
-                && tokens[j].kind == TokenKind::Punct
-                && tokens[j].text == "#"
-                && tokens[j + 1].text == "["
-            {
-                j = skip_brackets(tokens, j + 1);
+            while j + 1 < tokens.len() && tokens[j].is_punct("#") && tokens[j + 1].is_punct("[") {
+                j = matching_close(tokens, j + 1, tokens.len()) + 1;
             }
             // Find the gated item's body, stopping at `;` (no body).
-            let mut open = None;
-            while j < tokens.len() {
-                if tokens[j].kind == TokenKind::Punct {
-                    if tokens[j].text == "{" {
-                        open = Some(j);
-                        break;
-                    }
-                    if tokens[j].text == ";" {
-                        break;
-                    }
-                }
+            while j < tokens.len() && !tokens[j].is_punct("{") && !tokens[j].is_punct(";") {
                 j += 1;
             }
-            if let Some(open) = open {
-                let close = match_brace(tokens, open);
-                regions.push((attr_line, tokens[close.min(tokens.len() - 1)].line));
-                i = close;
-            } else {
-                regions.push((attr_line, tokens[j.min(tokens.len() - 1)].line));
-                i = j;
+            if j < tokens.len() && tokens[j].is_punct("{") {
+                j = matching_close(tokens, j, tokens.len());
             }
+            regions.push((attr_line, tokens[j.min(tokens.len() - 1)].line));
+            i = j;
         }
         i += 1;
     }
@@ -298,49 +288,40 @@ fn is_cfg_test_at(tokens: &[Token], i: usize) -> bool {
             .all(|(&(text, kind), t)| t.kind == kind && t.text == text)
 }
 
-/// Given `i` at a `[`, returns the index just past its matching `]`.
-fn skip_brackets(tokens: &[Token], i: usize) -> usize {
-    let mut depth = 0i32;
-    let mut j = i;
-    while j < tokens.len() {
-        if tokens[j].kind == TokenKind::Punct {
-            match tokens[j].text.as_str() {
-                "[" => depth += 1,
-                "]" => {
-                    depth -= 1;
-                    if depth == 0 {
-                        return j + 1;
-                    }
-                }
-                _ => {}
+/// Index of the token closing the `(`, `[` or `{` at `open`, scanning
+/// `tokens[open..end)`: `end - 1` when the group is unbalanced, `open`
+/// itself when no group opens there.
+pub(crate) fn matching_close(tokens: &[Token], open: usize, end: usize) -> usize {
+    let (opener, closer) = match tokens.get(open).map(|t| t.text.as_str()) {
+        Some("(") => ("(", ")"),
+        Some("[") => ("[", "]"),
+        Some("{") => ("{", "}"),
+        _ => return open,
+    };
+    let mut depth = 0usize;
+    for (j, t) in tokens.iter().enumerate().take(end).skip(open) {
+        if t.is_punct(opener) {
+            depth += 1;
+        } else if t.is_punct(closer) {
+            depth -= 1;
+            if depth == 0 {
+                return j;
             }
         }
-        j += 1;
     }
-    j
+    end.saturating_sub(1)
 }
 
-/// Given `open` at a `{`, returns the index of its matching `}` (or the last
-/// token if unbalanced).
-fn match_brace(tokens: &[Token], open: usize) -> usize {
-    let mut depth = 0i32;
-    let mut j = open;
-    while j < tokens.len() {
-        if tokens[j].kind == TokenKind::Punct {
-            match tokens[j].text.as_str() {
-                "{" => depth += 1,
-                "}" => {
-                    depth -= 1;
-                    if depth == 0 {
-                        return j;
-                    }
-                }
-                _ => {}
-            }
-        }
-        j += 1;
-    }
-    tokens.len().saturating_sub(1)
+/// Identifier texts in `tokens[lo..hi)`, clamped so a truncated range can
+/// never produce an inverted slice.
+pub(crate) fn idents_in(tokens: &[Token], lo: usize, hi: usize) -> Vec<&str> {
+    let hi = hi.min(tokens.len());
+    let range = tokens.get(lo..hi).unwrap_or_default();
+    range
+        .iter()
+        .filter(|t| t.kind == TokenKind::Ident)
+        .map(|t| t.text.as_str())
+        .collect()
 }
 
 /// Whether `line` falls inside any of the given inclusive regions.

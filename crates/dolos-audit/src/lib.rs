@@ -8,11 +8,15 @@
 //! through the WPQ. The type system cannot see the ways those guarantees
 //! quietly erode; this crate enforces them at the source level.
 //!
-//! The analyzer runs in three phases:
+//! Clippy owns the checks that resolved types can express: the disallowed
+//! hasher-seeded collections and host clocks in `crates/clippy.toml`, and
+//! the `#![deny(clippy::unwrap_used, ...)]` attributes on budget-0 crates
+//! and strict modules. This crate keeps what clippy cannot see, in three
+//! phases:
 //!
 //! 1. **Per-file** — a hand-rolled comment- and string-aware lexer
-//!    ([`lexer`]) feeds token-pattern lints ([`lints`]): nondeterminism,
-//!    wall-clock, panic-path.
+//!    ([`lexer`]) finds the panic sites ([`lints`]) that the per-crate
+//!    ratchet counts.
 //! 2. **Workspace** — a dependency-free item parser ([`items`]) recovers
 //!    `mod`/`impl`/`fn` structure from the same tokens; a conservative
 //!    name-based call graph with reachability ([`graph`]) powers the
@@ -25,8 +29,7 @@
 //! Run it with:
 //!
 //! ```text
-//! cargo run -p dolos-audit -- check [--json] [--root <path>]
-//! cargo run -p dolos-audit -- list-lints
+//! cargo run -p dolos-audit -- check
 //! ```
 //!
 //! Intentional exceptions are annotated in place and must carry a reason:
@@ -36,11 +39,13 @@
 //! ```
 //!
 //! Suppressions that stop matching anything fail the audit, so the
-//! exception list can only shrink alongside the code it describes. The
-//! `--json` report (schema version 2) carries the full suppression
-//! inventory so CI can diff the exception list across PRs.
+//! exception list can only shrink alongside the code it describes.
 
 #![forbid(unsafe_code)]
+// Panic budget 0: the audit reports findings, it does not abort on odd
+// source text.
+#![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
+#![deny(clippy::unreachable, clippy::todo, clippy::unimplemented)]
 #![warn(missing_docs)]
 
 pub mod config;
@@ -57,71 +62,50 @@ use std::collections::BTreeMap;
 use config::{Config, LINT_PANIC_PATH, LINT_SUPPRESSION};
 use graph::{Graph, GraphFile};
 use lints::{analyze_file, try_suppress, SourceFile};
-use report::{Finding, Report, SuppressedSite};
+use report::{Finding, Report};
 
 /// Audits a set of files under one policy.
 pub fn audit_files(files: &[SourceFile], config: &Config) -> Report {
-    // Phase A: per-file lexing, local lints, suppression extraction.
+    // Phase A: per-file lexing, panic sites, suppression extraction.
     let mut analyses = Vec::with_capacity(files.len());
     let mut graph_files = Vec::with_capacity(files.len());
     for file in files {
-        let (analysis, tokens) = analyze_file(file, config);
+        let (analysis, tokens) = analyze_file(file);
         analyses.push(analysis);
         graph_files.push(GraphFile::new(&file.krate, &file.path, tokens));
     }
 
     // Phase B: item graph + interprocedural lints.
     let graph = Graph::build(&graph_files, &config.crate_deps);
-    let mut interproc_by_file: BTreeMap<&str, Vec<Finding>> = BTreeMap::new();
+    let mut interproc_by_file: BTreeMap<String, Vec<Finding>> = BTreeMap::new();
     for finding in interproc::run(&graph_files, &graph, config) {
-        interproc_by_file
-            .entry(match files.iter().find(|f| f.path == finding.file) {
-                Some(f) => f.path.as_str(),
-                None => "",
-            })
-            .or_default()
-            .push(finding);
+        let file = finding.file.clone();
+        interproc_by_file.entry(file).or_default().push(finding);
     }
 
-    // Phase C: suppressions, panic budgets, inventory.
+    // Phase C: suppressions and panic budgets.
     let mut findings = Vec::new();
-    let mut suppressed = Vec::new();
-    let mut panic_sites = 0usize;
+    let mut suppressions = 0usize;
     let mut sites_by_crate: BTreeMap<&str, usize> = BTreeMap::new();
-    for (i, file) in files.iter().enumerate() {
-        let analysis = &mut analyses[i];
+    for (file, analysis) in files.iter().zip(&mut analyses) {
         findings.append(&mut analysis.pre_findings);
-        let raw = std::mem::take(&mut analysis.raw);
-        let inter = interproc_by_file
-            .remove(file.path.as_str())
-            .unwrap_or_default();
-        for finding in raw.into_iter().chain(inter) {
+        for finding in interproc_by_file.remove(&file.path).unwrap_or_default() {
             if !try_suppress(&mut analysis.suppressions, &finding.lint, finding.line) {
                 findings.push(finding);
             }
         }
-        // Panic sites outside strict files are counted, not reported: the
-        // ratchet compares each crate's total against its budget. A site
-        // can still be excluded from the count with an explicit allow.
-        if !analysis.strict {
-            let count = analysis
-                .panic_lines
-                .iter()
-                .filter(|(line, _)| {
-                    !try_suppress(&mut analysis.suppressions, LINT_PANIC_PATH, *line)
-                })
-                .count();
-            panic_sites += count;
-            *sites_by_crate.entry(file.krate.as_str()).or_default() += count;
-        }
+        // Panic sites are counted, not reported: the ratchet compares each
+        // crate's total against its budget. A site can still be excluded
+        // from the count with an explicit allow.
+        let count = analysis
+            .panic_lines
+            .iter()
+            .filter(|line| !try_suppress(&mut analysis.suppressions, LINT_PANIC_PATH, **line))
+            .count();
+        *sites_by_crate.entry(file.krate.as_str()).or_default() += count;
         for s in &analysis.suppressions {
             if s.used {
-                suppressed.push(SuppressedSite {
-                    file: file.path.clone(),
-                    line: s.line,
-                    lint: s.lint.clone(),
-                    reason: s.reason.clone(),
-                });
+                suppressions += 1;
             } else {
                 findings.push(Finding {
                     file: file.path.clone(),
@@ -153,25 +137,17 @@ pub fn audit_files(files: &[SourceFile], config: &Config) -> Report {
         }
     }
     findings.sort();
-    suppressed.sort();
     Report {
         findings,
         files_scanned: files.len(),
-        panic_sites,
-        suppressed,
+        panic_sites: sites_by_crate.values().sum(),
+        suppressions,
     }
 }
 
 /// Audits one source string under a synthetic path/crate (fixture helper).
 pub fn audit_source(path: &str, krate: &str, text: &str, config: &Config) -> Report {
-    audit_files(
-        &[SourceFile {
-            path: path.to_string(),
-            krate: krate.to_string(),
-            text: text.to_string(),
-        }],
-        config,
-    )
+    audit_sources(&[(path, krate, text)], config)
 }
 
 /// Audits several `(path, krate, text)` sources together (fixture helper
@@ -189,8 +165,17 @@ pub fn audit_sources(sources: &[(&str, &str, &str)], config: &Config) -> Report 
 }
 
 /// Runs the workspace audit rooted at `root` with the standard policy.
+///
+/// A root with no Rust sources under `src/` or `crates/*/src/` is an
+/// error, not a clean report: an audit of nothing proves nothing.
 pub fn check_workspace(root: &std::path::Path) -> std::io::Result<Report> {
     let files = walk::collect_workspace(root)?;
+    if files.is_empty() {
+        return Err(std::io::Error::new(
+            std::io::ErrorKind::NotFound,
+            format!("no Rust sources under {}", root.display()),
+        ));
+    }
     let mut config = Config::workspace();
     config.crate_deps = walk::crate_dependencies(root)?;
     Ok(audit_files(&files, &config))

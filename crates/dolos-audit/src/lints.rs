@@ -1,8 +1,8 @@
-//! Per-file lints plus the suppression mechanism shared by every lint.
+//! Per-file analysis plus the suppression mechanism shared by every lint.
 //!
-//! Each local lint walks the token stream of one file (test regions
-//! excluded) and emits [`Finding`]s; the interprocedural lints in
-//! [`crate::interproc`] add workspace-level findings later. Any finding can
+//! Each file's token stream (test regions excluded) yields its panic sites,
+//! which count against the per-crate ratchet; the interprocedural lints in
+//! [`crate::interproc`] add findings later. Any finding or panic site can
 //! be silenced with a line comment on the same line or the line above:
 //!
 //! ```text
@@ -13,7 +13,7 @@
 //! itself a finding — and every suppression must match a real finding, so
 //! stale allows fail the audit instead of rotting in place.
 
-use crate::config::{Config, KNOWN_LINTS, LINT_NONDETERMINISM, LINT_PANIC_PATH, LINT_WALL_CLOCK};
+use crate::config::{KNOWN_LINTS, LINT_SUPPRESSION};
 use crate::lexer::{in_regions, lex, test_regions, Comment, Token, TokenKind};
 use crate::report::Finding;
 
@@ -28,18 +28,6 @@ pub struct SourceFile {
     pub text: String,
 }
 
-/// Collections whose iteration order depends on the process hasher seed.
-const HASHER_SEEDED: [&str; 4] = ["HashMap", "HashSet", "RandomState", "DefaultHasher"];
-
-/// Identifiers that read host wall-clock time or ambient entropy.
-const AMBIENT_HOST_STATE: [&str; 5] = [
-    "Instant",
-    "SystemTime",
-    "thread_rng",
-    "from_entropy",
-    "getrandom",
-];
-
 /// Macros that abort instead of returning an error.
 const PANIC_MACROS: [&str; 4] = ["panic", "unreachable", "todo", "unimplemented"];
 
@@ -50,33 +38,26 @@ pub(crate) struct Suppression {
     pub lint: String,
     /// 1-based line of the comment.
     pub line: u32,
-    /// The mandatory justification after `--`.
-    pub reason: String,
     /// Whether a finding consumed it (unused suppressions are findings).
     pub used: bool,
 }
 
-/// Phase-A output for one file: raw (pre-suppression) local findings plus
-/// everything the later phases need.
+/// Phase-A output for one file: everything the later phases need.
 #[derive(Debug)]
 pub(crate) struct FileAnalysis {
     /// Suppression-hygiene findings (malformed/unknown/reason-less allows)
     /// that bypass suppression entirely.
     pub pre_findings: Vec<Finding>,
-    /// Local lint findings before suppression.
-    pub raw: Vec<Finding>,
-    /// `(line, what)` for unsuppressed-candidate panic sites.
-    pub panic_lines: Vec<(u32, String)>,
-    /// Whether the file is in the strict panic set (sites become findings).
-    pub strict: bool,
+    /// Lines of panic sites, before suppression.
+    pub panic_lines: Vec<u32>,
     /// Valid suppressions, to be threaded through every finding phase.
     pub suppressions: Vec<Suppression>,
 }
 
 /// Runs phase A on one file: lex, strip test regions, parse suppressions,
-/// run the local lints. Returns the analysis plus the filtered token
-/// stream (for the call-graph phase).
-pub(crate) fn analyze_file(file: &SourceFile, config: &Config) -> (FileAnalysis, Vec<Token>) {
+/// find panic sites. Returns the analysis plus the filtered token stream
+/// (for the call-graph phase).
+pub(crate) fn analyze_file(file: &SourceFile) -> (FileAnalysis, Vec<Token>) {
     let lexed = lex(&file.text);
     let regions = test_regions(&lexed.tokens);
     let mut pre_findings = Vec::new();
@@ -86,35 +67,11 @@ pub(crate) fn analyze_file(file: &SourceFile, config: &Config) -> (FileAnalysis,
         .into_iter()
         .filter(|t| !in_regions(&regions, t.line))
         .collect();
-
-    let mut raw: Vec<Finding> = Vec::new();
-    if config.deterministic_crates.contains(&file.krate) {
-        lint_nondeterminism(&tokens, &file.path, &mut raw);
-    }
-    if !config.clock_exempt_crates.contains(&file.krate) {
-        lint_wall_clock(&tokens, &file.path, &mut raw);
-    }
-    let strict = Config::path_matches(&file.path, &config.strict_panic_files);
     let panic_lines = panic_site_lines(&tokens);
-    if strict {
-        for (line, what) in &panic_lines {
-            raw.push(Finding {
-                file: file.path.clone(),
-                line: *line,
-                lint: LINT_PANIC_PATH.into(),
-                message: format!(
-                    "`{what}` on a recovery/crash-oracle path; return a typed \
-                     error (SecurityError / oracle verdict) instead of aborting"
-                ),
-            });
-        }
-    }
     (
         FileAnalysis {
             pre_findings,
-            raw,
             panic_lines,
-            strict,
             suppressions,
         },
         tokens,
@@ -143,7 +100,7 @@ fn parse_suppressions(
             findings.push(Finding {
                 file: path.to_string(),
                 line: c.line,
-                lint: crate::config::LINT_SUPPRESSION.into(),
+                lint: LINT_SUPPRESSION.into(),
                 message,
             });
         };
@@ -173,7 +130,6 @@ fn parse_suppressions(
         out.push(Suppression {
             lint: lint.to_string(),
             line: c.line,
-            reason: reason.to_string(),
             used: false,
         });
     }
@@ -192,56 +148,19 @@ pub(crate) fn try_suppress(suppressions: &mut [Suppression], lint: &str, line: u
     false
 }
 
-fn lint_nondeterminism(tokens: &[Token], path: &str, out: &mut Vec<Finding>) {
-    for t in tokens {
-        if t.kind == TokenKind::Ident && HASHER_SEEDED.contains(&t.text.as_str()) {
-            out.push(Finding {
-                file: path.to_string(),
-                line: t.line,
-                lint: LINT_NONDETERMINISM.into(),
-                message: format!(
-                    "`{}` iterates in a process-random hasher order; use \
-                     dolos_sim::flat::FlatMap (small, u64-keyed) or \
-                     BTreeMap/BTreeSet in deterministic crates",
-                    t.text
-                ),
-            });
-        }
-    }
-}
-
-fn lint_wall_clock(tokens: &[Token], path: &str, out: &mut Vec<Finding>) {
-    for t in tokens {
-        if t.kind == TokenKind::Ident && AMBIENT_HOST_STATE.contains(&t.text.as_str()) {
-            out.push(Finding {
-                file: path.to_string(),
-                line: t.line,
-                lint: LINT_WALL_CLOCK.into(),
-                message: format!(
-                    "`{}` reads host wall-clock/entropy, making results a \
-                     function of the machine; simulated components take time \
-                     as Cycle inputs (host timing belongs in dolos-bench)",
-                    t.text
-                ),
-            });
-        }
-    }
-}
-
 /// Lines holding `.unwrap()`, `.expect(`, or an aborting macro invocation.
-fn panic_site_lines(tokens: &[Token]) -> Vec<(u32, String)> {
+fn panic_site_lines(tokens: &[Token]) -> Vec<u32> {
     let mut sites = Vec::new();
     for (i, t) in tokens.iter().enumerate() {
         if t.kind != TokenKind::Ident {
             continue;
         }
-        let prev_dot = i > 0 && tokens[i - 1].kind == TokenKind::Punct && tokens[i - 1].text == ".";
-        let next = tokens.get(i + 1);
-        let next_is = |p: &str| next.is_some_and(|n| n.kind == TokenKind::Punct && n.text == p);
-        if (t.text == "unwrap" || t.text == "expect") && prev_dot && next_is("(") {
-            sites.push((t.line, format!(".{}()", t.text)));
-        } else if PANIC_MACROS.contains(&t.text.as_str()) && next_is("!") {
-            sites.push((t.line, format!("{}!", t.text)));
+        let prev_dot = i > 0 && tokens[i - 1].is_punct(".");
+        let next_is = |p: &str| tokens.get(i + 1).is_some_and(|n| n.is_punct(p));
+        if ((t.text == "unwrap" || t.text == "expect") && prev_dot && next_is("("))
+            || (PANIC_MACROS.contains(&t.text.as_str()) && next_is("!"))
+        {
+            sites.push(t.line);
         }
     }
     sites

@@ -1,53 +1,27 @@
 //! CLI for the workspace audit: `cargo run -p dolos-audit -- check`.
 
 #![forbid(unsafe_code)]
+// Panic budget 0: bad arguments exit 2 with the usage line.
+#![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
+#![deny(clippy::unreachable, clippy::todo, clippy::unimplemented)]
 
 use std::path::PathBuf;
 use std::process::ExitCode;
 
 use dolos_audit::check_workspace;
-use dolos_audit::config::LINT_DESCRIPTIONS;
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    let mut json = false;
-    let mut root: Option<PathBuf> = None;
-    let mut command: Option<String> = None;
-    let mut it = args.into_iter();
-    while let Some(arg) = it.next() {
-        match arg.as_str() {
-            "--json" => json = true,
-            "--root" => match it.next() {
-                Some(p) => root = Some(PathBuf::from(p)),
-                None => return usage("--root needs a path"),
-            },
-            "check" | "list-lints" if command.is_none() => command = Some(arg),
-            other => return usage(&format!("unexpected argument `{other}`")),
-        }
-    }
-    if command.as_deref() == Some("list-lints") {
-        let width = LINT_DESCRIPTIONS
-            .iter()
-            .map(|(name, _)| name.len())
-            .max()
-            .unwrap_or(0);
-        for (name, description) in LINT_DESCRIPTIONS {
-            println!("{name:width$}  {description}");
-        }
-        return ExitCode::SUCCESS;
-    }
-    if command.as_deref() != Some("check") {
-        return usage("missing subcommand");
+    if args != ["check"] {
+        eprintln!("dolos-audit: expected the one argument `check`, got {args:?}");
+        eprintln!("usage: dolos-audit check");
+        return ExitCode::from(2);
     }
     // The binary lives two levels below the workspace root.
-    let root = root.unwrap_or_else(|| PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("../.."));
+    let root = PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("../..");
     match check_workspace(&root) {
         Ok(report) => {
-            if json {
-                print!("{}", report.to_json());
-            } else {
-                print!("{}", report.to_text());
-            }
+            print!("{}", report.to_text());
             if report.is_clean() {
                 ExitCode::SUCCESS
             } else {
@@ -62,10 +36,4 @@ fn main() -> ExitCode {
             ExitCode::from(2)
         }
     }
-}
-
-fn usage(err: &str) -> ExitCode {
-    eprintln!("dolos-audit: {err}");
-    eprintln!("usage: dolos-audit check [--json] [--root <workspace-root>] | list-lints");
-    ExitCode::from(2)
 }

@@ -9,7 +9,7 @@
 use std::collections::{BTreeMap, BTreeSet};
 use std::fs;
 use std::io;
-use std::path::Path;
+use std::path::{Path, PathBuf};
 
 use crate::lints::SourceFile;
 
@@ -23,24 +23,14 @@ pub fn collect_workspace(root: &Path) -> io::Result<Vec<SourceFile>> {
     if root_src.is_dir() {
         collect_dir(&root_src, "dolos", root, &mut files)?;
     }
-    let crates = root.join("crates");
-    if crates.is_dir() {
-        let mut crate_dirs: Vec<_> = fs::read_dir(&crates)?
-            .collect::<Result<Vec<_>, _>>()?
-            .into_iter()
-            .map(|e| e.path())
-            .filter(|p| p.is_dir())
-            .collect();
-        crate_dirs.sort();
-        for dir in crate_dirs {
-            let krate = dir
-                .file_name()
-                .map(|n| n.to_string_lossy().into_owned())
-                .unwrap_or_default();
-            let src = dir.join("src");
-            if src.is_dir() {
-                collect_dir(&src, &krate, root, &mut files)?;
-            }
+    for dir in crate_dirs(root)? {
+        let krate = dir
+            .file_name()
+            .map(|n| n.to_string_lossy().into_owned())
+            .unwrap_or_default();
+        let src = dir.join("src");
+        if src.is_dir() {
+            collect_dir(&src, &krate, root, &mut files)?;
         }
     }
     files.sort_by(|a, b| a.path.cmp(&b.path));
@@ -53,17 +43,7 @@ pub fn collect_workspace(root: &Path) -> io::Result<Vec<SourceFile>> {
 /// dependency keys, which is all the graph needs.
 pub fn crate_dependencies(root: &Path) -> io::Result<BTreeMap<String, BTreeSet<String>>> {
     let mut manifests = vec![root.join("Cargo.toml")];
-    let crates = root.join("crates");
-    if crates.is_dir() {
-        let mut crate_dirs: Vec<_> = fs::read_dir(&crates)?
-            .collect::<Result<Vec<_>, _>>()?
-            .into_iter()
-            .map(|e| e.path().join("Cargo.toml"))
-            .filter(|p| p.is_file())
-            .collect();
-        crate_dirs.sort();
-        manifests.extend(crate_dirs);
-    }
+    manifests.extend(crate_dirs(root)?.iter().map(|d| d.join("Cargo.toml")));
     let mut map = BTreeMap::new();
     for manifest in manifests {
         let text = match fs::read_to_string(&manifest) {
@@ -98,6 +78,20 @@ pub fn crate_dependencies(root: &Path) -> io::Result<BTreeMap<String, BTreeSet<S
         }
     }
     Ok(map)
+}
+
+/// The directories under `root/crates`, sorted (none if it is missing).
+fn crate_dirs(root: &Path) -> io::Result<Vec<PathBuf>> {
+    let crates = root.join("crates");
+    if !crates.is_dir() {
+        return Ok(Vec::new());
+    }
+    let mut dirs: Vec<PathBuf> = fs::read_dir(&crates)?
+        .map(|e| e.map(|e| e.path()))
+        .collect::<io::Result<_>>()?;
+    dirs.retain(|p| p.is_dir());
+    dirs.sort();
+    Ok(dirs)
 }
 
 fn collect_dir(

@@ -6,12 +6,15 @@
 //! grammar itself, cross-file cases for the call-graph lints, two *graft*
 //! tests that re-introduce real historical violations into the live
 //! workspace sources, and a final test that the real workspace is clean.
-//! That last test is what makes the audit self-enforcing: reverting one of
-//! the determinism migrations, re-deriving `Debug` on a key-bearing type,
-//! or deleting a suppression whose finding is still live flips
-//! `cargo run -p dolos-audit -- check` (and this test) to red.
+//! That last test is what makes the audit self-enforcing: re-deriving
+//! `Debug` on a key-bearing type or deleting a suppression whose finding is
+//! still live flips `cargo run -p dolos-audit -- check` (and this test) to
+//! red. The clippy half of the policy is pinned by
+//! `clippy_policy_is_in_place`; `ci/clippy_grafts.sh` shows each clippy
+//! check firing.
 
 use std::collections::BTreeMap;
+use std::path::PathBuf;
 
 use dolos_audit::config::Config;
 use dolos_audit::report::Report;
@@ -19,9 +22,6 @@ use dolos_audit::{audit_files, audit_source, audit_sources, check_workspace, wal
 
 fn fixture_config() -> Config {
     Config {
-        deterministic_crates: vec!["det".into()],
-        clock_exempt_crates: vec!["bench".into()],
-        strict_panic_files: vec!["src/strict.rs".into()],
         sanctioned_persistence_files: vec!["src/device.rs".into()],
         persistence_roots: vec!["Ctl::drain".into()],
         hot_path_roots: vec!["Ctl::advance".into()],
@@ -40,93 +40,7 @@ fn lints_fired(path: &str, krate: &str, text: &str) -> Vec<String> {
         .collect()
 }
 
-// --- nondeterminism -------------------------------------------------------
-
-#[test]
-fn nondeterminism_fires_on_hash_collections_in_deterministic_crates() {
-    let src = "use std::collections::HashMap;\nfn f() { let m: HashSet<u64> = x(); }\n";
-    let fired = lints_fired("src/a.rs", "det", src);
-    assert_eq!(fired, vec!["nondeterminism", "nondeterminism"]);
-}
-
-#[test]
-fn nondeterminism_is_silent_outside_deterministic_crates() {
-    let src = "use std::collections::HashMap;\n";
-    assert!(lints_fired("src/a.rs", "bench", src).is_empty());
-}
-
-#[test]
-fn nondeterminism_ignores_comments_strings_and_tests() {
-    let src = r#"
-// A HashMap would be wrong here.
-fn f() { let s = "HashMap"; }
-#[cfg(test)]
-mod tests {
-    use std::collections::HashMap;
-}
-"#;
-    assert!(lints_fired("src/a.rs", "det", src).is_empty());
-}
-
-#[test]
-fn nondeterminism_suppression_with_reason_holds() {
-    let src = "// audit:allow(nondeterminism) -- insertion-order scan only, never iterated\n\
-               use std::collections::HashMap;\n";
-    assert!(lints_fired("src/a.rs", "det", src).is_empty());
-}
-
-#[test]
-fn trailing_same_line_suppression_holds() {
-    let src =
-        "use std::collections::HashMap; // audit:allow(nondeterminism) -- bounded, sorted on use\n";
-    assert!(lints_fired("src/a.rs", "det", src).is_empty());
-}
-
-// --- wall-clock -----------------------------------------------------------
-
-#[test]
-fn wall_clock_fires_outside_the_bench_crate() {
-    let src = "fn f() { let t = std::time::Instant::now(); }\n";
-    assert_eq!(lints_fired("src/a.rs", "det", src), vec!["wall-clock"]);
-    let src2 = "fn f() -> SystemTime { SystemTime::now() }\n";
-    assert_eq!(
-        lints_fired("src/a.rs", "other", src2),
-        vec!["wall-clock", "wall-clock"]
-    );
-}
-
-#[test]
-fn wall_clock_is_allowed_in_bench_and_suppressible_elsewhere() {
-    let src = "fn f() { let t = Instant::now(); }\n";
-    assert!(lints_fired("src/a.rs", "bench", src).is_empty());
-    let suppressed = "// audit:allow(wall-clock) -- progress logging only, not in results\n\
-                      fn f() { let t = Instant::now(); }\n";
-    assert!(lints_fired("src/a.rs", "det", suppressed).is_empty());
-}
-
-#[test]
-fn wall_clock_does_not_match_identifier_substrings() {
-    // `Instantiates` in prose and code must not trip the `Instant` rule.
-    let src = "/// Instantiates the workload.\nfn instantiate_it() {}\n";
-    assert!(lints_fired("src/a.rs", "det", src).is_empty());
-}
-
 // --- panic-path -----------------------------------------------------------
-
-#[test]
-fn panic_path_fires_per_site_in_strict_files() {
-    let src = "fn recover() { x.unwrap(); y.expect(\"m\"); panic!(\"no\"); unreachable!(); }\n";
-    let fired = lints_fired("src/strict.rs", "det", src);
-    assert_eq!(fired.len(), 4);
-    assert!(fired.iter().all(|l| l == "panic-path"));
-}
-
-#[test]
-fn panic_path_in_strict_files_is_suppressible_per_site() {
-    let src = "// audit:allow(panic-path) -- invariant checked on the previous line\n\
-               fn recover() { x.unwrap(); }\n";
-    assert!(lints_fired("src/strict.rs", "det", src).is_empty());
-}
 
 #[test]
 fn panic_budget_ratchets_per_crate() {
@@ -186,6 +100,23 @@ fn panic_sites_in_test_modules_are_free() {
     let report = audit_source("src/a.rs", "det", src, &fixture_config());
     assert_eq!(report.panic_sites, 0);
     assert!(report.is_clean());
+}
+
+#[test]
+fn panic_sites_ignore_comments_and_strings() {
+    let src = "// A bare x.unwrap() would be wrong here.\n\
+               fn f() { let s = \"x.unwrap()\"; let t = r#\"panic!(\"no\")\"#; }\n";
+    let report = audit_source("src/a.rs", "det", src, &fixture_config());
+    assert_eq!(report.panic_sites, 0);
+    assert!(report.is_clean(), "{}", report.to_text());
+}
+
+#[test]
+fn trailing_same_line_suppression_holds() {
+    let src = "fn f() { a.unwrap(); } // audit:allow(panic-path) -- length checked by the caller\n";
+    let report = audit_source("src/a.rs", "det", src, &fixture_config());
+    assert_eq!(report.panic_sites, 0);
+    assert!(report.is_clean(), "{}", report.to_text());
 }
 
 #[test]
@@ -387,27 +318,32 @@ fn hot_alloc_suppression_with_reason_holds() {
 
 #[test]
 fn suppression_without_reason_is_a_finding() {
-    let src = "// audit:allow(nondeterminism)\nuse std::collections::HashMap;\n";
+    let src = "// audit:allow(persistence-domain)\n\
+               fn f(nvm: &mut NvmDevice) { nvm.poke(a, &d); }\n";
     let report = audit_source("src/a.rs", "det", src, &fixture_config());
     let lints: Vec<_> = report.findings.iter().map(|f| f.lint.as_str()).collect();
     // The bad allow is reported AND the underlying finding still fires.
     assert!(lints.contains(&"suppression"));
-    assert!(lints.contains(&"nondeterminism"));
+    assert!(lints.contains(&"persistence-domain"));
 }
 
 #[test]
 fn suppression_of_unknown_lint_is_a_finding() {
-    let src = "// audit:allow(made-up-lint) -- because\nfn f() {}\n";
-    let report = audit_source("src/a.rs", "det", src, &fixture_config());
-    assert_eq!(report.findings.len(), 1);
-    assert!(report.findings[0].message.contains("unknown lint"));
+    // The determinism and wall-clock checks moved to clippy; allows naming
+    // them are as unknown as a made-up lint.
+    for lint in ["made-up-lint", "nondeterminism", "wall-clock"] {
+        let src = format!("// audit:allow({lint}) -- because\nfn f() {{}}\n");
+        let report = audit_source("src/a.rs", "det", &src, &fixture_config());
+        assert_eq!(report.findings.len(), 1);
+        assert!(report.findings[0].message.contains("unknown lint"));
+    }
 }
 
 #[test]
 fn deleting_the_violation_strands_the_suppression() {
-    // The allow outlives the HashMap it used to cover: the audit must go
+    // The allow outlives the allocation it used to cover: the audit must go
     // red until the stale comment is deleted too.
-    let src = "// audit:allow(nondeterminism) -- justified once upon a time\nfn f() {}\n";
+    let src = "// audit:allow(hot-alloc) -- justified once upon a time\nfn f() {}\n";
     let report = audit_source("src/a.rs", "det", src, &fixture_config());
     assert_eq!(report.findings.len(), 1);
     assert_eq!(report.findings[0].lint, "suppression");
@@ -416,37 +352,36 @@ fn deleting_the_violation_strands_the_suppression() {
 
 #[test]
 fn suppression_only_covers_adjacent_lines() {
-    let src =
-        "// audit:allow(nondeterminism) -- too far away\n\n\nuse std::collections::HashMap;\n";
+    let src = "// audit:allow(persistence-domain) -- too far away\n\n\n\
+               fn f(nvm: &mut NvmDevice) { nvm.poke(a, &d); }\n";
     let report = audit_source("src/a.rs", "det", src, &fixture_config());
     let lints: Vec<_> = report.findings.iter().map(|f| f.lint.as_str()).collect();
-    assert!(lints.contains(&"nondeterminism"));
+    assert!(lints.contains(&"persistence-domain"));
     assert!(lints.contains(&"suppression")); // and the allow counts as stale
 }
 
 #[test]
 fn active_suppressions_appear_in_the_inventory() {
-    let src = "// audit:allow(nondeterminism) -- bounded, sorted on use\n\
-               use std::collections::HashMap;\n";
+    let src = "// audit:allow(panic-path) -- bounded, checked on the line above\n\
+               fn f() { a.unwrap(); }\n";
     let report = audit_source("src/a.rs", "det", src, &fixture_config());
     assert!(report.is_clean());
-    assert_eq!(report.suppressed.len(), 1);
-    let s = &report.suppressed[0];
-    assert_eq!(s.lint, "nondeterminism");
-    assert_eq!(s.reason, "bounded, sorted on use");
-    assert!(report
-        .to_json()
-        .contains("\"reason\": \"bounded, sorted on use\""));
+    assert_eq!(report.suppressions, 1);
+    assert!(report.to_text().contains("1 active suppression(s)"));
 }
 
 // --- graft tests: re-introduce real violations into the live sources ------
+
+fn workspace_root() -> PathBuf {
+    PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("../..")
+}
 
 /// Loads the real workspace, applies one textual edit to one file, and
 /// audits the result under the real policy. The anchor must exist — if the
 /// source drifts, the assert points at this test instead of silently
 /// auditing an unmodified tree.
 fn grafted_workspace(path_suffix: &str, anchor: &str, replacement: &str) -> Report {
-    let root = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../..");
+    let root = workspace_root();
     let mut files = walk::collect_workspace(&root).expect("workspace readable");
     let file = files
         .iter_mut()
@@ -498,51 +433,11 @@ fn graft_allocating_pad_path_fires_hot_alloc() {
     assert!(hit.message.contains("to_vec"), "{}", hit.message);
 }
 
-#[test]
-fn graft_panic_in_claim_queue_fires_strict_panic() {
-    // The work-stealing claim queue is on the strict-panic list: a single
-    // grafted panic in `claim` must surface as an individual finding, not
-    // disappear into a crate budget.
-    let report = grafted_workspace(
-        "dolos-sim/src/queue.rs",
-        "let block = block.max(1);",
-        "if block == usize::MAX { panic!(\"bad block\"); }\n        let block = block.max(1);",
-    );
-    assert!(
-        report
-            .findings
-            .iter()
-            .any(|f| f.lint == "panic-path" && f.file.ends_with("queue.rs")),
-        "{}",
-        report.to_text()
-    );
-}
-
-#[test]
-fn graft_panic_in_crash_enumerator_fires_strict_panic() {
-    // The exhaustive crash enumerator is a falsifier: it must report a
-    // failing case, never abort on one.
-    let report = grafted_workspace(
-        "dolos-verify/src/enumerate.rs",
-        "let ops = stream(letters);",
-        "let ops = stream(letters);\n            ops.first().expect(\"a letter yields an op\");",
-    );
-    assert!(
-        report
-            .findings
-            .iter()
-            .any(|f| f.lint == "panic-path" && f.file.ends_with("enumerate.rs")),
-        "{}",
-        report.to_text()
-    );
-}
-
 // --- the real workspace ---------------------------------------------------
 
 #[test]
 fn workspace_is_audit_clean() {
-    let root = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../..");
-    let report = check_workspace(&root).expect("workspace readable");
+    let report = check_workspace(&workspace_root()).expect("workspace readable");
     assert!(
         report.is_clean(),
         "workspace audit must be clean:\n{}",
@@ -559,4 +454,70 @@ fn workspace_is_audit_clean() {
         .map(|(_, b)| *b)
         .sum();
     assert!(report.panic_sites <= total);
+}
+
+/// The clippy half of the policy: `crates/clippy.toml` disallows the
+/// hasher-seeded collections and host clocks, and the deny attributes make
+/// every panic site a clippy error in the budget-0 crates and the strict
+/// modules. Clippy cannot notice this policy being deleted, so this test
+/// does.
+#[test]
+fn clippy_policy_is_in_place() {
+    let root = workspace_root();
+    let read = |rel: &str| {
+        std::fs::read_to_string(root.join(rel)).unwrap_or_else(|e| panic!("{rel}: {e}"))
+    };
+    let live = |text: &str, needle: &str| {
+        text.lines()
+            .any(|l| !l.trim_start().starts_with('#') && l.contains(needle))
+    };
+    let policy = read("crates/clippy.toml");
+    for needle in [
+        "path = \"std::collections::HashMap\"",
+        "path = \"std::collections::HashSet\"",
+        "path = \"std::hash::RandomState\"",
+        "path = \"std::hash::DefaultHasher\"",
+        "path = \"std::time::Instant\"",
+        "path = \"std::time::SystemTime\"",
+        "allow-unwrap-in-tests = true",
+        "allow-expect-in-tests = true",
+        "allow-panic-in-tests = true",
+    ] {
+        assert!(live(&policy, needle), "crates/clippy.toml lost `{needle}`");
+    }
+    // Host timing is dolos-bench's job: its own file replaces the policy.
+    let bench = read("crates/dolos-bench/clippy.toml");
+    assert!(
+        !live(&bench, "disallowed"),
+        "dolos-bench must disallow nothing"
+    );
+
+    let denies = [
+        "#![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)]",
+        "#![deny(clippy::unreachable, clippy::todo, clippy::unimplemented)]",
+    ];
+    for rel in [
+        // Budget-0 crate roots.
+        "src/lib.rs",
+        "crates/dolos-sim/src/lib.rs",
+        "crates/dolos-crypto/src/lib.rs",
+        "crates/dolos-verify/src/lib.rs",
+        "crates/dolos-verify/src/bin/dolos-verify.rs",
+        "crates/dolos-trace/src/lib.rs",
+        "crates/dolos-trace/src/bin/dolos-trace.rs",
+        "crates/dolos-audit/src/lib.rs",
+        "crates/dolos-audit/src/main.rs",
+        // Strict modules inside budgeted crates.
+        "crates/dolos-core/src/masu.rs",
+        "crates/dolos-nvm/src/bank.rs",
+        "crates/dolos-whisper/src/trace.rs",
+    ] {
+        let text = read(rel);
+        for deny in denies {
+            assert!(
+                text.lines().any(|l| l.trim() == deny),
+                "{rel} lost `{deny}`"
+            );
+        }
+    }
 }

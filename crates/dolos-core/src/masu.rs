@@ -19,6 +19,11 @@
 //! after which the write is recoverable without the WPQ entry (paper §4.4:
 //! steps ③ and ④ can proceed in parallel once the log is ready).
 
+// Strict inside a budgeted crate: Ma-SU recovery runs after a crash, where
+// a panic would lose the state it rebuilds; return a `SecurityError`.
+#![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
+#![deny(clippy::unreachable, clippy::todo, clippy::unimplemented)]
+
 use std::collections::BTreeMap;
 
 use dolos_crypto::aes::Aes128;

@@ -19,6 +19,11 @@
 //! the unbanked model (pinned by the lockstep tests in
 //! `tests/bankset_props.rs`).
 
+// Strict inside a budgeted crate: the banked WPQ is the ADR domain that a
+// crash dumps and recovery replays, so it must never abort.
+#![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
+#![deny(clippy::unreachable, clippy::todo, clippy::unimplemented)]
+
 use dolos_crypto::mac::Mac64;
 use dolos_sim::stats::StatSet;
 use dolos_sim::trace::{EventKind, TraceEvent, TraceMode};

@@ -42,6 +42,11 @@
 //! ```
 
 #![forbid(unsafe_code)]
+// Panic budget 0. The work-stealing claim queue (`queue`) and the JSON
+// checker (`json`) matter most: a panic in the queue corrupts a whole
+// sweep, and `json` validates reports read from outside the program.
+#![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
+#![deny(clippy::unreachable, clippy::todo, clippy::unimplemented)]
 #![warn(missing_docs)]
 
 pub mod flat;

@@ -10,6 +10,10 @@
 //! without arguments for the flags; an unused flag or a malformed trace
 //! exits 2.
 
+// Panic budget 0: a malformed command line or trace file exits 2, never panics.
+#![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
+#![deny(clippy::unreachable, clippy::todo, clippy::unimplemented)]
+
 use std::process::ExitCode;
 
 use dolos_core::{ControllerConfig, ControllerKind, MiSuKind, TraceMode};

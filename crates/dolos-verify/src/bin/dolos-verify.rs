@@ -15,7 +15,12 @@
 //! ```
 //!
 //! Exit status is 0 when every obligation held, 1 otherwise, and 2 for a
-//! malformed command line, scenario, or bank/keyspace geometry.
+//! malformed command line (`--traces 0` included), scenario, or
+//! bank/keyspace geometry.
+
+// Panic budget 0: a malformed command line or scenario exits 2, never panics.
+#![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
+#![deny(clippy::unreachable, clippy::todo, clippy::unimplemented)]
 
 use std::process::ExitCode;
 
@@ -43,7 +48,11 @@ fn campaign(args: &[String]) -> ExitCode {
     while i < args.len() {
         match args[i].as_str() {
             "--seed" => config.seed = value(&mut i).parse().unwrap_or_else(|_| usage()),
-            "--traces" => config.traces = value(&mut i).parse().unwrap_or_else(|_| usage()),
+            // Zero traces would pass every design vacuously.
+            "--traces" => match value(&mut i).parse() {
+                Ok(n) if n >= 1 => config.traces = n,
+                _ => usage(),
+            },
             "--rounds" => config.rounds = value(&mut i).parse().unwrap_or_else(|_| usage()),
             "--txns" => config.txns_per_round = value(&mut i).parse().unwrap_or_else(|_| usage()),
             "--keyspace" => config.keyspace = value(&mut i).parse().unwrap_or_else(|_| usage()),

@@ -17,6 +17,11 @@
 //! R 4096           # read line 0x1000
 //! ```
 
+// Strict inside a budgeted crate: this parses trace files from outside the
+// program, so a hostile file must yield an error, never a panic.
+#![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
+#![deny(clippy::unreachable, clippy::todo, clippy::unimplemented)]
+
 use std::fmt::Write as _;
 
 use dolos_core::{ControllerConfig, SecureMemorySystem};

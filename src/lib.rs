@@ -41,6 +41,9 @@
 //! ```
 
 #![forbid(unsafe_code)]
+// Panic budget 0: the facade only re-exports.
+#![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
+#![deny(clippy::unreachable, clippy::todo, clippy::unimplemented)]
 
 pub use dolos_core as core;
 pub use dolos_crypto as crypto;
