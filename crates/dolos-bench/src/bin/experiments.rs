@@ -6,11 +6,13 @@
 //! experiments all --jobs 4
 //! experiments bench --jobs 0
 //! experiments bench --repeat 5
+//! experiments bench --repeat 10 --against ../parent/target/release/experiments
 //! ```
 //!
 //! `bench` runs the selected experiments (default: all), suppresses the
 //! tables, and writes machine-readable throughput numbers to
-//! `BENCH_<YYYY-MM-DD>.json` in the working directory. Bench mode flattens
+//! `BENCH_<YYYY-MM-DD>.json` in the working directory (overwriting a file
+//! of the same date). Bench mode flattens
 //! every selected experiment's sweep cells into ONE global list and runs it
 //! longest-cell-first through the work-stealing pool, so slow figures'
 //! stragglers overlap other figures' short cells; per-cell wall times and
@@ -30,26 +32,37 @@
 //! over all N runs. `cells_per_sec` is cells over the summed wall time of
 //! the experiment's cells (a cell's wall is measured inside its worker).
 //!
-//! `bench --golden PATH` also writes a wall-free snapshot (per-experiment
-//! `cells`/`sim_cycles` only) to PATH; CI `cmp`s it against the committed
-//! `ci/bench_sim_cycles.golden.json` so simulated timing cannot drift
-//! unnoticed under wall-clock optimizations.
+//! `bench --golden PATH` writes only a wall-free snapshot (per-experiment
+//! `cells`/`sim_cycles`) to PATH, and no `BENCH_*.json`; CI `cmp`s it
+//! against the committed `ci/bench_sim_cycles.golden.json` so simulated
+//! timing cannot drift unnoticed under wall-clock optimizations.
+//!
+//! `bench --against PATH` pairs every run with one run of another
+//! `experiments` binary at PATH, typically one built from a git worktree
+//! or clone of the parent commit. The two alternate (this build first in
+//! even runs, the parent first in odd ones), each parent run in a fresh
+//! temporary directory, and both must simulate the same cells and
+//! `sim_cycles`. The JSON's `against` row records the parent's median and
+//! range, the ratio of median throughputs (above 1 means this build is
+//! faster), the pairs this build won, and both git revisions.
 //!
 //! Exit status is 0 on success, 1 when a run fails (an output file cannot
-//! be written, or a `--repeat` run diverges), and 2 for a malformed command
-//! line, `--transactions 0` included.
+//! be written, a `--repeat` run diverges, or the `--against` binary fails
+//! or simulates different work), and 2 for a malformed command line,
+//! `--transactions 0` included.
 
-use std::process::ExitCode;
+use std::path::{Path, PathBuf};
+use std::process::{Command, ExitCode, Stdio};
 use std::time::{Instant, SystemTime, UNIX_EPOCH};
 
-use dolos_bench::emit::{civil_date_utc, BenchEntry, BenchReport, TraceRow};
+use dolos_bench::emit::{civil_date_utc, parse_total, Against, BenchEntry, BenchReport, TraceRow};
 use dolos_bench::{ExperimentConfig, ExperimentId};
 use dolos_trace::ProfileConfig;
 
 fn usage() -> ExitCode {
     eprintln!(
         "usage: experiments <all|bench|{}> [--transactions N] [--warmup N] [--seed N] \
-         [--jobs N] [--csv DIR] [--trace] [--golden PATH] [--repeat N]",
+         [--jobs N] [--csv DIR] [--trace] [--golden PATH] [--repeat N] [--against PATH]",
         ExperimentId::ALL
             .iter()
             .map(|e| e.name())
@@ -57,6 +70,67 @@ fn usage() -> ExitCode {
             .join("|")
     );
     ExitCode::from(2)
+}
+
+/// `git describe --always --dirty` of the checkout holding `dir`, or
+/// `unknown` when there is none.
+fn git_revision(dir: &Path) -> String {
+    Command::new("git")
+        .arg("-C")
+        .arg(dir)
+        .args(["describe", "--always", "--dirty"])
+        .output()
+        .ok()
+        .filter(|out| out.status.success())
+        .and_then(|out| String::from_utf8(out.stdout).ok())
+        .map(|rev| rev.trim().to_owned())
+        .filter(|rev| !rev.is_empty())
+        .unwrap_or_else(|| "unknown".to_owned())
+}
+
+/// Runs the `--against` binary once over the same selection and scale, in
+/// a fresh temporary directory so its `BENCH_*.json` lands nowhere else,
+/// and returns its total `(wall_ms, cells, sim_cycles)`.
+fn run_parent(
+    bin: &Path,
+    selected: &[ExperimentId],
+    config: &ExperimentConfig,
+    run: usize,
+) -> Result<(f64, u64, u64), String> {
+    let dir =
+        std::env::temp_dir().join(format!("experiments-against-{}-{run}", std::process::id()));
+    std::fs::create_dir_all(&dir).map_err(|e| format!("cannot create {}: {e}", dir.display()))?;
+    let total = (|| {
+        let status = Command::new(bin)
+            .current_dir(&dir)
+            .arg("bench")
+            .args(selected.iter().map(|id| id.name()))
+            .args(["--transactions", &config.transactions.to_string()])
+            .args(["--warmup", &config.warmup.to_string()])
+            .args(["--seed", &config.seed.to_string()])
+            .args(["--jobs", &config.jobs.to_string()])
+            .stdout(Stdio::null())
+            .stderr(Stdio::null())
+            .status()
+            .map_err(|e| format!("cannot run {}: {e}", bin.display()))?;
+        if !status.success() {
+            return Err(format!("{} failed: {status}", bin.display()));
+        }
+        let written = std::fs::read_dir(&dir)
+            .map_err(|e| format!("cannot list {}: {e}", dir.display()))?
+            .filter_map(Result::ok)
+            .map(|entry| entry.path())
+            .find(|path| {
+                path.file_name()
+                    .is_some_and(|n| n.to_string_lossy().starts_with("BENCH_"))
+            })
+            .ok_or_else(|| format!("{} wrote no BENCH_*.json", bin.display()))?;
+        let text = std::fs::read_to_string(&written)
+            .map_err(|e| format!("cannot read {}: {e}", written.display()))?;
+        parse_total(&text).ok_or_else(|| format!("{} has no total row", written.display()))
+    })();
+    let _ = std::fs::remove_dir_all(&dir);
+    total
 }
 
 fn main() -> ExitCode {
@@ -68,6 +142,7 @@ fn main() -> ExitCode {
     let mut bench = false;
     let mut trace = false;
     let mut repeat = 1usize;
+    let mut against: Option<PathBuf> = None;
     let mut iter = args.iter();
     while let Some(arg) = iter.next() {
         match arg.as_str() {
@@ -103,6 +178,11 @@ fn main() -> ExitCode {
                 Some(path) => golden_path = Some(path.clone()),
                 None => return usage(),
             },
+            // Absolute, because the parent runs in a temporary directory.
+            "--against" => match iter.next().and_then(|p| std::fs::canonicalize(p).ok()) {
+                Some(path) => against = Some(path),
+                None => return usage(),
+            },
             name => match ExperimentId::parse(name) {
                 Some(id) => selected.push(id),
                 None => return usage(),
@@ -112,7 +192,8 @@ fn main() -> ExitCode {
     if bench && selected.is_empty() {
         selected.extend(ExperimentId::ALL);
     }
-    if selected.is_empty() {
+    // A paired ratio needs the BENCH file, which `--golden` does not write.
+    if selected.is_empty() || (against.is_some() && (!bench || golden_path.is_some())) {
         return usage();
     }
     println!(
@@ -135,13 +216,34 @@ fn main() -> ExitCode {
     // Per experiment: (id, cells, sim_cycles) of the first run, and every
     // run's (wall_ms, cell_wall_ms).
     let mut entries = Vec::new();
+    // The `--against` binary's total `(wall_ms, cells, sim_cycles)` per run.
+    let mut parent_totals: Vec<(f64, u64, u64)> = Vec::new();
     if bench {
         // Flattened sweep: every selected experiment's cells run as one
         // global longest-hint-first list through the work-stealing pool, so
         // one figure's stragglers overlap another's short cells. Tables and
         // all simulated quantities are byte-identical to the sequential
         // path below; only wall-clock fields differ.
+        let mut pair_with_parent = |run: usize| -> Result<(), ExitCode> {
+            let Some(bin) = against.as_deref() else {
+                return Ok(());
+            };
+            let total = run_parent(bin, &selected, &config, run).map_err(|e| {
+                eprintln!("{e}");
+                ExitCode::FAILURE
+            })?;
+            parent_totals.push(total);
+            Ok(())
+        };
         for run in 0..repeat {
+            // Alternate the order within each pair so neither build always
+            // runs on the warmer host.
+            let parent_first = run % 2 == 1;
+            if parent_first {
+                if let Err(code) = pair_with_parent(run) {
+                    return code;
+                }
+            }
             for (i, outcome) in config.bench_flat(&selected).into_iter().enumerate() {
                 if run == 0 {
                     if let Some(dir) = &csv_dir {
@@ -171,6 +273,11 @@ fn main() -> ExitCode {
                     run + 1
                 );
                 entry.3.push((outcome.wall_ms, outcome.cell_wall_ms));
+            }
+            if !parent_first {
+                if let Err(code) = pair_with_parent(run) {
+                    return code;
+                }
             }
         }
     } else {
@@ -232,7 +339,7 @@ fn main() -> ExitCode {
                 BenchEntry::from_runs(id.name().to_owned(), cells, sim_cycles, runs)
             })
             .collect();
-        let report = BenchReport {
+        let mut report = BenchReport {
             date: civil_date_utc(secs),
             transactions: config.transactions,
             warmup: config.warmup,
@@ -241,23 +348,38 @@ fn main() -> ExitCode {
             repeat,
             entries,
             trace: trace_rows,
+            against: None,
         };
-        let path = report.file_name();
-        if let Err(e) = std::fs::write(&path, report.to_json()) {
+        if let Some(bin) = &against {
+            let totals = report.totals();
+            if parent_totals.iter().any(|&(_, c, s)| (c, s) != totals) {
+                eprintln!(
+                    "{} simulated different cells/sim_cycles; a ratio would compare \
+                     different work",
+                    bin.display()
+                );
+                return ExitCode::FAILURE;
+            }
+            report.against = Some(Against {
+                revision: git_revision(Path::new(env!("CARGO_MANIFEST_DIR"))),
+                parent_revision: git_revision(bin.parent().unwrap_or(bin)),
+                parent_runs_wall_ms: parent_totals.iter().map(|&(w, _, _)| w).collect(),
+            });
+        }
+        // `--golden` writes only the wall-free sim-cycle snapshot for CI's
+        // cmp: any functional change that moves simulated timing shows up
+        // as a byte diff there, while wall-clock-only optimizations leave
+        // it untouched. A committed `BENCH_*.json` of the same date is
+        // never overwritten by such a run.
+        let (path, text) = match &golden_path {
+            Some(path) => (path.clone(), report.to_golden()),
+            None => (report.file_name(), report.to_json()),
+        };
+        if let Err(e) = std::fs::write(&path, text) {
             eprintln!("cannot write {path}: {e}");
             return ExitCode::FAILURE;
         }
         println!("wrote {path}");
-        // Wall-free sim-cycle snapshot for CI's golden cmp: any functional
-        // change that moves simulated timing shows up as a byte diff here,
-        // while wall-clock-only optimizations leave it untouched.
-        if let Some(path) = &golden_path {
-            if let Err(e) = std::fs::write(path, report.to_golden()) {
-                eprintln!("cannot write {path}: {e}");
-                return ExitCode::FAILURE;
-            }
-            println!("wrote {path}");
-        }
     }
     ExitCode::SUCCESS
 }

@@ -48,6 +48,15 @@ fn median_index(walls: &[f64]) -> usize {
     order[(walls.len().saturating_sub(1)) / 2]
 }
 
+/// The nearest-rank median of `walls` (0 when there are none).
+fn median_wall(walls: &[f64]) -> f64 {
+    if walls.is_empty() {
+        0.0
+    } else {
+        walls[median_index(walls)]
+    }
+}
+
 /// `(min, max)` throughput over a set of run walls.
 fn rate_range(cells: u64, walls: &[f64]) -> (f64, f64) {
     let rates = walls.iter().map(|&w| rate(cells, w));
@@ -136,6 +145,20 @@ pub struct TraceRow {
     pub max: u64,
 }
 
+/// A paired comparison against a parent build (`bench --against PATH`):
+/// run `r` of this build and run `r` of the parent ran back to back, so
+/// host drift between pairs cancels in the ratio.
+#[derive(Debug, Clone, PartialEq)]
+pub struct Against {
+    /// `git describe --always --dirty` of this build's source tree.
+    pub revision: String,
+    /// The same for the parent binary's checkout.
+    pub parent_revision: String,
+    /// The parent's total wall per run, in run order; one per run of this
+    /// build.
+    pub parent_runs_wall_ms: Vec<f64>,
+}
+
 /// A full `experiments bench` run: configuration echo plus one entry per
 /// experiment, in run order.
 #[derive(Debug, Clone, PartialEq)]
@@ -158,6 +181,8 @@ pub struct BenchReport {
     /// Traced mini-bench histogram rows (`bench --trace`); empty when
     /// tracing was not requested.
     pub trace: Vec<TraceRow>,
+    /// The paired parent runs (`bench --against`); `None` without one.
+    pub against: Option<Against>,
 }
 
 impl BenchReport {
@@ -219,24 +244,35 @@ impl BenchReport {
             ));
         }
         out.push_str("  ],\n");
-        // The total of run r sums every experiment's run-r wall; the row
-        // reports the median run's total and the range over all runs.
-        let run_walls: Vec<f64> = (0..self.repeat)
-            .map(|r| {
-                self.entries
-                    .iter()
-                    .filter_map(|e| e.runs_wall_ms.get(r))
-                    .sum()
-            })
-            .collect();
-        let wall_ms = if run_walls.is_empty() {
-            0.0
-        } else {
-            run_walls[median_index(&run_walls)]
-        };
-        let cells: u64 = self.entries.iter().map(|e| e.cells).sum();
-        let sim_cycles: u64 = self.entries.iter().map(|e| e.sim_cycles).sum();
+        let run_walls = self.run_walls();
+        let wall_ms = median_wall(&run_walls);
+        let (cells, sim_cycles) = self.totals();
         let (min, max) = rate_range(cells, &run_walls);
+        if let Some(a) = &self.against {
+            let parent_wall = median_wall(&a.parent_runs_wall_ms);
+            let (parent_min, parent_max) = rate_range(cells, &a.parent_runs_wall_ms);
+            let ratio = if wall_ms > 0.0 {
+                parent_wall / wall_ms
+            } else {
+                0.0
+            };
+            let faster = run_walls
+                .iter()
+                .zip(&a.parent_runs_wall_ms)
+                .filter(|(this, parent)| this < parent)
+                .count();
+            out.push_str(&format!(
+                "  \"against\": {{\"revision\": \"{}\", \"parent_revision\": \"{}\", \
+                 \"parent_cells_per_sec\": {:.3}, \"parent_cells_per_sec_min\": {parent_min:.3}, \
+                 \"parent_cells_per_sec_max\": {parent_max:.3}, \"ratio\": {ratio:.3}, \
+                 \"pairs_faster\": {faster}}},\n",
+                dolos_sim::json::escape(&a.revision),
+                dolos_sim::json::escape(&a.parent_revision),
+                rate(cells, parent_wall),
+            ));
+        } else {
+            out.push_str("  \"against\": null,\n");
+        }
         out.push_str(&format!(
             "  \"total\": {{\"wall_ms\": {wall_ms:.3}, \"cells\": {cells}, \
              \"sim_cycles\": {sim_cycles}, \"cells_per_sec\": {:.3}, \
@@ -245,6 +281,27 @@ impl BenchReport {
         ));
         out.push('}');
         out
+    }
+
+    /// The total wall of each run, in run order: run `r` sums every
+    /// experiment's run-`r` wall.
+    fn run_walls(&self) -> Vec<f64> {
+        (0..self.repeat)
+            .map(|r| {
+                self.entries
+                    .iter()
+                    .filter_map(|e| e.runs_wall_ms.get(r))
+                    .sum()
+            })
+            .collect()
+    }
+
+    /// Total `(cells, sim_cycles)` over every experiment.
+    pub fn totals(&self) -> (u64, u64) {
+        (
+            self.entries.iter().map(|e| e.cells).sum(),
+            self.entries.iter().map(|e| e.sim_cycles).sum(),
+        )
     }
 
     /// Serializes only the simulated (machine-independent) fields: the
@@ -271,14 +328,31 @@ impl BenchReport {
             ));
         }
         out.push_str("  ],\n");
-        let cells: u64 = self.entries.iter().map(|e| e.cells).sum();
-        let sim_cycles: u64 = self.entries.iter().map(|e| e.sim_cycles).sum();
+        let (cells, sim_cycles) = self.totals();
         out.push_str(&format!(
             "  \"total\": {{\"cells\": {cells}, \"sim_cycles\": {sim_cycles}}}\n"
         ));
         out.push_str("}\n");
         out
     }
+}
+
+/// Reads `(wall_ms, cells, sim_cycles)` back from the `total` row of a
+/// [`BenchReport::to_json`] text, as `bench --against` does with the
+/// parent's output. `None` when the row is missing or malformed.
+pub fn parse_total(json: &str) -> Option<(f64, u64, u64)> {
+    let row = &json[json.find("\"total\": {")?..];
+    let field = |key: &str| {
+        let start = row.find(&format!("\"{key}\": "))? + key.len() + 4;
+        let rest = &row[start..];
+        let end = rest.find([',', '}'])?;
+        Some(&rest[..end])
+    };
+    Some((
+        field("wall_ms")?.parse().ok()?,
+        field("cells")?.parse().ok()?,
+        field("sim_cycles")?.parse().ok()?,
+    ))
 }
 
 /// Converts seconds since the Unix epoch to a `YYYY-MM-DD` UTC date string.
@@ -351,6 +425,7 @@ mod tests {
                 p99: 640,
                 max: 640,
             }],
+            against: None,
         };
         assert_eq!(report.file_name(), "BENCH_2026-08-06.json");
         let json = report.to_json();
@@ -401,6 +476,7 @@ mod tests {
                 },
             ],
             trace: vec![],
+            against: None,
         };
         let golden = report.to_golden();
         assert!(golden.contains("\"sim_cycles\": 5704848"));
@@ -445,6 +521,7 @@ mod tests {
                 ],
             )],
             trace: vec![],
+            against: None,
         };
         let json = report.to_json();
         assert!(json.contains("  \"jobs\": 2,\n  \"repeat\": 3,\n"));
@@ -454,13 +531,48 @@ mod tests {
              \"cells_per_sec_max\": 300.000, \"skew\": 1.333, \"cell_wall_ms\": [2.000, 4.000]}"
         ));
         assert!(json.contains(
-            "\"total\": {\"wall_ms\": 12.500, \"cells\": 3, \"sim_cycles\": 444000, \
-             \"cells_per_sec\": 240.000, \"cells_per_sec_min\": 120.000, \
+            "  \"against\": null,\n  \"total\": {\"wall_ms\": 12.500, \"cells\": 3, \
+             \"sim_cycles\": 444000, \"cells_per_sec\": 240.000, \"cells_per_sec_min\": 120.000, \
              \"cells_per_sec_max\": 300.000}"
         ));
+        assert_eq!(parse_total(&json), Some((12.5, 3, 444_000)));
         assert!(report
             .to_golden()
             .contains("{\"name\": \"recovery\", \"cells\": 3, \"sim_cycles\": 444000}"));
+        // With `--against`: the parent's median and range, the ratio of
+        // median throughputs (the parent's median wall 20 over this
+        // build's 12.5) and the pairs this build won (12.5 < 25 and
+        // 10 < 20, not 25 < 15).
+        let paired = BenchReport {
+            against: Some(Against {
+                revision: "abc1234-dirty".into(),
+                parent_revision: "ce30c0d".into(),
+                parent_runs_wall_ms: vec![25.0, 20.0, 15.0],
+            }),
+            ..report.clone()
+        };
+        let json = paired.to_json();
+        assert_eq!(dolos_sim::json::validate(&json), Ok(()));
+        assert!(json.contains(
+            "  \"against\": {\"revision\": \"abc1234-dirty\", \"parent_revision\": \"ce30c0d\", \
+             \"parent_cells_per_sec\": 150.000, \"parent_cells_per_sec_min\": 120.000, \
+             \"parent_cells_per_sec_max\": 200.000, \"ratio\": 1.600, \"pairs_faster\": 2},\n  \"total\""
+        ));
+        assert_eq!(paired.to_golden(), report.to_golden());
+    }
+
+    #[test]
+    fn parse_total_rejects_malformed_rows() {
+        assert_eq!(parse_total(""), None);
+        assert_eq!(
+            parse_total("\"total\": {\"wall_ms\": x, \"cells\": 1}"),
+            None
+        );
+        assert_eq!(
+            parse_total("\"total\": {\"wall_ms\": 2.5, \"cells\": 1}"),
+            None,
+            "sim_cycles missing"
+        );
     }
 
     #[test]

@@ -2,13 +2,42 @@
 //! 0, and a malformed command line exits 2 without a panic, as
 //! `dolos-verify` and `dolos-trace` do.
 
+use std::path::{Path, PathBuf};
 use std::process::Output;
 
+const BIN: &str = env!("CARGO_BIN_EXE_experiments");
+
 fn experiments(args: &str) -> Output {
-    std::process::Command::new(env!("CARGO_BIN_EXE_experiments"))
+    experiments_in(Path::new("."), args)
+}
+
+fn experiments_in(dir: &Path, args: &str) -> Output {
+    std::process::Command::new(BIN)
+        .current_dir(dir)
         .args(args.split_whitespace())
         .output()
         .expect("spawn experiments")
+}
+
+/// A fresh, empty directory for one test's outputs.
+fn fresh_dir(name: &str) -> PathBuf {
+    let dir = std::env::temp_dir().join(format!("experiments-cli-{name}-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    std::fs::create_dir_all(&dir).expect("create temp dir");
+    dir
+}
+
+fn bench_files(dir: &Path) -> Vec<String> {
+    std::fs::read_dir(dir)
+        .expect("list temp dir")
+        .map(|e| {
+            e.expect("dir entry")
+                .file_name()
+                .to_string_lossy()
+                .into_owned()
+        })
+        .filter(|name| name.starts_with("BENCH_"))
+        .collect()
 }
 
 #[test]
@@ -28,6 +57,10 @@ fn malformed_command_lines_exit_2() {
         "table3 --transactions",
         "table3 --transactions many",
         "bench --repeat 0",
+        "bench --against",
+        "bench --against /nonexistent/experiments",
+        &format!("table3 --against {BIN}"),
+        &format!("bench --golden g.json --against {BIN}"),
     ] {
         let out = experiments(args);
         let stderr = String::from_utf8_lossy(&out.stderr);
@@ -44,4 +77,39 @@ fn zero_transactions_exit_2_instead_of_printing_nan() {
     let out = experiments("fig6 --transactions 0");
     assert_eq!(out.status.code(), Some(2), "{out:?}");
     assert!(!String::from_utf8_lossy(&out.stdout).contains("NaN"));
+}
+
+#[test]
+fn golden_runs_write_only_the_golden() {
+    let dir = fresh_dir("golden");
+    let out = experiments_in(&dir, "bench table3 --golden golden.json");
+    assert!(out.status.success(), "{out:?}");
+    let golden = std::fs::read_to_string(dir.join("golden.json")).expect("golden written");
+    assert!(golden.contains("\"name\": \"table3\""), "{golden}");
+    assert_eq!(bench_files(&dir), Vec::<String>::new());
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn against_pairs_runs_with_another_binary() {
+    let dir = fresh_dir("against");
+    let out = experiments_in(
+        &dir,
+        &format!("bench recovery --transactions 4 --warmup 1 --repeat 2 --against {BIN}"),
+    );
+    assert!(out.status.success(), "{out:?}");
+    let files = bench_files(&dir);
+    assert_eq!(files.len(), 1, "{files:?}");
+    let json = std::fs::read_to_string(dir.join(&files[0])).expect("read BENCH file");
+    assert_eq!(dolos_sim::json::validate(&json), Ok(()));
+    for key in [
+        "\"revision\": \"",
+        "\"parent_revision\": \"",
+        "\"parent_cells_per_sec\": ",
+        "\"ratio\": ",
+        "\"pairs_faster\": ",
+    ] {
+        assert!(json.contains(key), "{key} missing from {json}");
+    }
+    let _ = std::fs::remove_dir_all(&dir);
 }

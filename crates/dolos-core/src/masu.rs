@@ -592,6 +592,8 @@ impl MajorSecurityUnit {
         // accounting) must be a pure function of the tracked set, not of
         // the order the shadow table happened to allocate slots.
         tracked.sort_unstable();
+        // Counter blocks Osiris rewrites, for the lazy tree's leaf check.
+        let mut rewritten: Vec<(u64, Line)> = Vec::new();
         // Shadow-table scan + one counter-block read per tracked page.
         report.cycles += (tracked.len() as u64).div_ceil(8) * NVM_READ;
         for page in &tracked {
@@ -635,7 +637,9 @@ impl MajorSecurityUnit {
             }
             if changed {
                 report.rebuilt_counter_blocks += 1;
-                nvm.poke(self.layout.counter_block_addr(page), &rebuilt.to_line());
+                let line = rebuilt.to_line();
+                nvm.poke(self.layout.counter_block_addr(page), &line);
+                rewritten.push((page, line));
             }
         }
         self.shadow.clear();
@@ -662,6 +666,15 @@ impl MajorSecurityUnit {
             Tree::Lazy(toc) => {
                 toc.recover(&self.mac)
                     .map_err(|_| SecurityError::TocShadowTampered)?;
+                // The ToC is not rebuilt, so a rewritten counter block must
+                // match the leaf the recovered tree already holds: a wrong
+                // rebuild (or a replayed line steering Osiris to an old
+                // counter) fails here, not at a later audit.
+                for (page, line) in &rewritten {
+                    if !toc.verify_leaf(&self.mac, *page, line) {
+                        return Err(SecurityError::TreeRootMismatch);
+                    }
+                }
             }
         }
         Ok(report)
@@ -944,6 +957,23 @@ mod tests {
                 [0xCC; 64]
             );
         }
+    }
+
+    #[test]
+    fn lazy_recovery_rejects_a_replay_that_rolls_a_counter_back() {
+        let (mut m, mut nvm) = masu(UpdateScheme::LazyToc);
+        m.process_write(Cycle::ZERO, addr(5), &[7; 64], &mut nvm);
+        let stale = nvm.peek(addr(5));
+        let stale_mac = m.read_data_mac(&nvm, addr(5));
+        m.process_write(Cycle::ZERO, addr(5), &[7; 64], &mut nvm);
+        m.crash();
+        nvm.power_cycle();
+        // The old ciphertext and MAC decrypt to the same plaintext under
+        // the old counter, so Osiris settles on that counter: only the
+        // recovered tree's leaf can tell the rebuilt block is stale.
+        nvm.replay_snapshot(addr(5), &stale);
+        m.write_data_mac(&mut nvm, addr(5), stale_mac);
+        assert_eq!(m.recover(&mut nvm), Err(SecurityError::TreeRootMismatch));
     }
 
     #[test]

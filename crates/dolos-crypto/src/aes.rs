@@ -15,11 +15,14 @@
 //!   specification. It is never selected; tests compare against it.
 //!
 //! The choice is made by the host, never by a flag, and is invisible in
-//! every output byte: [`Aes128::encrypt_words`] and
-//! [`Aes128::encrypt_words4`] dispatch on it, and every pad, MAC tag, Mi-SU
+//! every output byte: [`Aes128::encrypt_words`],
+//! [`Aes128::encrypt_words4`] and the crate-internal CBC-MAC chain
+//! (`Aes128::cbc_chain`) dispatch on it, and every pad, MAC tag, Mi-SU
 //! entry and tree node in the workspace reaches the cipher through one of
-//! those two. The lockstep tests in this module force each backend in turn
-//! and pin both against the reference and the FIPS-197 appendix vectors;
+//! those three. The lockstep tests in this module force each backend in
+//! turn and pin the block entry points against the reference and the
+//! FIPS-197 appendix vectors; `mac.rs` pins the chain against a
+//! byte-domain specification built on the reference, and
 //! `tests/aes_lockstep.rs` pins the host's selection the same way.
 //!
 //! No path changes *simulated* timing: the cycle model charges the fixed
@@ -271,6 +274,57 @@ impl Aes128 {
             #[cfg(target_arch = "x86_64")]
             Backend::Ni(ni) => ni.encrypt_words4(&self.round_keys, blocks),
         }
+    }
+
+    /// Runs a CBC-MAC chain: from `state` (word representation, see
+    /// [`words_from_bytes`]), absorbs each part in order and returns the
+    /// final state. Absorbing a block XORs it into the state and encrypts.
+    /// With `len_blocks`, each part is preceded by its length block (the
+    /// part length as 8 little-endian bytes, zero-padded to 16). A part's
+    /// short last chunk is zero-padded; an empty part absorbs no data block.
+    ///
+    /// Byte-identical on every backend to the same chain spelled with
+    /// [`Self::encrypt_block_reference`]. On AES-NI the whole chain is one
+    /// call with the state held in a register, which is why every MAC in
+    /// `mac.rs` runs through here rather than through
+    /// [`Self::encrypt_words`] per block.
+    #[inline]
+    pub(crate) fn cbc_chain(&self, state: [u32; 4], parts: &[&[u8]], len_blocks: bool) -> [u32; 4] {
+        match self.backend {
+            Backend::Table => self.table_chain(state, parts, len_blocks),
+            #[cfg(target_arch = "x86_64")]
+            Backend::Ni(ni) => ni.cbc_chain(&self.round_keys, state, parts, len_blocks),
+        }
+    }
+
+    /// [`Self::cbc_chain`] on the T-table backend.
+    fn table_chain(&self, mut state: [u32; 4], parts: &[&[u8]], len_blocks: bool) -> [u32; 4] {
+        let absorb = |state: &mut [u32; 4], block: &Block| {
+            let w = words_from_bytes(block);
+            *state = self.table_words([
+                state[0] ^ w[0],
+                state[1] ^ w[1],
+                state[2] ^ w[2],
+                state[3] ^ w[3],
+            ]);
+        };
+        for part in parts {
+            if len_blocks {
+                let mut len = [0u8; BLOCK_SIZE];
+                len[..8].copy_from_slice(&(part.len() as u64).to_le_bytes());
+                absorb(&mut state, &len);
+            }
+            let (blocks, tail) = part.as_chunks::<BLOCK_SIZE>();
+            for block in blocks {
+                absorb(&mut state, block);
+            }
+            if !tail.is_empty() {
+                let mut last = [0u8; BLOCK_SIZE];
+                last[..tail.len()].copy_from_slice(tail);
+                absorb(&mut state, &last);
+            }
+        }
+        state
     }
 
     /// [`Self::encrypt_words`] on the T-table backend.

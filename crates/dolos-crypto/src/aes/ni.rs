@@ -5,8 +5,14 @@
 //! column words in, 4 out): the state is byte-swapped into the cipher's
 //! byte order with one `pshufb`, run through `aesenc`/`aesenclast` with the
 //! byte-order round keys of the shared schedule, and swapped back. The
-//! lockstep tests in `aes.rs` pin this equivalence on every host that has
-//! the instructions.
+//! lockstep tests in `aes.rs` and `mac.rs` pin this equivalence on every
+//! host that has the instructions.
+//!
+//! [`Ni::cbc_chain`] absorbs a whole CBC-MAC chain in one call: the 11
+//! round keys are loaded once, the state is swapped in and out once, and
+//! between blocks it never leaves its register. Message bytes need no
+//! swap at all: a 16-byte load of block bytes is already in the cipher's
+//! byte order, and the length block `n` is the 64-bit lane `n`.
 //!
 //! Soundness rests on one type: [`Ni`] is a zero-sized proof that the CPU
 //! supports AES-NI and SSSE3, and [`Ni::detect`] is its only constructor.
@@ -16,8 +22,8 @@
 #![allow(unsafe_code)]
 
 use core::arch::x86_64::{
-    __m128i, _mm_aesenc_si128, _mm_aesenclast_si128, _mm_loadu_si128, _mm_setr_epi32,
-    _mm_setr_epi8, _mm_shuffle_epi8, _mm_storeu_si128, _mm_xor_si128,
+    __m128i, _mm_aesenc_si128, _mm_aesenclast_si128, _mm_loadu_si128, _mm_set_epi64x,
+    _mm_setr_epi32, _mm_setr_epi8, _mm_shuffle_epi8, _mm_storeu_si128, _mm_xor_si128,
 };
 
 use super::Block;
@@ -51,20 +57,34 @@ impl Ni {
         // SAFETY: as in `encrypt_words`; `encrypt4` needs the same features.
         unsafe { encrypt4(round_keys, blocks) }
     }
+
+    /// A whole CBC-MAC chain; see [`super::Aes128::cbc_chain`].
+    #[inline]
+    pub(super) fn cbc_chain(
+        self,
+        round_keys: &[Block; 11],
+        state: [u32; 4],
+        parts: &[&[u8]],
+        len_blocks: bool,
+    ) -> [u32; 4] {
+        // SAFETY: as in `encrypt_words`; `chain` needs the same features.
+        unsafe { chain(round_keys, state, parts, len_blocks) }
+    }
 }
 
-/// Loads one round key. SSE2 is part of the `x86_64` baseline.
+/// Loads one 16-byte block (a round key or message bytes) in memory order.
+/// SSE2 is part of the `x86_64` baseline.
 #[inline(always)]
-fn load_key(key: &Block) -> __m128i {
-    // SAFETY: `key` is 16 readable bytes and `loadu` has no alignment
+fn load_block(block: &Block) -> __m128i {
+    // SAFETY: `block` is 16 readable bytes and `loadu` has no alignment
     // requirement.
-    unsafe { _mm_loadu_si128(key.as_ptr().cast()) }
+    unsafe { _mm_loadu_si128(block.as_ptr().cast()) }
 }
 
 /// Loads the whole schedule into registers.
 #[inline(always)]
 fn load_keys(round_keys: &[Block; 11]) -> [__m128i; 11] {
-    round_keys.map(|k| load_key(&k))
+    round_keys.map(|k| load_block(&k))
 }
 
 /// Reverses the bytes of each 32-bit lane: maps the little-endian in-memory
@@ -93,17 +113,52 @@ fn state_to_words(s: __m128i, mask: __m128i) -> [u32; 4] {
     out
 }
 
-/// AES-128 over one block. A CBC chain is serial, so this is latency-bound
-/// on the 10 dependent `aesenc` steps.
-#[target_feature(enable = "aes,ssse3")]
-fn encrypt1(round_keys: &[Block; 11], w: [u32; 4]) -> [u32; 4] {
-    let k = load_keys(round_keys);
-    let mask = swap_mask();
-    let mut s = _mm_xor_si128(words_to_state(w, mask), k[0]);
+/// AES-128 over one state already in the cipher's byte order. A CBC chain
+/// is serial, so this is latency-bound on the 10 dependent `aesenc` steps.
+#[inline]
+#[target_feature(enable = "aes")]
+fn encrypt_state(k: &[__m128i; 11], s: __m128i) -> __m128i {
+    let mut s = _mm_xor_si128(s, k[0]);
     for key in &k[1..10] {
         s = _mm_aesenc_si128(s, *key);
     }
-    state_to_words(_mm_aesenclast_si128(s, k[10]), mask)
+    _mm_aesenclast_si128(s, k[10])
+}
+
+/// AES-128 over one block.
+#[target_feature(enable = "aes,ssse3")]
+fn encrypt1(round_keys: &[Block; 11], w: [u32; 4]) -> [u32; 4] {
+    let mask = swap_mask();
+    state_to_words(
+        encrypt_state(&load_keys(round_keys), words_to_state(w, mask)),
+        mask,
+    )
+}
+
+/// CBC-MAC chaining from `state` over `parts`, each preceded by its length
+/// block when `len_blocks` is set, with a short last chunk zero-padded.
+#[target_feature(enable = "aes,ssse3")]
+fn chain(round_keys: &[Block; 11], state: [u32; 4], parts: &[&[u8]], len_blocks: bool) -> [u32; 4] {
+    let k = load_keys(round_keys);
+    let mask = swap_mask();
+    let mut s = words_to_state(state, mask);
+    for part in parts {
+        if len_blocks {
+            // Bytes 0..8 little-endian: exactly the low 64-bit lane.
+            let len = _mm_set_epi64x(0, part.len() as i64);
+            s = encrypt_state(&k, _mm_xor_si128(s, len));
+        }
+        let (blocks, tail) = part.as_chunks::<16>();
+        for block in blocks {
+            s = encrypt_state(&k, _mm_xor_si128(s, load_block(block)));
+        }
+        if !tail.is_empty() {
+            let mut last = [0u8; 16];
+            last[..tail.len()].copy_from_slice(tail);
+            s = encrypt_state(&k, _mm_xor_si128(s, load_block(&last)));
+        }
+    }
+    state_to_words(s, mask)
 }
 
 /// AES-128 over four independent blocks, interleaved per round so the four
