@@ -134,7 +134,14 @@ fn run_parent(
 }
 
 fn main() -> ExitCode {
-    let args: Vec<String> = std::env::args().skip(1).collect();
+    // A command line that is not UTF-8 is malformed, not a crash.
+    let Some(args) = std::env::args_os()
+        .skip(1)
+        .map(|arg| arg.into_string().ok())
+        .collect::<Option<Vec<String>>>()
+    else {
+        return usage();
+    };
     let mut config = ExperimentConfig::default();
     let mut selected: Vec<ExperimentId> = Vec::new();
     let mut csv_dir: Option<String> = None;

@@ -113,3 +113,50 @@ fn against_pairs_runs_with_another_binary() {
     }
     let _ = std::fs::remove_dir_all(&dir);
 }
+
+/// Seeded truncation, bit flips and byte substitutions of valid command
+/// lines, each run in a fresh directory: every mutant exits 0 or 2, and
+/// none panics. The bases hold only cheap experiments and single-digit
+/// numbers, so no mutant can ask for a full sweep or more than 9 threads.
+#[test]
+fn corrupted_command_lines_exit_0_or_2_without_a_panic() {
+    use std::os::unix::ffi::OsStrExt;
+    let bases = [
+        "table3",
+        "recovery",
+        "table3 --transactions 2 --warmup 1 --jobs 1",
+        "recovery --seed 7 --jobs 2 --transactions 3",
+    ];
+    let mut rng = dolos_sim::rng::XorShift::new(0xF1A6_5EED);
+    let (mut ran, mut rejected) = (0, 0);
+    for case in 0..300 {
+        let mut bytes = bases[case % bases.len()].as_bytes().to_vec();
+        let at = rng.next_below(bytes.len() as u64) as usize;
+        match case / bases.len() % 3 {
+            0 => bytes.truncate(at),
+            1 => bytes[at] ^= 1 << rng.next_below(8),
+            _ => bytes[at] = rng.next_below(256) as u8,
+        }
+        // No process argument can hold a NUL byte.
+        if bytes.contains(&0) {
+            continue;
+        }
+        let line = String::from_utf8_lossy(&bytes).into_owned();
+        let dir = fresh_dir(&format!("sweep-{case}"));
+        let out = std::process::Command::new(BIN)
+            .current_dir(&dir)
+            .args(bytes.split(|&b| b == b' ').map(std::ffi::OsStr::from_bytes))
+            .output()
+            .expect("spawn experiments");
+        let _ = std::fs::remove_dir_all(&dir);
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(!stderr.contains("panicked"), "{line:?}: {stderr}");
+        match out.status.code() {
+            Some(0) => ran += 1,
+            Some(2) => rejected += 1,
+            code => panic!("{line:?} exited {code:?}: {stderr}"),
+        }
+    }
+    // Both outcomes occur, so mutants reach past the first token.
+    assert!(ran * rejected > 0, "{ran} ran, {rejected} rejected");
+}

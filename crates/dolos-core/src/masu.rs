@@ -41,6 +41,7 @@ use dolos_secmem::layout::MetadataLayout;
 use dolos_secmem::shadow::ShadowTable;
 use dolos_secmem::toc::TreeOfCounters;
 use dolos_sim::flat::FlatMap;
+use dolos_sim::paged::PagedTable;
 use dolos_sim::resource::Pipeline;
 use dolos_sim::stats::StatSet;
 use dolos_sim::trace::{EventKind, TraceEvent, TraceMode, TraceSink};
@@ -83,13 +84,12 @@ pub struct MajorSecurityUnit {
     mt_cache: SetAssocCache,
     shadow: ShadowTable,
     tree: Tree,
-    /// Persistent ECC bits co-located with each data line (keyed by line
-    /// index). Nonvolatile: survives crashes like the data it rides with.
-    /// It grows with every first write to a line (about 27% of writes on
-    /// the paper-eager benchmark, at ~3.3k keys), so a sorted `Vec` would
-    /// pay an O(n) shift per new key; the B-tree inserts in O(log n) and
-    /// keeps key order, so results never depend on hasher state.
-    ecc: BTreeMap<u64, u64>,
+    /// Persistent ECC bits co-located with each data line, keyed by line
+    /// index in the same paged table as the device's lines. Nonvolatile:
+    /// survives crashes like the data it rides with. A line with no entry
+    /// was never written; that presence bit is what `read`,
+    /// `reencrypt_page` and recovery test.
+    ecc: PagedTable<u64>,
     /// Updates per counter block since its last NVM write-back.
     pending_counter_updates: FlatMap<u64>,
     /// Host-side memo cache over the counter-mode pad computation. Purely
@@ -161,7 +161,7 @@ impl MajorSecurityUnit {
             mt_cache,
             shadow: ShadowTable::new(shadow_capacity),
             tree,
-            ecc: BTreeMap::new(),
+            ecc: PagedTable::new(),
             pending_counter_updates: FlatMap::new(),
             // 256 direct-mapped slots: covers the same-page rewrite/read-back
             // window of every workload here at 20 KiB of host memory.
@@ -365,7 +365,7 @@ impl MajorSecurityUnit {
             }
             let addr = LineAddr::containing(page * 4096 + line_in_page as u64 * 64);
             let line_index = addr.line_index();
-            let Some(&ecc) = self.ecc.get(&line_index) else {
+            let Some(&ecc) = self.ecc.get(line_index) else {
                 continue; // never written
             };
             let old_ct = nvm.peek(addr);
@@ -463,7 +463,7 @@ impl MajorSecurityUnit {
         let mut ciphertext = *plaintext;
         xor_in_place(&mut ciphertext, &self.pad_for(addr, counter));
         let mac = data_mac(&self.mac, addr.as_u64(), counter, &ciphertext);
-        self.ecc.insert(addr.line_index(), ecc64(plaintext));
+        *self.ecc.entry(addr.line_index()) = ecc64(plaintext);
 
         // Encoded once: the tree leaf and the cached/persisted block are
         // the same 64 bytes.
@@ -527,7 +527,7 @@ impl MajorSecurityUnit {
             "read outside protected region"
         );
         self.reads_served += 1;
-        if !self.ecc.contains_key(&addr.line_index()) {
+        if !self.ecc.contains_key(addr.line_index()) {
             return Ok((now + 1, [0u8; 64]));
         }
         let page = addr.page_index();
@@ -604,7 +604,7 @@ impl MajorSecurityUnit {
             let mut changed = false;
             for line_in_page in 0..64 {
                 let addr = LineAddr::containing(page * 4096 + line_in_page as u64 * 64);
-                let Some(&ecc) = self.ecc.get(&addr.line_index()) else {
+                let Some(&ecc) = self.ecc.get(addr.line_index()) else {
                     continue;
                 };
                 let ciphertext = nvm.peek(addr);

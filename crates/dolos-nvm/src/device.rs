@@ -1,16 +1,16 @@
 //! PCM device model: real bytes, Table 1 timing.
 //!
-//! The store is sparse (only lines ever written exist) so a "16 GB" device
-//! costs memory proportional to the working set. Reads of never-written lines
-//! return zeroes, matching a zero-initialized medium.
+//! The store is a [`PagedTable`] keyed by line index: only pages of 64
+//! lines that hold a written line exist, so a "16 GB" device costs memory
+//! proportional to the working set. Reads of never-written lines return
+//! zeroes, matching a zero-initialized medium.
 //!
 //! Timing follows the paper's DDR-based PCM: 150 ns reads and 500 ns writes,
 //! i.e. 600 and 2000 cycles at the 4 GHz core clock. Reads and writes each
 //! serialize on their own port; this deliberately simple channel model is the
 //! same abstraction level the paper's table implies.
 
-use std::collections::BTreeMap;
-
+use dolos_sim::paged::PagedTable;
 use dolos_sim::resource::Pipeline;
 use dolos_sim::stats::StatSet;
 use dolos_sim::trace::{EventKind, TraceEvent, TraceMode, TraceSink};
@@ -44,11 +44,13 @@ struct StoredLine {
     programs: u64,
 }
 
-impl StoredLine {
-    const BLANK: Self = Self {
-        data: [0; LINE_SIZE],
-        programs: 0,
-    };
+impl Default for StoredLine {
+    fn default() -> Self {
+        Self {
+            data: [0; LINE_SIZE],
+            programs: 0,
+        }
+    }
 }
 
 /// The non-volatile memory device: a sparse line store plus timing ports.
@@ -59,11 +61,11 @@ impl StoredLine {
 /// model (spoofing, relocation, replay).
 #[derive(Debug, Clone)]
 pub struct NvmDevice {
-    /// Line store, ordered by address: range scans (recovery's counter-region
-    /// enumeration) come out sorted for free, and nothing downstream can
-    /// observe hasher-dependent order. Each line carries its own endurance
-    /// count, so a timed write is one tree operation.
-    lines: BTreeMap<u64, StoredLine>,
+    /// Line store keyed by line index, in pages of 64 lines allocated on
+    /// first touch. Iteration is in address order, so range scans
+    /// (recovery's counter-region enumeration) come out sorted. Each line
+    /// carries its own endurance count, so a timed write is one lookup.
+    lines: PagedTable<StoredLine>,
     read_port: Pipeline,
     write_port: Pipeline,
     reads: u64,
@@ -75,7 +77,7 @@ pub struct NvmDevice {
 impl Default for NvmDevice {
     fn default() -> Self {
         Self {
-            lines: BTreeMap::new(),
+            lines: PagedTable::new(),
             read_port: Pipeline::new(READ_ISSUE_INTERVAL, READ_LATENCY),
             write_port: Pipeline::new(WRITE_ISSUE_INTERVAL, WRITE_LATENCY),
             reads: 0,
@@ -146,14 +148,14 @@ impl NvmDevice {
     /// [`NvmDevice::read_line`].
     pub fn peek(&self, addr: LineAddr) -> Line {
         self.lines
-            .get(&addr.as_u64())
+            .get(addr.line_index())
             .map_or([0; LINE_SIZE], |line| line.data)
     }
 
     /// The resident entry for `addr`, created blank if the line was never
     /// stored.
     fn cell(&mut self, addr: LineAddr) -> &mut StoredLine {
-        self.lines.entry(addr.as_u64()).or_insert(StoredLine::BLANK)
+        self.lines.entry(addr.line_index())
     }
 
     /// Writes a line's contents without consuming device time.
@@ -234,7 +236,7 @@ impl NvmDevice {
     /// Timed writes a given line has endured.
     pub fn line_write_count(&self, addr: LineAddr) -> u64 {
         self.lines
-            .get(&addr.as_u64())
+            .get(addr.line_index())
             .map_or(0, |line| line.programs)
     }
 
@@ -245,10 +247,10 @@ impl NvmDevice {
     pub fn max_line_writes(&self) -> Option<(LineAddr, u64)> {
         self.lines
             .iter()
-            .map(|(&a, line)| (a, line.programs))
+            .map(|(index, line)| (index, line.programs))
             .filter(|&(_, c)| c > 0)
             .max_by(|(a1, c1), (a2, c2)| c1.cmp(c2).then(a2.cmp(a1)))
-            .map(|(a, c)| (LineAddr::containing(a), c))
+            .map(|(index, c)| (LineAddr::from_index(index), c))
     }
 
     /// Number of distinct lines ever written.
@@ -258,12 +260,13 @@ impl NvmDevice {
 
     /// Addresses of resident (ever-written) lines within `[start, end)`,
     /// sorted. Recovery uses this to enumerate the counter-block region
-    /// without scanning the full device; the ordered store makes this a
-    /// range scan instead of a filter-and-sort over every resident line.
+    /// without scanning the full device: the paged store skips every page
+    /// below `start` and stops at `end`.
     pub fn resident_lines_in(&self, start: u64, end: u64) -> Vec<LineAddr> {
+        let line = LINE_SIZE as u64;
         self.lines
-            .range(start..end)
-            .map(|(&a, _)| LineAddr::containing(a))
+            .range(start.div_ceil(line), end.div_ceil(line))
+            .map(|(index, _)| LineAddr::from_index(index))
             .collect()
     }
 
@@ -455,6 +458,74 @@ mod tests {
         assert_eq!(nvm.max_line_writes(), Some((addr(64), 2)));
         assert_eq!(nvm.resident_lines(), 5);
         assert_eq!(nvm.stats().get("nvm.writes"), Some(3.0));
+    }
+
+    /// The store's semantics hold across its page (64 lines) and chunk
+    /// boundaries: lines on either side of each, and one far above 2^63.
+    #[test]
+    fn semantics_hold_across_page_and_chunk_boundaries() {
+        use dolos_sim::paged::{CHUNK_PAGES, PAGE_SLOTS};
+        let page = (PAGE_SLOTS * LINE_SIZE) as u64;
+        let chunk = page * CHUNK_PAGES as u64;
+        let lines = [
+            page - 64,
+            page,
+            page + 64,
+            chunk - 64,
+            chunk,
+            chunk + page,
+            (1 << 63) + 64,
+        ];
+        let mut nvm = NvmDevice::new();
+        for (i, &a) in lines.iter().enumerate() {
+            nvm.poke(addr(a), &[i as u8 + 1; 64]);
+        }
+        assert_eq!(nvm.resident_lines(), lines.len());
+        assert_eq!(nvm.max_line_writes(), None, "pokes never count");
+
+        // Mid-page bounds: half-open, sorted, across both boundaries.
+        let got = |lo: u64, hi: u64| nvm.resident_lines_in(lo, hi);
+        assert_eq!(got(page - 32, page + 64), [addr(page)]);
+        assert_eq!(
+            got(page - 64, page + 65),
+            [addr(page - 64), addr(page), addr(page + 64)]
+        );
+        assert_eq!(
+            got(page + 1, chunk + 1),
+            [addr(page + 64), addr(chunk - 64), addr(chunk)]
+        );
+        assert_eq!(
+            got(chunk + 1, u64::MAX),
+            [addr(chunk + page), addr((1 << 63) + 64)]
+        );
+        assert_eq!(got(chunk, chunk), []);
+        assert_eq!(got(chunk + 64, chunk), []);
+
+        // Equal counts on both sides of each boundary: the lowest address
+        // wins the tie.
+        for &a in &lines[1..] {
+            nvm.write_line(Cycle::ZERO, addr(a), &[9; 64]);
+            nvm.write_line(Cycle::ZERO, addr(a), &[9; 64]);
+        }
+        assert_eq!(nvm.max_line_writes(), Some((addr(page), 2)));
+        nvm.write_line(Cycle::ZERO, addr(chunk), &[9; 64]);
+        assert_eq!(nvm.max_line_writes(), Some((addr(chunk), 3)));
+        nvm.poke(addr(page - 64), &[7; 64]);
+        assert_eq!(nvm.line_write_count(addr(page - 64)), 0);
+
+        // A snapshot across both boundaries, partially restored.
+        let old = nvm.snapshot_range(page - 64, chunk + page + 64);
+        let old_addrs: Vec<LineAddr> = old.iter().map(|&(a, _)| a).collect();
+        assert_eq!(old_addrs, nvm.resident_lines_in(0, chunk + page + 64));
+        assert_eq!(old.len(), 6);
+        for &a in &lines {
+            nvm.poke(addr(a), &[0xEE; 64]);
+        }
+        nvm.restore_lines(&old[2..5]);
+        let now: Vec<u8> = lines.iter().map(|&a| nvm.peek(addr(a))[0]).collect();
+        assert_eq!(now, [0xEE, 0xEE, 9, 9, 9, 0xEE, 0xEE]);
+        assert_eq!(nvm.line_write_count(addr(chunk)), 3, "restores never count");
+        assert_eq!(nvm.resident_lines(), lines.len());
     }
 
     #[test]

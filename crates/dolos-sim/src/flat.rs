@@ -13,13 +13,12 @@
 //! Inserting a *new* key is `O(n)` (a memmove), so `FlatMap` fits tables
 //! that stay small (bounded by a queue or cache capacity) or whose key set
 //! stops growing early, so that lookups and in-place updates dominate. It is
-//! the wrong choice for a large table that keeps taking new keys. The Ma-SU's
-//! per-line ECC sidecar is one: on the paper-eager benchmark about 27% of its
-//! inserts add a key, to a table of ~3.3k entries on average, and as a
-//! `FlatMap` that memmove was a measurable share of every write. It is a
-//! `BTreeMap` now, which keeps the ordered iteration at `O(log n)` per insert.
-//! The WHISPER environment's dirty-line set is another: it grows to every
-//! line a run dirties, so it is a flag in the environment's paged line image.
+//! the wrong choice for a large table that keeps taking new keys, such as
+//! the per-line stores: the NVM device's lines, the Ma-SU's ECC sidecar
+//! (on the paper-eager benchmark about 27% of its inserts add a key) and
+//! the WHISPER environment's line image with its dirty flags. Those are
+//! [`crate::paged::PagedTable`]s, which insert in place and iterate in the
+//! same ascending key order.
 //!
 //! # Examples
 //!

@@ -19,6 +19,8 @@
 //!   every hand-rolled JSON report;
 //! * [`flat`] — a sorted flat map used for per-line metadata tables whose
 //!   iteration order must be reproducible;
+//! * [`paged`] — the paged line table behind the NVM device, the Ma-SU's
+//!   ECC sidecar and the WHISPER environment's line image;
 //! * [`table`] — plain-text table rendering shared by every report surface;
 //! * [`trace`] — cycle-stamped event/span vocabulary the timing-bearing
 //!   crates emit into and the `dolos-trace` analysis crate consumes.
@@ -51,6 +53,7 @@
 
 pub mod flat;
 pub mod json;
+pub mod paged;
 pub mod pool;
 pub mod queue;
 pub mod resource;

@@ -67,3 +67,16 @@ fn flags_a_subcommand_does_not_use_exit_2() {
         assert_eq!(out.status.code(), Some(2), "{args}");
     }
 }
+
+#[test]
+fn a_command_line_that_is_not_utf8_exits_2() {
+    use std::os::unix::ffi::OsStrExt;
+    let out = std::process::Command::new(env!("CARGO_BIN_EXE_dolos-trace"))
+        .args(["record", "--workload"])
+        .arg(std::ffi::OsStr::from_bytes(b"Hash\xffmap"))
+        .output()
+        .expect("spawn dolos-trace");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(2), "{stderr}");
+    assert!(!stderr.contains("panicked"), "{stderr}");
+}

@@ -193,7 +193,14 @@ fn replay(args: &[String]) -> ExitCode {
 }
 
 fn main() -> ExitCode {
-    let args: Vec<String> = std::env::args().skip(1).collect();
+    // A command line that is not UTF-8 is malformed, not a crash.
+    let Some(args) = std::env::args_os()
+        .skip(1)
+        .map(|arg| arg.into_string().ok())
+        .collect::<Option<Vec<String>>>()
+    else {
+        usage();
+    };
     match args.first().map(String::as_str) {
         Some("campaign") => campaign(&args[1..]),
         Some("replay") => replay(&args[1..]),

@@ -5,11 +5,11 @@
 //! CPU caches), explicit `clwb`/`sfence` persistence, a bump allocator, and
 //! an instruction/cycle accounting model.
 //!
-//! The cache image is one paged line table indexed by address: a page holds
-//! 64 line slots of `{data, present, dirty}`, allocated on first touch. A
-//! store edits its slot in place, and `clwb`, `sfence` and dirty-eviction
-//! write-backs read and clear the dirty flag on that same slot. The CPU
-//! cache hierarchy beside it keeps tags only.
+//! The cache image is a [`PagedTable`] keyed by line index: an entry of
+//! `{data, dirty}` exists while the CPU holds a copy of the line. A store
+//! edits its entry in place, `clwb` and `sfence` read and clear the dirty
+//! flag on that same entry, and a dirty-eviction write-back removes it. The
+//! CPU cache hierarchy beside it keeps tags only.
 //!
 //! Persistence semantics mirror x86: stores land in the (volatile) cache
 //! image; [`PmEnv::clwb`] queues a line for write-back; [`PmEnv::sfence`]
@@ -19,6 +19,7 @@
 //! yet fenced.
 
 use dolos_core::{RecoveryReport, SecureMemorySystem, SecurityError};
+use dolos_sim::paged::PagedTable;
 use dolos_sim::Cycle;
 
 use crate::cpu_cache::CpuCacheHierarchy;
@@ -30,63 +31,21 @@ use crate::trace::{Trace, TraceOp};
 /// reports (473 cycles on average across WHISPER).
 pub const OP_COST: u64 = 12;
 
-/// Lines per page of the line image: a page covers 4 KiB of the region.
-const PAGE_LINES: usize = 64;
-
-/// One line of the CPU-side image.
+/// One line the CPU holds a copy of.
 #[derive(Debug)]
 struct LineSlot {
+    /// The line's current value.
     data: [u8; 64],
-    /// The CPU holds a copy: `data` is the line's current value.
-    present: bool,
     /// Modified since its last write-back.
     dirty: bool,
 }
 
-impl LineSlot {
-    const EMPTY: Self = Self {
-        data: [0; 64],
-        present: false,
-        dirty: false,
-    };
-}
-
-/// The volatile line image: pages of [`PAGE_LINES`] slots indexed by
-/// address, each allocated on first touch. The page vector only grows as
-/// far as the highest line touched.
-#[derive(Debug, Default)]
-struct LineImage {
-    pages: Vec<Option<Box<[LineSlot; PAGE_LINES]>>>,
-}
-
-impl LineImage {
-    fn index(line: u64) -> (usize, usize) {
-        let n = (line / 64) as usize;
-        (n / PAGE_LINES, n % PAGE_LINES)
-    }
-
-    /// The slot of `line`, allocating its page if needed.
-    fn slot_mut(&mut self, line: u64) -> &mut LineSlot {
-        let (page, slot) = Self::index(line);
-        if page >= self.pages.len() {
-            self.pages.resize_with(page + 1, || None);
+impl Default for LineSlot {
+    fn default() -> Self {
+        Self {
+            data: [0; 64],
+            dirty: false,
         }
-        let page = self.pages[page].get_or_insert_with(|| Box::new([LineSlot::EMPTY; PAGE_LINES]));
-        &mut page[slot]
-    }
-
-    /// The slot of `line` if its page exists.
-    fn get_mut(&mut self, line: u64) -> Option<&mut LineSlot> {
-        let (page, slot) = Self::index(line);
-        self.pages
-            .get_mut(page)?
-            .as_deref_mut()
-            .map(|page| &mut page[slot])
-    }
-
-    /// Drops every page.
-    fn clear(&mut self) {
-        self.pages.clear();
     }
 }
 
@@ -112,8 +71,8 @@ pub struct PmEnv {
     instructions: u64,
     heap_next: u64,
     heap_end: u64,
-    /// Volatile CPU-side copy of the region, one slot per line.
-    image: LineImage,
+    /// Volatile CPU-side copy of the lines the CPU holds, by line index.
+    image: PagedTable<LineSlot>,
     /// Lines queued by `clwb`, persisted at the next `sfence`.
     flush_queue: Vec<u64>,
     fences: u64,
@@ -134,7 +93,7 @@ impl PmEnv {
             instructions: 0,
             heap_next: 64, // keep null (0) unallocated
             heap_end,
-            image: LineImage::default(),
+            image: PagedTable::new(),
             flush_queue: Vec::new(),
             fences: 0,
             flushes: 0,
@@ -236,11 +195,10 @@ impl PmEnv {
     /// the CPU drops its copy.
     fn handle_writebacks(&mut self, evicted: Vec<u64>) {
         for line in evicted {
-            let Some(slot) = self.image.get_mut(line).filter(|slot| slot.present) else {
+            let Some(slot) = self.image.remove(line / 64) else {
                 continue;
             };
-            slot.present = false;
-            if std::mem::take(&mut slot.dirty) {
+            if slot.dirty {
                 let _ = self.system.persist_write(self.now, line, &slot.data);
                 if let Some(trace) = self.recorder.as_mut() {
                     trace.push(TraceOp::Writeback(line));
@@ -253,7 +211,7 @@ impl PmEnv {
 
     /// Accesses `line` through the cache hierarchy, loading it from memory
     /// if no level (and no CPU-side copy) holds it. Returns the line's slot
-    /// in the image, present.
+    /// in the image.
     fn touch_line(&mut self, line: u64, write: bool) -> &mut LineSlot {
         let access = self.caches.access(line, write);
         self.now += access.latency;
@@ -261,18 +219,15 @@ impl PmEnv {
             trace.push(TraceOp::Delay(access.latency));
         }
         self.handle_writebacks(access.writebacks);
-        let slot = self.image.slot_mut(line);
-        if !slot.present {
+        self.image.get_or_insert_with(line / 64, || {
             // Memory read through the secure controller (timed + verified).
             let (done, data) = self.system.read(self.now, line);
             self.now = done;
-            slot.data = data;
-            slot.present = true;
             if let Some(trace) = self.recorder.as_mut() {
                 trace.push(TraceOp::Read(line));
             }
-        }
-        slot
+            LineSlot { data, dirty: false }
+        })
     }
 
     /// Writes bytes at `addr` (volatile until flushed).
@@ -331,7 +286,7 @@ impl PmEnv {
         let last = Self::line_of(addr + len.max(1) - 1);
         let mut line = first;
         loop {
-            let dirty = self.image.get_mut(line).is_some_and(|slot| slot.dirty);
+            let dirty = self.image.get(line / 64).is_some_and(|slot| slot.dirty);
             if dirty && !self.flush_queue.contains(&line) {
                 self.flush_queue.push(line);
                 self.flushes += 1;
@@ -359,9 +314,9 @@ impl PmEnv {
             trace.push(TraceOp::PersistBatch(queue.clone()));
         }
         for line in queue {
-            // Queued lines are dirty, hence present: a write-back that
+            // Queued lines are dirty, hence held: a write-back that
             // evicted one also dropped it from the queue.
-            let slot = self.image.slot_mut(line);
+            let slot = self.image.entry(line / 64);
             slot.dirty = false;
             let done = self.system.persist_write(start, line, &slot.data);
             fence_done = fence_done.max(done);
@@ -442,18 +397,33 @@ mod tests {
     }
 
     #[test]
-    fn line_image_grows_to_the_highest_touched_page_and_crash_drops_it() {
+    fn crash_drops_every_cached_line_and_later_reads_come_from_nvm() {
         let mut e = env();
-        let allocated = |e: &PmEnv| e.image.pages.iter().filter(|p| p.is_some()).count();
-        e.write_u64(10 * 4096 + 64, 7);
-        assert_eq!(e.image.pages.len(), 11);
-        assert_eq!(allocated(&e), 1);
+        let far = 10 * 4096 + 64;
+        e.write_u64(64, 1);
+        e.persist(64, 8);
+        e.write_u64(64, 2); // cached, never flushed
+        e.write_u64(far, 7); // another page, never flushed
         assert_eq!(e.read_u64(8), 0);
-        assert_eq!((e.image.pages.len(), allocated(&e)), (11, 2));
+        assert_eq!(e.image.len(), 3);
         e.crash();
-        assert!(e.image.pages.is_empty());
+        assert!(e.image.is_empty(), "the crash drops every cached line");
         e.recover().expect("clean recovery");
-        assert_eq!(e.read_u64(10 * 4096 + 64), 0);
+        e.start_recording();
+        assert_eq!(e.read_u64(64), 1, "the flushed value");
+        assert_eq!(e.read_u64(far), 0, "the unflushed store is lost");
+        assert_eq!(e.read_u64(8), 0);
+        assert_eq!(e.read_u64(64), 1, "cached again: no second load");
+        let loads: Vec<u64> = e
+            .take_trace()
+            .expect("recording")
+            .iter()
+            .filter_map(|op| match op {
+                TraceOp::Read(line) => Some(*line),
+                _ => None,
+            })
+            .collect();
+        assert_eq!(loads, [64, far, 0], "each line loads from memory once");
     }
 
     #[test]
@@ -462,7 +432,7 @@ mod tests {
         e.write_u64(64, 1);
         e.clwb(64 * 4096, 64 * 1024);
         assert_eq!(e.flushes(), 0);
-        assert_eq!(e.image.pages.len(), 1);
+        assert_eq!(e.image.len(), 1);
         e.clwb(64, 8);
         e.clwb(64, 8);
         assert_eq!(e.flushes(), 1, "a queued line is queued once");
