@@ -770,6 +770,7 @@ impl ExperimentConfig {
                 w.transaction(&mut env, 1024, &mut rng);
             }
             env.crash();
+            #[expect(clippy::expect_used, reason = "a clean crash always recovers")]
             let report = env.recover().expect("clean recovery");
             // One crash-and-recover simulation is one cell of real work; its
             // cycles are simulated time like any sweep cell's, just run

@@ -1,6 +1,7 @@
 //! End-to-end checks of the `experiments` command line: a valid run exits
 //! 0, and a malformed command line exits 2 without a panic, as
 //! `dolos-verify` and `dolos-trace` do.
+#![expect(clippy::expect_used, reason = "helpers fail loudly on I/O errors")]
 
 use std::path::{Path, PathBuf};
 use std::process::Output;

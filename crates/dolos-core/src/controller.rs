@@ -281,18 +281,19 @@ impl SecureMemorySystem {
                 // it secured before insertion. Either way the drain is just
                 // the data write, and the slot frees when the device accepts
                 // it (not when the cells finish programming).
+                #[expect(clippy::disallowed_methods, reason = "WPQ drain: the data line write")]
                 let (accepted, _completed) = self.nvm.write_line_ticket(start, addr, payload);
                 accepted
             }
             ControllerKind::DeferredSecure => {
                 // Full pipeline behind the WPQ, payload still plaintext.
-                self.masu
-                    .as_mut()
-                    .expect("deferred has a Ma-SU")
-                    .process_write(start, addr, payload, &mut self.nvm)
+                #[expect(clippy::expect_used, reason = "deferred kind always has a Ma-SU")]
+                let masu = self.masu.as_mut().expect("deferred has a Ma-SU");
+                masu.process_write(start, addr, payload, &mut self.nvm)
             }
             ControllerKind::Dolos(_) => {
                 // ① decrypt with the slot pad (one XOR), ②③ full pipeline.
+                #[expect(clippy::expect_used, reason = "Dolos kind always has a Mi-SU")]
                 let misu = self.misu.as_mut().expect("dolos has a Mi-SU");
                 let plaintext = misu.decrypt(slot, payload);
                 if self.trace.is_enabled() {
@@ -304,10 +305,9 @@ impl SecureMemorySystem {
                         0,
                     );
                 }
-                self.masu
-                    .as_mut()
-                    .expect("dolos has a Ma-SU")
-                    .process_write(start + 1, addr, &plaintext, &mut self.nvm)
+                #[expect(clippy::expect_used, reason = "Dolos kind always has a Ma-SU")]
+                let masu = self.masu.as_mut().expect("dolos has a Ma-SU");
+                masu.process_write(start + 1, addr, &plaintext, &mut self.nvm)
             }
         }
     }
@@ -343,6 +343,7 @@ impl SecureMemorySystem {
                     let Some(entry) = self.wpq.fetch_oldest(bank) else {
                         break;
                     };
+                    #[expect(clippy::expect_used, reason = "each queued entry has a ready time")]
                     let ready = self.ready_times[bank]
                         .pop_front()
                         .expect("ready_times tracks queued entries");
@@ -403,6 +404,7 @@ impl SecureMemorySystem {
     /// When the oldest in-flight drain of `bank` completes (used to wait on
     /// a full shard). The shard being full guarantees an in-flight entry
     /// exists.
+    #[expect(clippy::expect_used, reason = "a full bank has an in-flight drain")]
     fn next_slot_free_at(&self, bank: usize) -> Cycle {
         self.inflight[bank]
             .front()
@@ -421,6 +423,7 @@ impl SecureMemorySystem {
     ///
     /// Panics if the system is crashed or the address is not 64-byte
     /// aligned / outside the protected region.
+    #[expect(clippy::expect_used, reason = "documented panic (# Panics)")]
     pub fn persist_write(&mut self, now: Cycle, addr: u64, data: &Line) -> Cycle {
         self.try_persist_write(now, addr, data)
             .expect("persist interrupted by an injected power failure")
@@ -447,6 +450,7 @@ impl SecureMemorySystem {
         data: &Line,
     ) -> Result<Cycle, SecurityError> {
         assert!(!self.crashed, "persist on a crashed system");
+        #[expect(clippy::expect_used, reason = "documented panic: unaligned address")]
         let addr = LineAddr::new(addr).expect("persist address must be line-aligned");
         assert!(
             self.layout.is_data_addr(addr),
@@ -472,6 +476,7 @@ impl SecureMemorySystem {
         // line may enter the persistence domain.
         let payload_pre = match self.config.kind {
             ControllerKind::PreWpqSecure => {
+                #[expect(clippy::expect_used, reason = "the baseline always has a Ma-SU")]
                 let masu = self.masu.as_mut().expect("baseline has a Ma-SU");
                 let (done, ciphertext) = masu.secure_write(t, addr, data, &mut self.nvm, false);
                 t = done;
@@ -535,9 +540,11 @@ impl SecureMemorySystem {
             }
             let (done, payload, mac) = match self.config.kind {
                 ControllerKind::Dolos(_) => {
+                    #[expect(clippy::expect_used, reason = "Dolos kind always has a Mi-SU")]
                     let misu = self.misu.as_mut().expect("dolos has a Mi-SU");
                     misu.protect(t, slot, addr, data)
                 }
+                #[expect(clippy::expect_used, reason = "set above for the baseline")]
                 ControllerKind::PreWpqSecure => (t, payload_pre.expect("secured above"), None),
                 _ => (t, *data, None),
             };
@@ -613,6 +620,7 @@ impl SecureMemorySystem {
     /// Panics if the system is crashed, the address is unaligned or outside
     /// the protected region, or (test invariant) integrity verification
     /// fails — use [`SecureMemorySystem::try_read`] to observe attacks.
+    #[expect(clippy::expect_used, reason = "documented panic (# Panics)")]
     pub fn read(&mut self, now: Cycle, addr: u64) -> (Cycle, Line) {
         self.try_read(now, addr)
             .expect("integrity verification failed")
@@ -630,6 +638,7 @@ impl SecureMemorySystem {
     /// Panics if the system is crashed or the address is invalid.
     pub fn try_read(&mut self, now: Cycle, addr: u64) -> Result<(Cycle, Line), SecurityError> {
         assert!(!self.crashed, "read on a crashed system");
+        #[expect(clippy::expect_used, reason = "documented panic: unaligned address")]
         let addr = LineAddr::new(addr).expect("read address must be line-aligned");
         assert!(
             self.layout.is_data_addr(addr),
@@ -646,11 +655,13 @@ impl SecureMemorySystem {
             let slot = entry.slot;
             self.read_wpq_hits += 1;
             let data = match self.config.kind {
+                #[expect(clippy::expect_used, reason = "Dolos kind always has a Mi-SU")]
                 ControllerKind::Dolos(_) => self
                     .misu
                     .as_ref()
                     .expect("dolos has a Mi-SU")
                     .decrypt(slot, &payload),
+                #[expect(clippy::expect_used, reason = "the baseline always has a Ma-SU")]
                 ControllerKind::PreWpqSecure => self
                     .masu
                     .as_mut()
@@ -677,6 +688,7 @@ impl SecureMemorySystem {
 
     /// Drains the WPQ completely and waits for the background engine — used
     /// by tests and between workload phases. Returns the quiescent time.
+    #[expect(clippy::expect_used, reason = "try_quiesce is the fallible form")]
     pub fn quiesce(&mut self, now: Cycle) -> Cycle {
         self.try_quiesce(now)
             .expect("quiesce interrupted by an injected power failure")
@@ -705,6 +717,7 @@ impl SecureMemorySystem {
             match latest {
                 Some(done) => t = done,
                 None if self.wpq.is_empty() => return Ok(t),
+                #[expect(clippy::unreachable, reason = "advance starts work on live entries")]
                 None => unreachable!("advance starts work while entries remain"),
             }
         }
@@ -724,16 +737,19 @@ impl SecureMemorySystem {
         match self.config.kind {
             ControllerKind::Dolos(_) => {
                 let layout = self.layout;
+                #[expect(clippy::expect_used, reason = "Dolos kind always has a Mi-SU")]
                 let misu = self.misu.as_mut().expect("dolos has a Mi-SU");
                 misu.drain_to_nvm(&occupied, &mut self.nvm, &layout);
             }
             ControllerKind::PreWpqSecure => {
                 for entry in &occupied {
+                    #[expect(clippy::disallowed_methods, reason = "ADR dump: baseline ciphertext")]
                     self.nvm.poke(entry.addr, &entry.payload);
                 }
             }
             ControllerKind::IdealNonSecure => {
                 for entry in &occupied {
+                    #[expect(clippy::disallowed_methods, reason = "ADR dump: ideal plaintext")]
                     self.nvm.poke(entry.addr, &entry.payload);
                 }
             }
@@ -742,6 +758,7 @@ impl SecureMemorySystem {
                 // the very thing the paper argues exceeds the ADR budget. We
                 // model the functional effect regardless.
                 for entry in &occupied {
+                    #[expect(clippy::expect_used, reason = "deferred kind always has a Ma-SU")]
                     let masu = self.masu.as_mut().expect("deferred has a Ma-SU");
                     masu.process_write(now, entry.addr, &entry.payload, &mut self.nvm);
                 }
@@ -813,10 +830,12 @@ impl SecureMemorySystem {
                         point: InjectionPoint::RecoveryReplay,
                     });
                 }
+                #[expect(clippy::expect_used, reason = "Dolos kind always has a Ma-SU")]
                 let masu = self.masu.as_mut().expect("dolos has a Ma-SU");
                 masu.process_write(Cycle::ZERO, addr, &plaintext, &mut self.nvm);
             }
             // All entries are home: only now advance the pad/MAC epoch.
+            #[expect(clippy::expect_used, reason = "recovery checked the Mi-SU above")]
             self.misu.as_mut().expect("checked above").finish_recovery();
         }
         self.crashed = false;
@@ -896,6 +915,7 @@ pub(crate) mod reference_drain {
     //! this model and through a [`BankSet`] with `banks = 1` driven by the
     //! production scheduling rules, asserting identical retire sequences,
     //! occupancy, and statistics.
+    #![expect(clippy::unreachable, reason = "test-only model of the drain loops")]
 
     use std::collections::VecDeque;
 

@@ -454,6 +454,7 @@ impl MinorSecurityUnit {
         let mut mac_table = vec![[0u8; 8]; self.physical_entries];
         let mut order_table = vec![EMPTY_SLOT; self.physical_entries];
         for (pos, entry) in entries.iter().enumerate() {
+            #[expect(clippy::disallowed_methods, reason = "ADR dump: WPQ entry payloads")]
             nvm.poke(layout.wpq_dump_addr(entry.slot as u64), &entry.payload);
             addr_table[entry.slot] = entry.addr.as_u64();
             order_table[pos] = entry.slot as u64;
@@ -479,6 +480,7 @@ impl MinorSecurityUnit {
                 for (j, &v) in chunk.iter().enumerate() {
                     line[j * 8..j * 8 + 8].copy_from_slice(&v.to_le_bytes());
                 }
+                #[expect(clippy::disallowed_methods, reason = "ADR dump: the slot tables")]
                 nvm.poke(
                     layout.wpq_dump_addr(slots + t as u64 * addr_lines + i as u64),
                     &line,
@@ -672,6 +674,7 @@ impl MinorSecurityUnit {
 
 #[cfg(test)]
 mod tests {
+    #![expect(clippy::disallowed_methods, reason = "tests tamper with NVM directly")]
     use super::*;
 
     fn addr(i: u64) -> LineAddr {

@@ -116,6 +116,7 @@ impl NvmDevice {
     }
 
     /// Writes a line, returning the completion time.
+    #[expect(clippy::disallowed_methods, reason = "delegates to the ticketed write")]
     pub fn write_line(&mut self, now: Cycle, addr: LineAddr, data: &Line) -> Cycle {
         self.write_line_ticket(now, addr, data).1
     }
@@ -194,7 +195,7 @@ impl NvmDevice {
 
     /// Replays previously captured contents into a line (replay attack).
     pub fn replay_snapshot(&mut self, addr: LineAddr, old: &Line) {
-        self.poke(addr, old);
+        self.cell(addr).data = *old;
     }
 
     /// Captures every resident line in `[start, end)`, sorted by address.
@@ -213,7 +214,7 @@ impl NvmDevice {
     /// write burst: some lines carry the new epoch, the rest the old one.
     pub fn restore_lines(&mut self, lines: &[(LineAddr, Line)]) {
         for (addr, data) in lines {
-            self.poke(*addr, data);
+            self.cell(*addr).data = *data;
         }
     }
 
@@ -286,6 +287,7 @@ impl NvmDevice {
 
 #[cfg(test)]
 mod tests {
+    #![expect(clippy::disallowed_methods, reason = "tests tamper with NVM directly")]
     use super::*;
 
     fn addr(a: u64) -> LineAddr {

@@ -292,6 +292,7 @@ impl WriteQueue {
     pub fn set_mac(&mut self, slot: usize, mac: Mac64) {
         match &mut self.slots[slot] {
             Slot::Live(e) | Slot::Busy(e) => e.mac = Some(mac),
+            #[expect(clippy::panic, reason = "documented panic: the slot is free")]
             Slot::Free => panic!("set_mac on a free WPQ slot"),
         }
     }
@@ -322,6 +323,7 @@ impl WriteQueue {
             Slot::Live(_) => {}
             _ => return None,
         }
+        #[expect(clippy::unreachable, reason = "the match above checked Live")]
         let Slot::Live(entry) = std::mem::replace(&mut self.slots[idx], Slot::Free) else {
             unreachable!("checked above");
         };
@@ -340,6 +342,7 @@ impl WriteQueue {
     /// busy — the Ma-SU clears entries strictly in order.
     pub fn clear(&mut self, slot: usize) {
         assert_eq!(slot, self.next_fetch, "WPQ entries clear in order");
+        #[expect(clippy::panic, reason = "documented panic: clears run in order")]
         let Slot::Busy(entry) = std::mem::replace(&mut self.slots[slot], Slot::Free) else {
             panic!("clearing a WPQ slot that is not busy");
         };

@@ -183,6 +183,7 @@ impl<P: Copy> SetAssocCache<P> {
             return None;
         }
         let evicted = if set.len() == self.ways {
+            #[expect(clippy::expect_used, reason = "a full set has a least-recent way")]
             let lru = set
                 .iter()
                 .enumerate()

@@ -82,6 +82,7 @@ impl ShadowTable {
         if self.index.contains_key(key) {
             return;
         }
+        #[expect(clippy::expect_used, reason = "documented panic: the table is full")]
         let slot = self
             .slots
             .iter()

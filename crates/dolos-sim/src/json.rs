@@ -1,7 +1,7 @@
 //! The JSON helpers every hand-rolled report writer shares.
 //!
 //! The workspace is dependency-free, so each report (`experiments bench`,
-//! `dolos-trace`, `dolos-verify`, `dolos-audit`) formats its own JSON.
+//! `dolos-trace`, `dolos-verify`) formats its own JSON.
 //! Free text goes through [`escape`], and the reports' tests check their
 //! output with [`validate`].
 //!

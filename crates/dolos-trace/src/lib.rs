@@ -29,10 +29,9 @@
 //! no host state, no floating-point ambiguity in any exported field.
 
 #![forbid(unsafe_code)]
-// Panic budget 0: histograms, attribution, profiles and the Chrome export
-// are report paths; a malformed event stream must yield an error.
-#![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
-#![deny(clippy::unreachable, clippy::todo, clippy::unimplemented)]
+// Panic budget 0 (tests/lint_policy.rs): histograms, attribution, profiles
+// and the Chrome export are report paths; a malformed event stream must yield
+// an error.
 #![warn(missing_docs)]
 
 pub mod attrib;

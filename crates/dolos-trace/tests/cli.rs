@@ -1,5 +1,6 @@
 //! End-to-end checks of the `dolos-trace record` and `replay` subcommands:
 //! a recorded trace replays, and hostile input exits 2 without a panic.
+#![expect(clippy::expect_used, reason = "helpers fail loudly if spawning fails")]
 
 use std::process::Output;
 

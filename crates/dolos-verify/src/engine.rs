@@ -194,7 +194,10 @@ fn apply_tamper(
     let n = drop.min(torn.len());
     // The last `n` lines of the burst never left the buffer: they still
     // hold the previous epoch's contents.
-    // audit:allow(persistence-domain) -- torn-dump injection models reserve power dying mid-burst, a loss the WPQ cannot see, so it must bypass it
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "torn-dump injection models reserve power dying mid-burst, a loss the WPQ cannot see"
+    )]
     nvm.restore_lines(&torn[torn.len() - n..]);
     true
 }

@@ -33,11 +33,9 @@
 //! `replay`).
 
 #![forbid(unsafe_code)]
-// Panic budget 0. This crate is the falsifier: its oracles (`engine`,
-// `campaign`, `enumerate`) must report a failure, never abort on one, and
-// `scenario` parses strings from outside the program.
-#![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
-#![deny(clippy::unreachable, clippy::todo, clippy::unimplemented)]
+// Panic budget 0 (tests/lint_policy.rs). This crate is the falsifier: its
+// oracles (`engine`, `campaign`, `enumerate`) must report a failure, never
+// abort on one, and `scenario` parses strings from outside the program.
 #![warn(missing_docs)]
 
 pub mod campaign;

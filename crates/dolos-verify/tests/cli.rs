@@ -1,5 +1,6 @@
 //! The `dolos-verify` command line rejects what it cannot run: every case
 //! here exits 2 with the usage line or an error, and none panics.
+#![expect(clippy::expect_used, reason = "helpers fail loudly if spawning fails")]
 
 use std::process::Command;
 

@@ -124,6 +124,7 @@ impl BTreeWorkload {
     }
 
     fn upsert(&mut self, env: &mut PmEnv, key: u64, value: &[u8]) {
+        #[expect(clippy::expect_used, reason = "setup runs before any transaction")]
         let mut log = self.log.take().expect("setup ran");
         log.begin(env);
         self.upsert_inner(env, &mut log, key, value);
@@ -148,6 +149,7 @@ impl BTreeWorkload {
             log.set_u64(env, self.header, leaf.addr);
             return;
         }
+        #[expect(clippy::expect_used, reason = "the branch above built the root")]
         let (leaf_addr, path) = self.find_leaf(env, key).expect("root exists");
         let mut leaf = self.load(env, leaf_addr);
         if let Ok(pos) = leaf.keys.binary_search(&key) {
@@ -250,10 +252,12 @@ impl Workload for BTreeWorkload {
     fn verify(&mut self, env: &mut PmEnv) {
         let expected: Vec<(u64, (u64, usize))> = self.mirror.iter().map(|(k, v)| (k, *v)).collect();
         for (key, (version, len)) in expected {
+            #[expect(clippy::panic, reason = "verify reports a lost key by panicking")]
             let (leaf_addr, _) = self
                 .find_leaf(env, key)
                 .unwrap_or_else(|| panic!("tree empty, key {key} missing"));
             let leaf = self.load(env, leaf_addr);
+            #[expect(clippy::panic, reason = "verify reports a lost key by panicking")]
             let pos = leaf
                 .keys
                 .binary_search(&key)

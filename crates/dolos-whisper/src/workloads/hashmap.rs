@@ -64,6 +64,7 @@ impl HashmapWorkload {
     }
 
     fn upsert(&mut self, env: &mut PmEnv, key: u64, value: &[u8]) {
+        #[expect(clippy::expect_used, reason = "setup runs before any transaction")]
         let mut log = self.log.take().expect("setup ran");
         log.begin(env);
         match self.find(key, env) {
@@ -127,6 +128,7 @@ impl Workload for HashmapWorkload {
     fn verify(&mut self, env: &mut PmEnv) {
         let expected: Vec<(u64, (u64, usize))> = self.mirror.iter().map(|(k, v)| (k, *v)).collect();
         for (key, (version, len)) in expected {
+            #[expect(clippy::panic, reason = "verify reports a lost key by panicking")]
             let node = self
                 .find(key, env)
                 .unwrap_or_else(|| panic!("key {key} missing"));

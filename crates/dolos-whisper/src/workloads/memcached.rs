@@ -217,6 +217,7 @@ impl Workload for MemcachedWorkload {
     fn verify(&mut self, env: &mut PmEnv) {
         let expected: Vec<(u64, (u64, usize))> = self.mirror.iter().map(|(k, v)| (k, *v)).collect();
         for (key, (version, len)) in expected {
+            #[expect(clippy::panic, reason = "verify reports a lost key by panicking")]
             let item = self
                 .find(env, key)
                 .unwrap_or_else(|| panic!("key {key} missing"));

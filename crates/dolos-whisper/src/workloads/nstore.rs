@@ -146,6 +146,7 @@ impl Workload for NstoreYcsbWorkload {
         // The transaction size counts *all* persistent traffic; with
         // undo/redo logging doubling the payload, the value is half of it.
         let txn_bytes = (txn_bytes / 2).max(64);
+        #[expect(clippy::expect_used, reason = "setup runs before any transaction")]
         let zipf = self.zipf.as_ref().expect("setup ran").clone();
         let key = zipf.sample(rng);
         if rng.chance(UPDATE_RATIO) {

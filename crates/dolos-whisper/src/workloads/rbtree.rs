@@ -152,6 +152,7 @@ impl RbtreeWorkload {
     }
 
     fn upsert(&mut self, env: &mut PmEnv, key: u64, value: &[u8]) {
+        #[expect(clippy::expect_used, reason = "setup runs before any transaction")]
         let mut log = self.log.take().expect("setup ran");
         log.begin(env);
         if let Some(node) = self.find(env, key) {
@@ -257,6 +258,7 @@ impl Workload for RbtreeWorkload {
         }
         let expected: Vec<(u64, (u64, usize))> = self.mirror.iter().map(|(k, v)| (k, *v)).collect();
         for (key, (version, len)) in expected {
+            #[expect(clippy::panic, reason = "verify reports a lost key by panicking")]
             let node = self
                 .find(env, key)
                 .unwrap_or_else(|| panic!("key {key} missing"));

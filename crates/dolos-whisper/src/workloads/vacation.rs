@@ -63,6 +63,7 @@ impl VacationWorkload {
     }
 
     fn reserve(&mut self, env: &mut PmEnv, customer: u64, picks: &[(usize, u64)], note: &[u8]) {
+        #[expect(clippy::expect_used, reason = "setup runs before any transaction")]
         let mut log = self.log.take().expect("setup ran");
         log.begin(env);
         let cust = self.customer_addr(customer);
