@@ -1,6 +1,6 @@
 //! AES-128 block cipher (FIPS-197), encrypt-only.
 //!
-//! Counter-mode encryption and CBC-MAC only ever run the cipher in the
+//! Counter-mode encryption and PMAC only ever run the cipher in the
 //! forward direction, so the inverse cipher is intentionally omitted. Three
 //! implementations of the same function live here:
 //!
@@ -16,13 +16,13 @@
 //!
 //! The choice is made by the host, never by a flag, and is invisible in
 //! every output byte: [`Aes128::encrypt_words`],
-//! [`Aes128::encrypt_words4`] and the crate-internal CBC-MAC chain
-//! (`Aes128::cbc_chain`) dispatch on it, and every pad, MAC tag, Mi-SU
+//! [`Aes128::encrypt_words4`] and the crate-internal PMAC block sum
+//! (`Aes128::encrypt_sum`) dispatch on it, and every pad, MAC tag, Mi-SU
 //! entry and tree node in the workspace reaches the cipher through one of
 //! those three. The lockstep tests in this module force each backend in
 //! turn and pin the block entry points against the reference and the
-//! FIPS-197 appendix vectors; `mac.rs` pins the chain against a
-//! byte-domain specification built on the reference, and
+//! FIPS-197 appendix vectors; `mac.rs` pins PMAC against a byte-domain
+//! specification built on the reference, and
 //! `tests/aes_lockstep.rs` pins the host's selection the same way.
 //!
 //! No path changes *simulated* timing: the cycle model charges the fixed
@@ -236,7 +236,7 @@ impl Aes128 {
     ///
     /// Bit-for-bit identical to [`Self::encrypt_block_reference`]; the
     /// lockstep suite and the FIPS-197 vectors pin the equivalence.
-    /// `#[inline]` so the CBC-MAC and pad loops (including cross-crate
+    /// `#[inline]` so the MAC and pad loops (including cross-crate
     /// callers) fold the call away — this function runs ~100M times per
     /// full-scale bench.
     #[inline]
@@ -247,9 +247,9 @@ impl Aes128 {
     /// Encrypts one block given (and returned) in the T-table state
     /// representation: 4 big-endian column words, row 0 in each word's high
     /// byte. Byte-identical to [`Self::encrypt_block`] modulo the
-    /// [`words_from_bytes`]/`to_be_bytes` packing. The in-crate CBC-MAC and
-    /// CTR loops chain blocks in this domain so the byte↔word conversion
-    /// happens once per message, not once per cipher call.
+    /// [`words_from_bytes`]/`to_be_bytes` packing. The CTR pad loops run
+    /// in this domain so the byte↔word conversion happens once per pad,
+    /// not once per cipher call.
     #[inline]
     pub fn encrypt_words(&self, w: [u32; 4]) -> [u32; 4] {
         match self.backend {
@@ -262,10 +262,10 @@ impl Aes128 {
     /// Encrypts four independent blocks (word representation, see
     /// [`words_from_bytes`]) in one interleaved pass.
     ///
-    /// A single CBC chain is latency-bound: each round waits on the
-    /// previous round's result. Counter-mode pads have no such dependency —
-    /// the four blocks of a cacheline pad are independent — so both
-    /// backends interleave them per round, keeping four chains in flight.
+    /// One block is latency-bound: each round waits on the previous
+    /// round's result. The four blocks of a cacheline pad are independent,
+    /// so both backends interleave them per round, keeping four chains in
+    /// flight.
     /// Byte-identical to four [`Self::encrypt_words`] calls.
     #[inline]
     pub fn encrypt_words4(&self, blocks: [[u32; 4]; 4]) -> [[u32; 4]; 4] {
@@ -276,55 +276,54 @@ impl Aes128 {
         }
     }
 
-    /// Runs a CBC-MAC chain: from `state` (word representation, see
-    /// [`words_from_bytes`]), absorbs each part in order and returns the
-    /// final state. Absorbing a block XORs it into the state and encrypts.
-    /// With `len_blocks`, each part is preceded by its length block (the
-    /// part length as 8 little-endian bytes, zero-padded to 16). A part's
-    /// short last chunk is zero-padded; an empty part absorbs no data block.
+    /// Returns `⊕ E_K(b_i ⊕ z_i)` over `blocks` and their `masks`, zipped,
+    /// XORed with `E_K(x)` for an `extra` block `x` given as
+    /// `u128::from_le_bytes` of its (already masked) bytes: PMAC's
+    /// non-final blocks and their offsets (`mac.rs`). The sum is returned
+    /// as `u128::from_le_bytes` of its bytes.
     ///
-    /// Byte-identical on every backend to the same chain spelled with
-    /// [`Self::encrypt_block_reference`]. On AES-NI the whole chain is one
-    /// call with the state held in a register, which is why every MAC in
-    /// `mac.rs` runs through here rather than through
-    /// [`Self::encrypt_words`] per block.
+    /// The blocks are independent: each backend encrypts them one after
+    /// another, and on AES-NI the out-of-order core overlaps their rounds.
+    /// PMAC keeps only this XOR of them. Byte-identical on every backend to
+    /// the same sum spelled with [`Self::encrypt_block_reference`].
     #[inline]
-    pub(crate) fn cbc_chain(&self, state: [u32; 4], parts: &[&[u8]], len_blocks: bool) -> [u32; 4] {
+    pub(crate) fn encrypt_sum(
+        &self,
+        blocks: &[Block],
+        masks: &[Block],
+        extra: Option<u128>,
+    ) -> u128 {
         match self.backend {
-            Backend::Table => self.table_chain(state, parts, len_blocks),
+            Backend::Table => {
+                let mut sum = extra.map_or(0, |x| self.encrypt_pair(x, None));
+                for (block, z) in blocks.iter().zip(masks) {
+                    let x = u128::from_le_bytes(*block) ^ u128::from_le_bytes(*z);
+                    sum ^= self.encrypt_pair(x, None);
+                }
+                sum
+            }
             #[cfg(target_arch = "x86_64")]
-            Backend::Ni(ni) => ni.cbc_chain(&self.round_keys, state, parts, len_blocks),
+            Backend::Ni(ni) => ni.encrypt_sum(&self.round_keys, blocks, masks, extra),
         }
     }
 
-    /// [`Self::cbc_chain`] on the T-table backend.
-    fn table_chain(&self, mut state: [u32; 4], parts: &[&[u8]], len_blocks: bool) -> [u32; 4] {
-        let absorb = |state: &mut [u32; 4], block: &Block| {
-            let w = words_from_bytes(block);
-            *state = self.table_words([
-                state[0] ^ w[0],
-                state[1] ^ w[1],
-                state[2] ^ w[2],
-                state[3] ^ w[3],
-            ]);
-        };
-        for part in parts {
-            if len_blocks {
-                let mut len = [0u8; BLOCK_SIZE];
-                len[..8].copy_from_slice(&(part.len() as u64).to_le_bytes());
-                absorb(&mut state, &len);
+    /// Returns `E_K(x) ⊕ E_K(y)` (or `E_K(x)`), each block given and
+    /// returned as `u128::from_le_bytes` of its bytes: PMAC blocks
+    /// assembled in registers (header blocks, blocks that straddle two fed
+    /// slices, the final block), already masked.
+    #[inline]
+    pub(crate) fn encrypt_pair(&self, x: u128, y: Option<u128>) -> u128 {
+        match self.backend {
+            Backend::Table => {
+                let encrypt = |v: u128| {
+                    let w = self.table_words(words_from_bytes(&v.to_le_bytes()));
+                    u128::from_le_bytes(bytes_from_words(&w))
+                };
+                encrypt(x) ^ y.map_or(0, encrypt)
             }
-            let (blocks, tail) = part.as_chunks::<BLOCK_SIZE>();
-            for block in blocks {
-                absorb(&mut state, block);
-            }
-            if !tail.is_empty() {
-                let mut last = [0u8; BLOCK_SIZE];
-                last[..tail.len()].copy_from_slice(tail);
-                absorb(&mut state, &last);
-            }
+            #[cfg(target_arch = "x86_64")]
+            Backend::Ni(ni) => ni.encrypt_pair(&self.round_keys, x, y),
         }
-        state
     }
 
     /// [`Self::encrypt_words`] on the T-table backend.
@@ -613,6 +612,41 @@ mod tests {
                     let quad = aes.encrypt_words4(pts.map(|pt| words_from_bytes(&pt)));
                     assert_eq!(quad.map(|w| bytes_from_words(&w)), expected);
                 }
+            }
+        }
+    }
+
+    /// `encrypt_sum` equals the XOR of reference encryptions of the masked
+    /// blocks for every count from 0 to 20, with and without an extra
+    /// register block, and
+    /// `encrypt_pair` equals one or two, on every backend.
+    #[test]
+    fn masked_entry_points_match_reference_on_every_backend() {
+        let block =
+            |k: u8| -> Block { core::array::from_fn(|i| k.wrapping_mul(29) ^ (i as u8 * 7)) };
+        let blocks: Vec<Block> = (0..20).map(block).collect();
+        let masks: Vec<Block> = (100..120).map(block).collect();
+        for aes in Aes128::on_each_backend(&[0x7e; 16]) {
+            for n in 0..=blocks.len() {
+                let mut want = [0u8; BLOCK_SIZE];
+                for (b, z) in blocks[..n].iter().zip(&masks) {
+                    let mut x = *b;
+                    add_round_key(&mut x, z);
+                    add_round_key(&mut want, &aes.encrypt_block_reference(&x));
+                }
+                let got = aes.encrypt_sum(&blocks[..n], &masks[..n], None);
+                assert_eq!(got.to_le_bytes(), want, "{n} blocks");
+                let extra = u128::from_le_bytes(blocks[19]);
+                let got = aes.encrypt_sum(&blocks[..n], &masks[..n], Some(extra));
+                add_round_key(&mut want, &aes.encrypt_block_reference(&blocks[19]));
+                assert_eq!(got.to_le_bytes(), want, "{n} blocks and an extra");
+            }
+            for (b, z) in blocks.iter().zip(&masks) {
+                let (x, y) = (u128::from_le_bytes(*b), u128::from_le_bytes(*z));
+                let mut want = aes.encrypt_block_reference(b);
+                assert_eq!(aes.encrypt_pair(x, None).to_le_bytes(), want);
+                add_round_key(&mut want, &aes.encrypt_block_reference(z));
+                assert_eq!(aes.encrypt_pair(x, Some(y)).to_le_bytes(), want);
             }
         }
     }

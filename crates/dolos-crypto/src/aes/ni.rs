@@ -1,18 +1,21 @@
 //! The AES-NI backend of [`super::Aes128`]: the crate's only `unsafe` code.
 //!
-//! Compiled on `x86_64` only. Every function here computes exactly the
-//! word-domain function of the T-table path in `aes.rs` (4 big-endian
-//! column words in, 4 out): the state is byte-swapped into the cipher's
-//! byte order with one `pshufb`, run through `aesenc`/`aesenclast` with the
-//! byte-order round keys of the shared schedule, and swapped back. The
-//! lockstep tests in `aes.rs` and `mac.rs` pin this equivalence on every
-//! host that has the instructions.
+//! Compiled on `x86_64` only. Every function here computes exactly what
+//! the T-table path in `aes.rs` computes. The word-domain functions (4
+//! big-endian column words in, 4 out) byte-swap the state into the
+//! cipher's byte order with one `pshufb`, run it through
+//! `aesenc`/`aesenclast` with the byte-order round keys of the shared
+//! schedule, and swap it back. The lockstep tests in `aes.rs` and `mac.rs`
+//! pin this equivalence on every host that has the instructions.
 //!
-//! [`Ni::cbc_chain`] absorbs a whole CBC-MAC chain in one call: the 11
-//! round keys are loaded once, the state is swapped in and out once, and
-//! between blocks it never leaves its register. Message bytes need no
-//! swap at all: a 16-byte load of block bytes is already in the cipher's
-//! byte order, and the length block `n` is the 64-bit lane `n`.
+//! [`Ni::encrypt_sum`] and [`Ni::encrypt_pair`] run PMAC's independent
+//! blocks one `encrypt_state` after another with the 11 round keys loaded
+//! once per call. No block waits on another's result, so the out-of-order
+//! core overlaps their `aesenc` chains without explicit interleaving.
+//! `encrypt_sum` loads block bytes straight from memory: a 16-byte load of
+//! block bytes is already in the cipher's byte order, so it needs no swap.
+//! `encrypt_pair` takes one or two blocks as `u128`s and moves them in and
+//! out through 64-bit halves.
 //!
 //! Soundness rests on one type: [`Ni`] is a zero-sized proof that the CPU
 //! supports AES-NI and SSSE3, and [`Ni::detect`] is its only constructor.
@@ -22,8 +25,9 @@
 #![allow(unsafe_code)]
 
 use core::arch::x86_64::{
-    __m128i, _mm_aesenc_si128, _mm_aesenclast_si128, _mm_loadu_si128, _mm_set_epi64x,
-    _mm_setr_epi32, _mm_setr_epi8, _mm_shuffle_epi8, _mm_storeu_si128, _mm_xor_si128,
+    __m128i, _mm_aesenc_si128, _mm_aesenclast_si128, _mm_cvtsi128_si64, _mm_loadu_si128,
+    _mm_set_epi64x, _mm_setr_epi32, _mm_setr_epi8, _mm_setzero_si128, _mm_shuffle_epi8,
+    _mm_storeu_si128, _mm_unpackhi_epi64, _mm_xor_si128,
 };
 
 use super::Block;
@@ -58,17 +62,26 @@ impl Ni {
         unsafe { encrypt4(round_keys, blocks) }
     }
 
-    /// A whole CBC-MAC chain; see [`super::Aes128::cbc_chain`].
+    /// `⊕ E_K(b_i ⊕ z_i)` over blocks and masks; see
+    /// [`super::Aes128::encrypt_sum`].
     #[inline]
-    pub(super) fn cbc_chain(
+    pub(super) fn encrypt_sum(
         self,
         round_keys: &[Block; 11],
-        state: [u32; 4],
-        parts: &[&[u8]],
-        len_blocks: bool,
-    ) -> [u32; 4] {
-        // SAFETY: as in `encrypt_words`; `chain` needs the same features.
-        unsafe { chain(round_keys, state, parts, len_blocks) }
+        blocks: &[Block],
+        masks: &[Block],
+        extra: Option<u128>,
+    ) -> u128 {
+        // SAFETY: as in `encrypt_words`; `sum` needs the same features.
+        unsafe { sum(round_keys, blocks, masks, extra) }
+    }
+
+    /// One or two blocks held in registers; see
+    /// [`super::Aes128::encrypt_pair`].
+    #[inline]
+    pub(super) fn encrypt_pair(self, round_keys: &[Block; 11], x: u128, y: Option<u128>) -> u128 {
+        // SAFETY: as in `encrypt_words`; `pair` needs the same features.
+        unsafe { pair(round_keys, x, y) }
     }
 }
 
@@ -113,8 +126,8 @@ fn state_to_words(s: __m128i, mask: __m128i) -> [u32; 4] {
     out
 }
 
-/// AES-128 over one state already in the cipher's byte order. A CBC chain
-/// is serial, so this is latency-bound on the 10 dependent `aesenc` steps.
+/// AES-128 over one state already in the cipher's byte order. Alone, this
+/// is latency-bound on the 10 dependent `aesenc` steps.
 #[inline]
 #[target_feature(enable = "aes")]
 fn encrypt_state(k: &[__m128i; 11], s: __m128i) -> __m128i {
@@ -135,30 +148,50 @@ fn encrypt1(round_keys: &[Block; 11], w: [u32; 4]) -> [u32; 4] {
     )
 }
 
-/// CBC-MAC chaining from `state` over `parts`, each preceded by its length
-/// block when `len_blocks` is set, with a short last chunk zero-padded.
-#[target_feature(enable = "aes,ssse3")]
-fn chain(round_keys: &[Block; 11], state: [u32; 4], parts: &[&[u8]], len_blocks: bool) -> [u32; 4] {
+/// Moves a block given as `u128::from_le_bytes` of its bytes into a
+/// register through two general-purpose halves, never through memory: a
+/// block assembled from narrower stores and reloaded whole would stall on
+/// store forwarding and serialize the independent PMAC calls.
+#[inline]
+#[target_feature(enable = "sse2")]
+fn u128_to_state(x: u128) -> __m128i {
+    _mm_set_epi64x((x >> 64) as i64, x as i64)
+}
+
+/// The inverse of [`u128_to_state`].
+#[inline]
+#[target_feature(enable = "sse2")]
+fn state_to_u128(s: __m128i) -> u128 {
+    let lo = _mm_cvtsi128_si64(s) as u64;
+    let hi = _mm_cvtsi128_si64(_mm_unpackhi_epi64(s, s)) as u64;
+    (u128::from(hi) << 64) | u128::from(lo)
+}
+
+/// `E_K(x) ⊕ E_K(y)`, or `E_K(x)`, over blocks held as `u128`s.
+#[target_feature(enable = "aes")]
+fn pair(round_keys: &[Block; 11], x: u128, y: Option<u128>) -> u128 {
     let k = load_keys(round_keys);
-    let mask = swap_mask();
-    let mut s = words_to_state(state, mask);
-    for part in parts {
-        if len_blocks {
-            // Bytes 0..8 little-endian: exactly the low 64-bit lane.
-            let len = _mm_set_epi64x(0, part.len() as i64);
-            s = encrypt_state(&k, _mm_xor_si128(s, len));
-        }
-        let (blocks, tail) = part.as_chunks::<16>();
-        for block in blocks {
-            s = encrypt_state(&k, _mm_xor_si128(s, load_block(block)));
-        }
-        if !tail.is_empty() {
-            let mut last = [0u8; 16];
-            last[..tail.len()].copy_from_slice(tail);
-            s = encrypt_state(&k, _mm_xor_si128(s, load_block(&last)));
-        }
+    let mut acc = encrypt_state(&k, u128_to_state(x));
+    if let Some(y) = y {
+        acc = _mm_xor_si128(acc, encrypt_state(&k, u128_to_state(y)));
     }
-    state_to_words(s, mask)
+    state_to_u128(acc)
+}
+
+/// `⊕ E_K(b_i ⊕ z_i)` over `blocks` and `masks` zipped, XORed with
+/// `E_K(extra)`.
+#[target_feature(enable = "aes")]
+fn sum(round_keys: &[Block; 11], blocks: &[Block], masks: &[Block], extra: Option<u128>) -> u128 {
+    let k = load_keys(round_keys);
+    let mut acc = match extra {
+        Some(x) => encrypt_state(&k, u128_to_state(x)),
+        None => _mm_setzero_si128(),
+    };
+    for (block, z) in blocks.iter().zip(masks) {
+        let x = _mm_xor_si128(load_block(block), load_block(z));
+        acc = _mm_xor_si128(acc, encrypt_state(&k, x));
+    }
+    state_to_u128(acc)
 }
 
 /// AES-128 over four independent blocks, interleaved per round so the four

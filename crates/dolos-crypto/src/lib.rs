@@ -13,9 +13,10 @@
 //! * [`ctr`] — counter-mode pad generation with the paper's IV layout
 //!   (page ID ‖ page offset ‖ counter ‖ padding, Figure 2); hot paths use
 //!   the allocation-free [`ctr::pad_line`] / [`ctr::pad_into`];
-//! * [`mac`] — AES-CBC-MAC with 64-bit truncated tags (8-byte MACs, as the
-//!   paper assumes for WPQ entries and BMT nodes), with a streaming
-//!   [`mac::CbcMac`] for part lists that are never materialized contiguously;
+//! * [`mac`] — PMAC over AES-128 with 64-bit truncated tags (8-byte MACs,
+//!   as the paper assumes for WPQ entries and BMT nodes), with a streaming
+//!   [`mac::MacStream`] for part lists that are never materialized
+//!   contiguously;
 //! * [`latency`] — the cycle costs from Table 1, kept separate from the
 //!   functional code so timing-model changes never touch the data path;
 //! * [`padcache`] — a direct-mapped memo cache over [`ctr::pad_line`] for
@@ -59,4 +60,4 @@ pub mod padcache;
 
 pub use aes::Aes128;
 pub use ctr::{generate_pad, pad_into, pad_line, Iv, IvBuilder};
-pub use mac::{CbcMac, Mac64, MacEngine};
+pub use mac::{Mac64, MacEngine, MacStream};

@@ -1,8 +1,9 @@
 //! Direct-mapped counter-block pad cache for the Ma-SU hot path.
 //!
 //! A counter-mode pad is a pure function of `(line address, packed
-//! counter)`, so recomputing it costs four serial AES block encryptions of
-//! *host* time on every touch of a line — yet the dominant access pattern
+//! counter)`, so recomputing it costs four AES block encryptions (one
+//! interleaved `encrypt_words4` call in `pad_line`) of *host* time on
+//! every touch of a line — yet the dominant access pattern
 //! (write a line, read it back; decrypt-then-reencrypt during a counter
 //! overflow) asks for the same `(address, counter)` pair again almost
 //! immediately. The simulated AES latency is charged by the Ma-SU's latency

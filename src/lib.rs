@@ -9,7 +9,7 @@
 //! crate:
 //!
 //! * [`sim`] — simulation kernel (cycles, resources, RNG, statistics);
-//! * [`crypto`] — functional AES-128 / CTR pads / CBC-MAC plus the paper's
+//! * [`crypto`] — functional AES-128 / CTR pads / PMAC plus the paper's
 //!   latency model;
 //! * [`nvm`] — PCM device model, NVM byte store, and the Write Pending Queue;
 //! * [`secmem`] — split counters, counter cache, Bonsai Merkle Tree, Tree of

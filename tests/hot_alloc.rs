@@ -13,7 +13,8 @@
 //! `SecureMemorySystem::advance`, `MajorSecurityUnit::pad_for` and
 //! `secure_write`, `MinorSecurityUnit::protect`, `decrypt` and
 //! `entry_mac`, and `MacEngine::tag_parts` (plus `MacEngine::stream_tag`
-//! under the lazy ToC). `MinorSecurityUnit::regenerate_pads` runs only at
+//! under the lazy ToC), both of which run PMAC through a stack-held
+//! `MacStream`. `MinorSecurityUnit::regenerate_pads` runs only at
 //! boot and at the end of recovery, and `MacEngine::tag` only behind
 //! `MacEngine::verify`, which no persist path calls; neither is on it.
 
