@@ -39,7 +39,6 @@ use dolos_secmem::ecc::{ecc64, probe_counter};
 use dolos_secmem::layout::MetadataLayout;
 use dolos_secmem::shadow::ShadowTable;
 use dolos_secmem::toc::TreeOfCounters;
-use dolos_sim::flat::FlatMap;
 use dolos_sim::paged::PagedTable;
 use dolos_sim::resource::Pipeline;
 use dolos_sim::stats::StatSet;
@@ -53,7 +52,8 @@ use crate::error::SecurityError;
 #[derive(Debug, Clone)]
 enum Tree {
     Eager(BonsaiMerkleTree),
-    Lazy(TreeOfCounters),
+    /// Boxed: its main, cached and shadow copies make it the larger tree.
+    Lazy(Box<TreeOfCounters>),
 }
 
 /// Outcome of recovery, for reporting.
@@ -90,7 +90,7 @@ pub struct MajorSecurityUnit {
     /// `reencrypt_page` and recovery test.
     ecc: PagedTable<u64>,
     /// Updates per counter block since its last NVM write-back.
-    pending_counter_updates: FlatMap<u64>,
+    pending_counter_updates: PagedTable<u64>,
     /// Host-side memo cache over the counter-mode pad computation. Purely
     /// functional: hits and misses return identical pads, and the simulated
     /// AES latency is charged by the engine model either way.
@@ -140,7 +140,7 @@ impl MajorSecurityUnit {
         let pages = layout.pages();
         let tree = match scheme {
             UpdateScheme::EagerMerkle => Tree::Eager(BonsaiMerkleTree::new(pages, &mac)),
-            UpdateScheme::LazyToc => Tree::Lazy(TreeOfCounters::new(pages, &mac)),
+            UpdateScheme::LazyToc => Tree::Lazy(Box::new(TreeOfCounters::new(pages, &mac))),
         };
         let cache = SetAssocCache::with_capacity_bytes(counter_cache_bytes, counter_cache_ways);
         let mt_cache = SetAssocCache::with_capacity_bytes(mt_cache_bytes, mt_cache_ways);
@@ -161,7 +161,7 @@ impl MajorSecurityUnit {
             shadow: ShadowTable::new(shadow_capacity),
             tree,
             ecc: PagedTable::new(),
-            pending_counter_updates: FlatMap::new(),
+            pending_counter_updates: PagedTable::new(),
             // 256 direct-mapped slots: covers the same-page rewrite/read-back
             // window of every workload here at 20 KiB of host memory.
             pad_cache: PadCache::new(256),
@@ -286,7 +286,7 @@ impl MajorSecurityUnit {
             }
             self.shadow.record(page);
         }
-        let pending = self.pending_counter_updates.get_mut_or_insert(page, 0);
+        let pending = self.pending_counter_updates.entry(page);
         *pending += 1;
         if force_writeback || *pending >= self.osiris_phase {
             // Osiris stop-loss: persist the counter block.

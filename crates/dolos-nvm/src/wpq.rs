@@ -10,11 +10,13 @@
 //! pad *per slot*, so an entry is always encrypted with the pad of the slot
 //! it occupies.
 //!
-//! A parallel **volatile tag array** (paper §4.5) maps plaintext addresses to
-//! slots, enabling write coalescing and read hits without decrypting entries.
+//! A **volatile tag array** (paper §4.5) holds each slot's plaintext
+//! address, enabling write coalescing and read hits without decrypting
+//! entries. A lookup scans the occupied slots' tags newest first: the queue
+//! holds at most a few dozen entries, so the scan is a handful of compares
+//! over one compact array, and there is no index to keep in step.
 
 use dolos_crypto::mac::Mac64;
-use dolos_sim::flat::FlatMap;
 use dolos_sim::stats::StatSet;
 use dolos_sim::trace::{EventKind, TraceEvent, TraceMode, TraceSink};
 use dolos_sim::Cycle;
@@ -97,10 +99,10 @@ pub struct WriteQueue {
     /// Whether the volatile tag array exists (write coalescing + read hits,
     /// §4.5). Disabled only by ablation configurations.
     coalescing: bool,
-    /// Address → slot, keyed by the raw line address. Flat and sorted: the
-    /// queue holds at most a few dozen entries, so binary search beats
-    /// hashing, and the structure carries no hasher state.
-    tag: FlatMap<usize>,
+    /// The tag array: the raw line address each slot was last filled for.
+    /// Only occupied slots' tags are read, so freeing a slot leaves its
+    /// tag as it is.
+    tags: Vec<u64>,
     inserts: u64,
     coalesces: u64,
     full_events: u64,
@@ -124,7 +126,7 @@ impl WriteQueue {
             next_scan: 0,
             live: 0,
             coalescing: true,
-            tag: FlatMap::new(),
+            tags: vec![0; capacity],
             inserts: 0,
             coalesces: 0,
             full_events: 0,
@@ -170,12 +172,34 @@ impl WriteQueue {
         (!self.is_full()).then_some(self.next_insert)
     }
 
+    /// The tag-array lookup: the slot of the newest occupied entry for
+    /// `addr`. The occupied slots are the `live` slots before
+    /// `next_insert`, so the scan walks back from there. Entries clear
+    /// oldest first, so while any copy of `addr` is queued the newest one
+    /// is too.
+    fn tag(&self, addr: LineAddr) -> Option<usize> {
+        let addr = addr.as_u64();
+        let newest = self.next_insert;
+        let below = self.live.min(newest);
+        if let Some(i) = self.tags[newest - below..newest]
+            .iter()
+            .rposition(|&t| t == addr)
+        {
+            return Some(newest - below + i);
+        }
+        let wrapped = self.tags.len() - (self.live - below);
+        self.tags[wrapped..]
+            .iter()
+            .rposition(|&t| t == addr)
+            .map(|i| wrapped + i)
+    }
+
     /// The slot a write to `addr` would coalesce into, if any.
     pub fn coalesce_slot(&self, addr: LineAddr) -> Option<usize> {
         if !self.coalescing {
             return None;
         }
-        let &slot = self.tag.get(addr.as_u64())?;
+        let slot = self.tag(addr)?;
         matches!(self.slots[slot], Slot::Live(_)).then_some(slot)
     }
 
@@ -217,7 +241,7 @@ impl WriteQueue {
             mac,
             slot,
         });
-        self.tag.insert(addr.as_u64(), slot);
+        self.tags[slot] = addr.as_u64();
         self.next_insert = (self.next_insert + 1) % self.slots.len();
         self.live += 1;
         self.inserts += 1;
@@ -305,7 +329,7 @@ impl WriteQueue {
         if !self.coalescing {
             return None;
         }
-        let &slot = self.tag.get(addr.as_u64())?;
+        let slot = self.tag(addr)?;
         let entry = self.slots[slot].entry()?;
         self.read_hits += 1;
         Some(entry)
@@ -343,12 +367,9 @@ impl WriteQueue {
     pub fn clear(&mut self, slot: usize) {
         assert_eq!(slot, self.next_fetch, "WPQ entries clear in order");
         #[expect(clippy::panic, reason = "documented panic: clears run in order")]
-        let Slot::Busy(entry) = std::mem::replace(&mut self.slots[slot], Slot::Free) else {
+        let Slot::Busy(_) = std::mem::replace(&mut self.slots[slot], Slot::Free) else {
             panic!("clearing a WPQ slot that is not busy");
         };
-        if self.tag.get(entry.addr.as_u64()) == Some(&slot) {
-            self.tag.remove(entry.addr.as_u64());
-        }
         self.live -= 1;
         self.next_fetch = (self.next_fetch + 1) % self.slots.len();
     }
@@ -371,7 +392,6 @@ impl WriteQueue {
         for slot in &mut self.slots {
             *slot = Slot::Free;
         }
-        self.tag.clear();
         self.live = 0;
         self.next_insert = 0;
         self.next_fetch = 0;
@@ -432,6 +452,16 @@ mod tests {
         assert_eq!(out, InsertOutcome::Inserted { slot: 1 });
         // Tag array points at the freshest copy.
         assert_eq!(q.lookup(addr(5)).unwrap().payload, [2; 64]);
+        // Clearing the stale Busy copy leaves the fresh copy readable.
+        q.clear(fetched.slot);
+        assert_eq!(q.lookup(addr(5)).unwrap().payload, [2; 64]);
+        // Once fetched, the fresh copy is Busy but still the one read, not
+        // the cleared slot.
+        let fresh = q.fetch_oldest().unwrap();
+        assert_eq!(fresh.slot, 1);
+        let hit = q.lookup(addr(5)).unwrap();
+        assert_eq!((hit.slot, hit.payload), (1, [2; 64]));
+        assert_eq!(q.coalesce_slot(addr(5)), None);
     }
 
     #[test]

@@ -41,11 +41,56 @@
 
 use dolos_crypto::mac::{Mac64, MacEngine};
 use dolos_nvm::Line;
-use dolos_sim::flat::FlatMap;
+use dolos_sim::paged::PagedTable;
 use std::collections::BTreeMap;
 
 /// Tree arity (8-ary, Table 1).
 pub const ARITY: u64 = 8;
+
+/// Levels above the leaves of an [`ARITY`]-ary tree over `leaves` leaves:
+/// at least one, so even a single-leaf tree has a root distinct from the
+/// leaf itself.
+pub(crate) fn tree_height(leaves: u64) -> usize {
+    let mut height = 0usize;
+    let mut width = leaves;
+    while width > 1 {
+        width = width.div_ceil(ARITY);
+        height += 1;
+    }
+    height.max(1)
+}
+
+/// Where levels `first..=last` of a tree over `leaves` leaves start in one
+/// key space, then where the last one ends. Level `l` (0 is the leaves)
+/// holds `leaves.div_ceil(ARITY^l)` nodes, and its node `i` has key
+/// `starts[l - first] + i`. Each level's range is padded to a multiple of
+/// [`ARITY`], so every parent's children are one aligned run of keys inside
+/// their own level. The levels follow one another, so ascending keys are
+/// ascending (level, index) pairs, and the few nodes of the upper levels
+/// share the pages of one [`PagedTable`].
+pub(crate) fn level_starts(leaves: u64, first: usize, last: usize) -> Vec<u64> {
+    let mut starts = vec![0];
+    let (mut width, mut end) = (leaves, 0);
+    for level in 0..=last {
+        if level >= first {
+            end += width.next_multiple_of(ARITY);
+            starts.push(end);
+        }
+        width = width.div_ceil(ARITY);
+    }
+    starts
+}
+
+/// A leaf line awaiting materialization. A newtype only because a
+/// [`PagedTable`] slot needs `Default`, which `[u8; 64]` lacks.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct PendingLine(pub(crate) Line);
+
+impl Default for PendingLine {
+    fn default() -> Self {
+        Self([0; 64])
+    }
+}
 
 /// The 8-ary Bonsai Merkle Tree.
 ///
@@ -67,17 +112,19 @@ pub const ARITY: u64 = 8;
 pub struct BonsaiMerkleTree {
     leaves: u64,
     height: usize,
-    /// `nodes[level]` maps node index to MAC; absent nodes hold the level's
-    /// default. Level 0 holds leaf MACs. Flat sorted maps: small-integer
-    /// keys hash-free, and any iteration is in ascending index order.
-    nodes: Vec<FlatMap<Mac64>>,
+    /// Node MACs, level 0 (the leaf MACs) up to the root, each level's
+    /// nodes at the keys [`level_starts`] gives it. Absent nodes hold their
+    /// level's default. A lookup indexes a page, an update writes its slot
+    /// in place, and nothing is allocated for nodes never written.
+    nodes: PagedTable<Mac64>,
+    starts: Vec<u64>,
     defaults: Vec<Mac64>,
     root: Mac64,
     /// Leaf lines written since the last materialization. A key here means
     /// the leaf's whole path (leaf MAC included) is stale; only the latest
     /// line per leaf is kept because intermediate values never reach an
     /// observation point.
-    pending: FlatMap<Line>,
+    pending: PagedTable<PendingLine>,
     updates: u64,
 }
 
@@ -89,16 +136,7 @@ impl BonsaiMerkleTree {
     /// Panics if `leaves` is zero.
     pub fn new(leaves: u64, engine: &MacEngine) -> Self {
         assert!(leaves > 0, "tree must cover at least one leaf");
-        let mut height = 0usize;
-        let mut width = leaves;
-        while width > 1 {
-            width = width.div_ceil(ARITY);
-            height += 1;
-        }
-        // Always at least one MAC level so even a single-leaf tree has a root
-        // distinct from the leaf itself.
-        let height = height.max(1);
-
+        let height = tree_height(leaves);
         // defaults[0] = MAC of an all-zero leaf line; defaults[l] = MAC of
         // eight default children.
         let mut defaults = Vec::with_capacity(height + 1);
@@ -112,10 +150,11 @@ impl BonsaiMerkleTree {
         Self {
             leaves,
             height,
-            nodes: vec![FlatMap::new(); height + 1],
+            nodes: PagedTable::new(),
+            starts: level_starts(leaves, 0, height),
             defaults,
             root,
-            pending: FlatMap::new(),
+            pending: PagedTable::new(),
             updates: 0,
         }
     }
@@ -144,21 +183,21 @@ impl BonsaiMerkleTree {
         self.updates
     }
 
+    fn key(&self, level: usize, index: u64) -> u64 {
+        self.starts[level] + index
+    }
+
     fn node(&self, level: usize, index: u64) -> Mac64 {
-        self.nodes[level]
-            .get(index)
+        self.nodes
+            .get(self.key(level, index))
             .copied()
             .unwrap_or(self.defaults[level])
     }
 
     fn parent_mac(&self, engine: &MacEngine, level: usize, parent_index: u64) -> Mac64 {
-        // The eight children occupy consecutive indices, so one range walk
-        // over the sorted child level replaces eight binary-search probes.
         let first = parent_index * ARITY;
-        let mut children = [self.defaults[level - 1]; ARITY as usize];
-        for (k, mac) in self.nodes[level - 1].range(first, first + ARITY) {
-            children[(k - first) as usize] = *mac;
-        }
+        let children: [Mac64; ARITY as usize] =
+            core::array::from_fn(|c| self.node(level - 1, first + c as u64));
         let parts: [&[u8]; ARITY as usize] = core::array::from_fn(|c| &children[c][..]);
         engine.tag_parts(&parts)
     }
@@ -170,12 +209,13 @@ impl BonsaiMerkleTree {
         if self.pending.is_empty() {
             return;
         }
-        let pending = std::mem::replace(&mut self.pending, FlatMap::new());
+        // Taken out for the walk and put back cleared: its pages are reused.
+        let mut pending = std::mem::take(&mut self.pending);
         // Pending iterates in ascending leaf order, so parents arrive in
         // ascending order too and adjacent dedup suffices.
         let mut dirty: Vec<u64> = Vec::with_capacity(pending.len());
-        for (index, line) in pending.iter() {
-            self.nodes[0].insert(index, engine.tag(line));
+        for (index, PendingLine(line)) in pending.iter() {
+            *self.nodes.entry(self.key(0, index)) = engine.tag(line);
             let parent = index / ARITY;
             if dirty.last() != Some(&parent) {
                 dirty.push(parent);
@@ -185,7 +225,7 @@ impl BonsaiMerkleTree {
             let mut next: Vec<u64> = Vec::with_capacity(dirty.len());
             for &idx in &dirty {
                 let mac = self.parent_mac(engine, level, idx);
-                self.nodes[level].insert(idx, mac);
+                *self.nodes.entry(self.key(level, idx)) = mac;
                 let parent = idx / ARITY;
                 if next.last() != Some(&parent) {
                     next.push(parent);
@@ -193,6 +233,8 @@ impl BonsaiMerkleTree {
             }
             dirty = next;
         }
+        pending.clear();
+        self.pending = pending;
         self.root = self.node(self.height, 0);
     }
 
@@ -208,7 +250,7 @@ impl BonsaiMerkleTree {
         let _ = engine; // the engine is spent at materialization time
         assert!(index < self.leaves, "leaf index out of range");
         self.updates += 1;
-        self.pending.insert(index, *leaf_line);
+        *self.pending.entry(index) = PendingLine(*leaf_line);
     }
 
     /// Verifies leaf `index` content against the tree path and root.
@@ -257,10 +299,13 @@ impl BonsaiMerkleTree {
     /// Overwrites a stored interior/leaf node (models an attacker tampering
     /// with NVM-resident tree nodes in tests). Deferred paths materialize
     /// first — the attacker strikes the tree the hardware would hold, and a
-    /// later materialization must not silently heal the damage.
+    /// later materialization must not silently heal the damage. A node
+    /// outside the tree is ignored.
     pub fn tamper_node(&mut self, engine: &MacEngine, level: usize, index: u64, mac: Mac64) {
         self.materialize(engine);
-        self.nodes[level].insert(index, mac);
+        if level <= self.height && index < self.starts[level + 1] - self.starts[level] {
+            *self.nodes.entry(self.key(level, index)) = mac;
+        }
     }
 }
 
@@ -288,7 +333,7 @@ pub fn data_mac(engine: &MacEngine, addr: u64, counter: u64, ciphertext: &Line) 
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use dolos_sim::rng::XorShift;
 
@@ -304,13 +349,7 @@ mod tests {
     /// (full levelwise build over explicit arrays, no incremental state at
     /// all), so any caching bug in the deferred path breaks lockstep.
     fn reference_root(engine: &MacEngine, leaves: u64, contents: &BTreeMap<u64, Line>) -> Mac64 {
-        let mut height = 0usize;
-        let mut width = leaves;
-        while width > 1 {
-            width = width.div_ceil(ARITY);
-            height += 1;
-        }
-        let height = height.max(1);
+        let height = tree_height(leaves);
         let default_leaf = [0u8; 64];
         let mut level: Vec<Mac64> = (0..leaves)
             .map(|i| engine.tag(contents.get(&i).unwrap_or(&default_leaf)))
@@ -378,6 +417,11 @@ mod tests {
         let mut t = tree(64);
         let e = engine();
         t.update_leaf(&e, 3, &[1; 64]);
+        // Nodes outside the tree are ignored: leaf 64 shares its key space
+        // with level 1, level 3 does not exist.
+        t.tamper_node(&e, 0, 64, [0xFF; 8]);
+        t.tamper_node(&e, 3, 0, [0xFF; 8]);
+        assert!(t.verify_leaf(&e, 3, &[1; 64]));
         t.tamper_node(&e, 1, 0, [0xFF; 8]);
         assert!(!t.verify_leaf(&e, 3, &[1; 64]));
     }
@@ -496,6 +540,73 @@ mod tests {
             }
             assert_eq!(t.root(&e), reference_root(&e, leaves, &contents));
             assert_eq!(t.updates(), 120);
+        }
+    }
+
+    /// A line of eight random words.
+    pub(crate) fn random_line(rng: &mut XorShift) -> Line {
+        let mut line = [0u8; 64];
+        for word in line.chunks_exact_mut(8) {
+            word.copy_from_slice(&rng.next_u64().to_le_bytes());
+        }
+        line
+    }
+
+    /// The lockstep test checks roots against a levelwise rebuild, but
+    /// never after a tamper, and `recompute_root` shares the tree's
+    /// storage. These byte values pin the outputs themselves: after one
+    /// seeded sequence of updates and root observations, the root, a
+    /// `recompute_root` over the contents with one line corrupted, and the
+    /// root once a tampered leaf MAC has fed later parent updates (as
+    /// little-endian `u64`s).
+    #[test]
+    fn fingerprint_is_independent_of_storage_layout() {
+        let e = engine();
+        let cases: [(u64, u64, [u64; 3]); 3] = [
+            (
+                0x7E57,
+                8,
+                [0xfe38953d0325339e, 0x48c559c83b4c34bd, 0xb36b5ba1f60a6b87],
+            ),
+            (
+                0xCAFE,
+                64,
+                [0x3f2bb9ef5e5d54d0, 0xa9a964af41f1dfa6, 0xee6b9910592fd646],
+            ),
+            (
+                0xF1A7,
+                300,
+                [0x860fb33783b342e2, 0xa6ad606ea37535b0, 0x16a611942e9dd019],
+            ),
+        ];
+        for (seed, leaves, expect) in cases {
+            let mut rng = XorShift::new(seed);
+            let mut t = BonsaiMerkleTree::new(leaves, &e);
+            let mut contents: BTreeMap<u64, Line> = BTreeMap::new();
+            for step in 0..200u64 {
+                let idx = rng.next_below(leaves);
+                let line = random_line(&mut rng);
+                t.update_leaf(&e, idx, &line);
+                contents.insert(idx, line);
+                if step % 19 == 7 {
+                    t.root(&e);
+                }
+            }
+            let root = t.root(&e);
+            let rebuilt = BonsaiMerkleTree::recompute_root(&e, leaves, &contents);
+            assert_eq!(root, rebuilt);
+            if let Some(line) = contents.values_mut().next() {
+                line[0] ^= 1;
+            }
+            let corrupted = BonsaiMerkleTree::recompute_root(&e, leaves, &contents);
+            t.tamper_node(&e, 0, leaves - 1, [0xA5; 8]);
+            for _ in 0..20 {
+                let idx = rng.next_below(leaves);
+                t.update_leaf(&e, idx, &random_line(&mut rng));
+            }
+            let tampered = t.root(&e);
+            let got = [root, corrupted, tampered].map(u64::from_le_bytes);
+            assert_eq!(got, expect, "{leaves} leaves");
         }
     }
 }

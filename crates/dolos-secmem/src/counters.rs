@@ -202,6 +202,7 @@ impl CounterBlock {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::bmt::tests::random_line;
     use dolos_sim::rng::XorShift;
 
     /// The bit-serial codec the word-wise one replaced, kept as the
@@ -242,14 +243,6 @@ mod tests {
             bit += 7;
         }
         CounterBlock { major, minors }
-    }
-
-    fn random_line(rng: &mut XorShift) -> Line {
-        let mut line = [0u8; 64];
-        for chunk in line.chunks_exact_mut(8) {
-            chunk.copy_from_slice(&rng.next_u64().to_le_bytes());
-        }
-        line
     }
 
     #[test]

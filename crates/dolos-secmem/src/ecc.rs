@@ -121,6 +121,7 @@ pub fn probe_counter(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::bmt::tests::random_line;
     use dolos_crypto::ctr::{generate_pad, xor_in_place};
     use dolos_sim::rng::XorShift;
 
@@ -137,14 +138,6 @@ mod tests {
         let b = a;
         a[63] = 1;
         assert_ne!(ecc64(&a), ecc64(&b));
-    }
-
-    fn random_line(rng: &mut XorShift) -> Line {
-        let mut line = [0u8; 64];
-        for word in line.as_chunks_mut::<8>().0 {
-            *word = rng.next_u64().to_le_bytes();
-        }
-        line
     }
 
     /// `ecc64` as the Osiris discriminator, on seeded random data: every

@@ -8,7 +8,7 @@
 //! write to keep the table current — the run-time price Anubis pays for its
 //! bounded recovery time, charged by the Ma-SU timing model.
 
-use dolos_sim::flat::FlatMap;
+use dolos_sim::paged::PagedTable;
 use dolos_sim::stats::StatSet;
 
 /// The shadow table: a fixed array of slots, each optionally naming the
@@ -28,10 +28,11 @@ use dolos_sim::stats::StatSet;
 #[derive(Debug, Clone)]
 pub struct ShadowTable {
     slots: Vec<Option<u64>>,
-    /// Key → slot reverse index. Flat and sorted: the table is small (one
-    /// entry per cache frame) and nothing about it may depend on hasher
-    /// state — recovery derives its working set from this structure.
-    index: FlatMap<usize>,
+    /// Key → slot reverse index. Keys are counter-block page numbers, and
+    /// MT-node keys with bit 63 set: two dense runs, one page per 64 keys.
+    /// Nothing about it may depend on hasher state — recovery derives its
+    /// working set from this structure.
+    index: PagedTable<usize>,
     writes: u64,
 }
 
@@ -45,7 +46,7 @@ impl ShadowTable {
         assert!(capacity > 0, "shadow table must have slots");
         Self {
             slots: vec![None; capacity],
-            index: FlatMap::new(),
+            index: PagedTable::new(),
             writes: 0,
         }
     }
@@ -89,7 +90,7 @@ impl ShadowTable {
             .position(Option::is_none)
             .expect("shadow table full: remove evicted entries first");
         self.slots[slot] = Some(key);
-        self.index.insert(key, slot);
+        *self.index.entry(key) = slot;
         self.writes += 1;
     }
 

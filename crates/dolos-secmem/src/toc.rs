@@ -33,13 +33,11 @@
 //! compiled under `cfg(test)` so it cannot leak into the product) pins the
 //! deferred state lockstep-equal to the uncached original.
 
-use std::collections::BTreeMap;
-
 use dolos_crypto::mac::{Mac64, MacEngine};
 use dolos_nvm::Line;
-use dolos_sim::flat::FlatMap;
+use dolos_sim::paged::PagedTable;
 
-use crate::bmt::ARITY;
+use crate::bmt::{level_starts, tree_height, PendingLine, ARITY};
 
 /// One ToC node: per-child version counters plus the node MAC.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -59,10 +57,6 @@ impl Default for TocNode {
     }
 }
 
-fn node_key(level: usize, index: u64) -> (usize, u64) {
-    (level, index)
-}
-
 /// Upper bound on tree height: `ARITY^22 = 8^22 > 2^64`, so any `u64` leaf
 /// count fits. Lets the eager reference path keep the update path in a
 /// fixed-size stack array instead of allocating per write. (The deferred
@@ -70,6 +64,36 @@ fn node_key(level: usize, index: u64) -> (usize, u64) {
 /// reference still needs it.)
 #[cfg(test)]
 const MAX_HEIGHT: usize = 22;
+
+/// One copy of the tree: its nodes, from level 1 (the leaves' parents) up
+/// to the root, at the keys [`level_starts`] gives each level, and its leaf
+/// MACs keyed by leaf. Pages are allocated only where entries are written,
+/// so a copy costs nothing per leaf at construction, and clearing it costs
+/// in proportion to the pages it holds. Iteration runs in ascending
+/// (level, index) order, a pure function of the contents: the shadow
+/// root's MAC input depends on that order.
+#[derive(Debug, Clone, Default, PartialEq)]
+struct TocStore {
+    nodes: PagedTable<TocNode>,
+    leaf_macs: PagedTable<Mac64>,
+}
+
+impl TocStore {
+    /// Writes every entry of `other` over this copy's.
+    fn overlay(&mut self, other: &TocStore) {
+        for (key, node) in other.nodes.iter() {
+            *self.nodes.entry(key) = *node;
+        }
+        for (index, mac) in other.leaf_macs.iter() {
+            *self.leaf_macs.entry(index) = *mac;
+        }
+    }
+
+    fn clear(&mut self) {
+        self.nodes.clear();
+        self.leaf_macs.clear();
+    }
+}
 
 /// A lazily-updated Tree of Counters with Phoenix-style shadow protection.
 ///
@@ -93,18 +117,15 @@ const MAX_HEIGHT: usize = 22;
 pub struct TreeOfCounters {
     leaves: u64,
     height: usize,
-    /// Persistent (NVM) tree nodes; stale for lazily-updated paths.
-    /// Ordered maps throughout: recovery and audits iterate these, and
-    /// iteration order must be a pure function of the contents.
-    main: BTreeMap<(usize, u64), TocNode>,
-    /// Persistent (NVM) leaf MACs, keyed by leaf index.
-    main_leaf_macs: FlatMap<Mac64>,
-    /// Volatile cache of updated nodes/leaf MACs (lost on crash).
-    cache: BTreeMap<(usize, u64), TocNode>,
-    cache_leaf_macs: FlatMap<Mac64>,
+    /// Level `l`'s nodes start at key `starts[l - 1]` (see [`level_starts`]).
+    starts: Vec<u64>,
+    /// Persistent (NVM) tree; stale for lazily-updated paths.
+    main: TocStore,
+    /// Volatile cache of updated nodes and leaf MACs (lost on crash). A
+    /// node here shadows its `main` copy.
+    cache: TocStore,
     /// Write-through shadow region (NVM) mirroring the volatile cache.
-    shadow: BTreeMap<(usize, u64), TocNode>,
-    shadow_leaf_macs: BTreeMap<u64, Mac64>,
+    shadow: TocStore,
     /// Persistent register: eagerly-updated MAC over the shadow region.
     shadow_root: Mac64,
     /// Persistent register: the root node's counter epoch.
@@ -114,7 +135,7 @@ pub struct TreeOfCounters {
     /// MACs, their shadow copies, and the shadow root are all stale; only
     /// the latest line per leaf is kept because intermediate values never
     /// reach an observation point.
-    pending_leaf_lines: FlatMap<Line>,
+    pending_leaf_lines: PagedTable<PendingLine>,
     updates: u64,
 }
 
@@ -138,25 +159,17 @@ impl TreeOfCounters {
     /// Panics if `leaves` is zero.
     pub fn new(leaves: u64, engine: &MacEngine) -> Self {
         assert!(leaves > 0, "tree must cover at least one leaf");
-        let mut height = 0usize;
-        let mut width = leaves;
-        while width > 1 {
-            width = width.div_ceil(ARITY);
-            height += 1;
-        }
-        let height = height.max(1);
+        let height = tree_height(leaves);
         let mut toc = Self {
             leaves,
             height,
-            main: BTreeMap::new(),
-            main_leaf_macs: FlatMap::new(),
-            cache: BTreeMap::new(),
-            cache_leaf_macs: FlatMap::new(),
-            shadow: BTreeMap::new(),
-            shadow_leaf_macs: BTreeMap::new(),
+            starts: level_starts(leaves, 1, height),
+            main: TocStore::default(),
+            cache: TocStore::default(),
+            shadow: TocStore::default(),
             shadow_root: [0; 8],
             root_counter: 0,
-            pending_leaf_lines: FlatMap::new(),
+            pending_leaf_lines: PagedTable::new(),
             updates: 0,
         };
         toc.shadow_root = toc.compute_shadow_root(engine);
@@ -180,22 +193,28 @@ impl TreeOfCounters {
 
     /// Number of dirty (cached, unevicted) nodes.
     pub fn dirty_nodes(&self) -> usize {
-        self.cache.len()
+        self.cache.nodes.len()
+    }
+
+    fn key(&self, level: usize, index: u64) -> u64 {
+        self.starts[level - 1] + index
     }
 
     fn node(&self, level: usize, index: u64) -> TocNode {
-        let key = node_key(level, index);
+        let key = self.key(level, index);
         self.cache
-            .get(&key)
-            .or_else(|| self.main.get(&key))
+            .nodes
+            .get(key)
+            .or_else(|| self.main.nodes.get(key))
             .copied()
             .unwrap_or_default()
     }
 
     fn leaf_mac(&self, index: u64) -> Mac64 {
-        self.cache_leaf_macs
+        self.cache
+            .leaf_macs
             .get(index)
-            .or_else(|| self.main_leaf_macs.get(index))
+            .or_else(|| self.main.leaf_macs.get(index))
             .copied()
             .unwrap_or([0; 8])
     }
@@ -208,8 +227,9 @@ impl TreeOfCounters {
         };
         // Streamed MAC (byte-identical to `tag` over the former
         // concatenation buffer): ARITY counters + parent counter + level +
-        // index, 8 little-endian bytes each. This sits on the per-write
-        // critical path, so no allocation.
+        // index, 8 little-endian bytes each. Runs once per dirty node at
+        // each materialization and once per level in `verify_leaf`, so no
+        // allocation.
         let mut s = engine.stream_tag(8 * (ARITY + 3));
         for c in &node.counters {
             s.update(&c.to_le_bytes());
@@ -228,23 +248,27 @@ impl TreeOfCounters {
 
     fn compute_shadow_root(&self, engine: &MacEngine) -> Mac64 {
         // Streamed MAC (byte-identical to `tag` over the former
-        // concatenation buffer). Per shadow node: level + index + ARITY
-        // counters (8 LE bytes each) + the 8-byte node MAC; per shadow leaf
-        // MAC: index + MAC; then the root counter. Recomputed on every leaf
-        // update, so no allocation.
-        let len = self.shadow.len() as u64 * (8 * (ARITY + 3))
-            + self.shadow_leaf_macs.len() as u64 * 16
+        // concatenation buffer). Per shadow node, in (level, index) order:
+        // level + index + ARITY counters (8 LE bytes each) + the 8-byte
+        // node MAC; per shadow leaf MAC: index + MAC; then the root counter.
+        // Recomputed once per materialization and at each eviction.
+        let len = self.shadow.nodes.len() as u64 * (8 * (ARITY + 3))
+            + self.shadow.leaf_macs.len() as u64 * 16
             + 8;
         let mut s = engine.stream_tag(len);
-        for (&(level, index), node) in &self.shadow {
+        let mut level = 1;
+        for (key, node) in self.shadow.nodes.iter() {
+            while key >= self.starts[level] {
+                level += 1;
+            }
             s.update(&(level as u64).to_le_bytes());
-            s.update(&index.to_le_bytes());
+            s.update(&(key - self.starts[level - 1]).to_le_bytes());
             for c in &node.counters {
                 s.update(&c.to_le_bytes());
             }
             s.update(&node.mac);
         }
-        for (&index, mac) in &self.shadow_leaf_macs {
+        for (index, mac) in self.shadow.leaf_macs.iter() {
             s.update(&index.to_le_bytes());
             s.update(mac);
         }
@@ -253,9 +277,35 @@ impl TreeOfCounters {
         s.finish()
     }
 
-    /// Updates leaf `index` to `leaf_line`: increments version counters up
-    /// the path (in cache only), recomputes affected MACs, and eagerly
-    /// refreshes the shadow region + shadow root.
+    /// Bumps leaf `index`'s version counter in each node up the path, in
+    /// the cached copies. A node's first touch since the last eviction or
+    /// crash seeds its cached copy from `main`; after that each bump is an
+    /// in-place increment.
+    fn bump_path(&mut self, index: u64) {
+        assert!(index < self.leaves, "leaf index out of range");
+        self.updates += 1;
+        let mut idx = index;
+        for level in 1..=self.height {
+            let parent = idx / ARITY;
+            let key = self.key(level, parent);
+            let main = &self.main.nodes;
+            let node = self
+                .cache
+                .nodes
+                .get_or_insert_with(key, || main.get(key).copied().unwrap_or_default());
+            node.counters[(idx % ARITY) as usize] += 1;
+            idx = parent;
+        }
+        self.root_counter += 1;
+    }
+
+    /// Updates leaf `index` to `leaf_line`: increments the version counters
+    /// up the path (in the cache only) and records the line. Node MACs,
+    /// the leaf MAC, the shadow write-through and the shadow root stay
+    /// stale until the next observation point (a verify, an eviction, a
+    /// crash, a recovery or a tamper), which recomputes each dirty node
+    /// once. Later MACs are pure functions of the counters, so the counters
+    /// stay eager.
     ///
     /// With parallel MAC engines all levels update concurrently, which is
     /// why the Ma-SU charges only [`dolos_crypto::latency::LAZY_UPDATE_MACS`]
@@ -266,22 +316,8 @@ impl TreeOfCounters {
     /// Panics if `index` is out of range.
     pub fn update_leaf(&mut self, engine: &MacEngine, index: u64, leaf_line: &Line) {
         let _ = engine; // the engine is spent at materialization time
-        assert!(index < self.leaves, "leaf index out of range");
-        self.updates += 1;
-        // Bump version counters bottom-up in the cached copies. Later MACs
-        // are pure functions of these integers, so the counters stay eager
-        // while the MAC work defers.
-        let mut idx = index;
-        for level in 1..=self.height {
-            let parent = idx / ARITY;
-            let child = (idx % ARITY) as usize;
-            let mut node = self.node(level, parent);
-            node.counters[child] += 1;
-            self.cache.insert(node_key(level, parent), node);
-            idx = parent;
-        }
-        self.root_counter += 1;
-        self.pending_leaf_lines.insert(index, *leaf_line);
+        self.bump_path(index);
+        *self.pending_leaf_lines.entry(index) = PendingLine(*leaf_line);
     }
 
     /// The uncached reference path: recomputes every MAC, the shadow
@@ -291,19 +327,7 @@ impl TreeOfCounters {
     /// [`TreeOfCounters::materialize`] and demands identical state.
     #[cfg(test)]
     pub(crate) fn eager_update_leaf(&mut self, engine: &MacEngine, index: u64, leaf_line: &Line) {
-        assert!(index < self.leaves, "leaf index out of range");
-        self.updates += 1;
-        // Bump version counters bottom-up in the cached copies.
-        let mut idx = index;
-        for level in 1..=self.height {
-            let parent = idx / ARITY;
-            let child = (idx % ARITY) as usize;
-            let mut node = self.node(level, parent);
-            node.counters[child] += 1;
-            self.cache.insert(node_key(level, parent), node);
-            idx = parent;
-        }
-        self.root_counter += 1;
+        self.bump_path(index);
         // Recompute MACs top-down so each node MACs against its parent's new
         // counter.
         let mut path = [(0usize, 0u64); MAX_HEIGHT];
@@ -316,16 +340,15 @@ impl TreeOfCounters {
         for &(level, node_idx) in path.iter().rev() {
             let mut node = self.node(level, node_idx);
             node.mac = self.node_mac(engine, level, node_idx, &node);
-            self.cache.insert(node_key(level, node_idx), node);
+            *self.cache.nodes.entry(self.key(level, node_idx)) = node;
         }
         let mac = self.leaf_mac_value(engine, index, leaf_line);
-        self.cache_leaf_macs.insert(index, mac);
+        *self.cache.leaf_macs.entry(index) = mac;
         // Write-through to the shadow region; eagerly update its root.
         for &(level, node_idx) in path {
-            self.shadow
-                .insert(node_key(level, node_idx), self.node(level, node_idx));
+            *self.shadow.nodes.entry(self.key(level, node_idx)) = self.node(level, node_idx);
         }
-        self.shadow_leaf_macs.insert(index, mac);
+        *self.shadow.leaf_macs.entry(index) = mac;
         self.shadow_root = self.compute_shadow_root(engine);
     }
 
@@ -339,14 +362,15 @@ impl TreeOfCounters {
         if self.pending_leaf_lines.is_empty() {
             return;
         }
-        let pending = std::mem::replace(&mut self.pending_leaf_lines, FlatMap::new());
+        // Taken out for the walk and put back cleared: its pages are reused.
+        let mut pending = std::mem::take(&mut self.pending_leaf_lines);
         // Pending iterates in ascending leaf order, so each level's frontier
         // arrives ascending and adjacent dedup suffices.
         let mut frontier: Vec<u64> = Vec::with_capacity(pending.len());
-        for (index, line) in pending.iter() {
+        for (index, PendingLine(line)) in pending.iter() {
             let mac = self.leaf_mac_value(engine, index, line);
-            self.cache_leaf_macs.insert(index, mac);
-            self.shadow_leaf_macs.insert(index, mac);
+            *self.cache.leaf_macs.entry(index) = mac;
+            *self.shadow.leaf_macs.entry(index) = mac;
             let parent = index / ARITY;
             if frontier.last() != Some(&parent) {
                 frontier.push(parent);
@@ -357,8 +381,9 @@ impl TreeOfCounters {
             for &idx in &frontier {
                 let mut node = self.node(level, idx);
                 node.mac = self.node_mac(engine, level, idx, &node);
-                self.cache.insert(node_key(level, idx), node);
-                self.shadow.insert(node_key(level, idx), node);
+                let key = self.key(level, idx);
+                *self.cache.nodes.entry(key) = node;
+                *self.shadow.nodes.entry(key) = node;
                 let parent = idx / ARITY;
                 if next.last() != Some(&parent) {
                     next.push(parent);
@@ -366,6 +391,8 @@ impl TreeOfCounters {
             }
             frontier = next;
         }
+        pending.clear();
+        self.pending_leaf_lines = pending;
         self.shadow_root = self.compute_shadow_root(engine);
     }
 
@@ -393,14 +420,9 @@ impl TreeOfCounters {
     /// shadow region — what a metadata-cache flush does.
     pub fn evict_all(&mut self, engine: &MacEngine) {
         self.materialize(engine);
-        for (key, node) in std::mem::take(&mut self.cache) {
-            self.main.insert(key, node);
-        }
-        for (idx, mac) in std::mem::take(&mut self.cache_leaf_macs).iter() {
-            self.main_leaf_macs.insert(idx, *mac);
-        }
+        self.main.overlay(&self.cache);
+        self.cache.clear();
         self.shadow.clear();
-        self.shadow_leaf_macs.clear();
         self.shadow_root = self.compute_shadow_root(engine);
     }
 
@@ -413,7 +435,6 @@ impl TreeOfCounters {
     pub fn crash(&mut self, engine: &MacEngine) {
         self.materialize(engine);
         self.cache.clear();
-        self.cache_leaf_macs.clear();
     }
 
     /// Recovers the cached state from the shadow region.
@@ -427,21 +448,23 @@ impl TreeOfCounters {
         if self.compute_shadow_root(engine) != self.shadow_root {
             return Err(TocRecoveryError);
         }
-        for (&key, node) in &self.shadow {
-            self.cache.insert(key, *node);
-        }
-        for (&idx, mac) in &self.shadow_leaf_macs {
-            self.cache_leaf_macs.insert(idx, *mac);
-        }
+        self.cache.overlay(&self.shadow);
         Ok(())
     }
 
     /// Tampers with a shadow-region node (attack-injection tests). Deferred
     /// MACs materialize first so the attacker strikes the shadow state the
     /// hardware would hold, and a later materialization cannot heal it.
+    /// A node outside the tree or the shadow region is ignored.
     pub fn tamper_shadow(&mut self, engine: &MacEngine, level: usize, index: u64) {
         self.materialize(engine);
-        if let Some(node) = self.shadow.get_mut(&node_key(level, index)) {
+        if !(1..=self.height).contains(&level)
+            || index >= self.starts[level] - self.starts[level - 1]
+        {
+            return;
+        }
+        let key = self.key(level, index);
+        if let Some(node) = self.shadow.nodes.get_mut(key) {
             node.counters[0] ^= 1;
         }
     }
@@ -449,6 +472,8 @@ impl TreeOfCounters {
 
 #[cfg(test)]
 mod tests {
+    use std::collections::BTreeMap;
+
     use super::*;
 
     fn engine() -> MacEngine {
@@ -516,6 +541,13 @@ mod tests {
         let e = engine();
         t.update_leaf(&e, 5, &[1; 64]);
         t.crash(&e);
+        // Nodes outside the tree are ignored: level 1 holds 8 nodes, so its
+        // node 8 would share level 2 node 0's key.
+        t.tamper_shadow(&e, 1, 8);
+        t.tamper_shadow(&e, 0, 0);
+        t.tamper_shadow(&e, 3, 0);
+        let mut clean = t.clone();
+        assert_eq!(clean.recover(&e), Ok(()));
         t.tamper_shadow(&e, 1, 0);
         assert_eq!(t.recover(&e), Err(TocRecoveryError));
     }
@@ -552,22 +584,10 @@ mod tests {
     /// Every observable field of the two ToCs must agree.
     fn assert_state_eq(deferred: &TreeOfCounters, eager: &TreeOfCounters, ctx: &str) {
         assert_eq!(deferred.main, eager.main, "{ctx}: main tree diverged");
-        assert_eq!(
-            deferred.main_leaf_macs, eager.main_leaf_macs,
-            "{ctx}: main leaf MACs diverged"
-        );
         assert_eq!(deferred.cache, eager.cache, "{ctx}: cache diverged");
-        assert_eq!(
-            deferred.cache_leaf_macs, eager.cache_leaf_macs,
-            "{ctx}: cached leaf MACs diverged"
-        );
         assert_eq!(
             deferred.shadow, eager.shadow,
             "{ctx}: shadow region diverged"
-        );
-        assert_eq!(
-            deferred.shadow_leaf_macs, eager.shadow_leaf_macs,
-            "{ctx}: shadow leaf MACs diverged"
         );
         assert_eq!(
             deferred.shadow_root, eager.shadow_root,
@@ -650,5 +670,62 @@ mod tests {
         t.crash(&e);
         t.tamper_shadow(&e, 1, 0);
         assert_eq!(t.recover(&e), Err(TocRecoveryError));
+    }
+
+    /// The lockstep test compares two update paths over one storage
+    /// layout, so a layout change that reorders MAC inputs passes it. These
+    /// byte values do not depend on the layout: after one seeded sequence
+    /// of updates, evictions and crash/recover rounds, the shadow-root
+    /// register, the last-written leaf's MAC and the shadow region's root
+    /// once a node is tampered with (as little-endian `u64`s).
+    #[test]
+    fn fingerprint_is_independent_of_storage_layout() {
+        use crate::bmt::tests::random_line;
+        use dolos_sim::rng::XorShift;
+        let e = engine();
+        let cases: [(u64, u64, [u64; 3]); 3] = [
+            (
+                0x7E57,
+                8,
+                [0xdb2e5ffa4b06e640, 0x17f284d6cef9b8c9, 0x097c5b58c87b237f],
+            ),
+            (
+                0xCAFE,
+                64,
+                [0x8717f98618862765, 0xd1cebc9c05f1b541, 0x160b2432202a5817],
+            ),
+            (
+                0xF1A7,
+                300,
+                [0x60e0f873cc20b9fa, 0x58b4ce64c1a88c15, 0xcc857a22282676e2],
+            ),
+        ];
+        for (seed, leaves, expect) in cases {
+            let mut rng = XorShift::new(seed);
+            let mut t = TreeOfCounters::new(leaves, &e);
+            let mut last = 0;
+            for step in 0..200u64 {
+                last = rng.next_below(leaves);
+                t.update_leaf(&e, last, &random_line(&mut rng));
+                match step % 23 {
+                    5 => t.evict_all(&e),
+                    13 => {
+                        t.crash(&e);
+                        assert_eq!(t.recover(&e), Ok(()), "{leaves} leaves, step {step}");
+                    }
+                    _ => {}
+                }
+            }
+            t.crash(&e);
+            let shadow_root = t.shadow_root;
+            assert_eq!(t.recover(&e), Ok(()));
+            let leaf_mac = t.leaf_mac(last);
+            t.crash(&e);
+            t.tamper_shadow(&e, 1, last / ARITY);
+            let tampered = t.compute_shadow_root(&e);
+            assert_eq!(t.recover(&e), Err(TocRecoveryError));
+            let got = [shadow_root, leaf_mac, tampered].map(u64::from_le_bytes);
+            assert_eq!(got, expect, "{leaves} leaves");
+        }
     }
 }

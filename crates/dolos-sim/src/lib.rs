@@ -17,10 +17,9 @@
 //!   from;
 //! * [`json`] — the string escaper and well-formedness check shared by
 //!   every hand-rolled JSON report;
-//! * [`flat`] — a sorted flat map used for per-line metadata tables whose
-//!   iteration order must be reproducible;
-//! * [`paged`] — the paged line table behind the NVM device, the Ma-SU's
-//!   ECC sidecar and the WHISPER environment's line image;
+//! * [`paged`] — the paged table behind every `u64`-keyed store: the NVM
+//!   device's lines, the Ma-SU's per-page metadata, the integrity trees'
+//!   nodes and the WHISPER environment's line image;
 //! * [`table`] — plain-text table rendering shared by every report surface;
 //! * [`trace`] — cycle-stamped event/span vocabulary the timing-bearing
 //!   crates emit into and the `dolos-trace` analysis crate consumes.
@@ -50,7 +49,6 @@
 // program.
 #![warn(missing_docs)]
 
-pub mod flat;
 pub mod json;
 pub mod paged;
 pub mod pool;

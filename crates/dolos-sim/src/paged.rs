@@ -1,17 +1,21 @@
-//! A paged table keyed by line index.
+//! A paged table keyed by line, page or node index.
 //!
 //! The simulator's per-line stores (the NVM device's lines, the Ma-SU's ECC
 //! sidecar, the WHISPER environment's volatile line image) are keyed by
 //! line index (address / 64) and touched on every simulated write. They
 //! are dense inside a few fixed regions (data from address 0, then one
-//! region per kind of metadata) and empty everywhere else. [`PagedTable`]
-//! fits that shape: a page holds 64 consecutive slots and a presence mask,
-//! allocated on first touch; a chunk holds [`CHUNK_PAGES`] page pointers;
-//! and a sorted directory of chunks covers the full `u64` key space. The
-//! directory is sparse because metadata regions can sit anywhere up to the
-//! end of the address space (a trace may write data at 2^63 − 64, which
-//! puts its MAC lines above 2^63), so no vector can be sized by the highest
-//! key. A lookup finds the chunk by one compare when every chunk below it
+//! region per kind of metadata) and empty everywhere else. The smaller
+//! integer-keyed tables have the same shape: the Ma-SU's pending-counter
+//! tallies and the Anubis shadow table's index (keyed by counter page, and
+//! by MT node with bit 63 set), the integrity trees' nodes (keyed by node
+//! index past their level's offset) and pending leaves, and the WHISPER
+//! workloads' key mirrors. [`PagedTable`] fits that shape: a page holds 64
+//! consecutive slots and a presence mask, allocated on first touch; a
+//! chunk holds [`CHUNK_PAGES`] page pointers; and a sorted directory of
+//! chunks covers the full `u64` key space. The directory is sparse because
+//! metadata regions can sit anywhere up to the end of the address space (a
+//! trace may write data at 2^63 − 64, which puts its MAC lines above
+//! 2^63), so no vector can be sized by the highest key. A lookup finds the chunk by one compare when every chunk below it
 //! is present, as in a data region starting at 0, and by a binary search
 //! otherwise, then indexes the chunk and the page. Chunks are small (512
 //! bytes of pointers) so that a small system, which touches one or two
@@ -108,6 +112,14 @@ impl<T> Default for PagedTable<T> {
     }
 }
 
+/// Equal when both hold the same keys with equal values: pages emptied by
+/// [`PagedTable::remove`] or [`PagedTable::clear`] do not count.
+impl<T: PartialEq> PartialEq for PagedTable<T> {
+    fn eq(&self, other: &Self) -> bool {
+        self.len == other.len && self.iter().eq(other.iter())
+    }
+}
+
 impl<T: fmt::Debug> fmt::Debug for PagedTable<T> {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_map().entries(self.iter()).finish()
@@ -160,6 +172,13 @@ impl<T> PagedTable<T> {
         (page.present & bit != 0).then(|| &page.slots[slot])
     }
 
+    /// The value under `key` for update in place, if any.
+    pub fn get_mut(&mut self, key: u64) -> Option<&mut T> {
+        let page = self.page_mut(key)?;
+        let (slot, bit) = slot_bit(key);
+        (page.present & bit != 0).then(|| &mut page.slots[slot])
+    }
+
     /// True when `key` holds an entry.
     pub fn contains_key(&self, key: u64) -> bool {
         self.get(key).is_some()
@@ -197,10 +216,14 @@ impl<T> PagedTable<T> {
             .skip_while(move |&(k, _)| k < start)
     }
 
-    /// Removes every entry and page.
+    /// Removes every entry. Pages stay allocated, so refilling the same
+    /// keys allocates nothing, and the cost follows the pages held, not
+    /// the key space. A slot's old value is dropped when it is overwritten
+    /// or the table is dropped.
     pub fn clear(&mut self) {
-        self.chunk_keys.clear();
-        self.chunks.clear();
+        for page in self.chunks.iter_mut().flatten().flatten() {
+            page.present = 0;
+        }
         self.len = 0;
     }
 }

@@ -1,9 +1,9 @@
 //! Property tests pinning `paged::PagedTable` against the standard ordered
 //! map.
 //!
-//! `PagedTable` holds the NVM device's lines, the Ma-SU's ECC sidecar and
-//! the WHISPER environment's line image, so its semantics are pinned here
-//! operation for operation against `BTreeMap` under seeded op sequences
+//! `PagedTable` holds every `u64`-keyed table of the simulator, from the
+//! NVM device's lines to the integrity trees' node levels, so its semantics
+//! are pinned here operation for operation against `BTreeMap` under seeded op sequences
 //! from the in-repo deterministic RNG. Keys cluster on page (64 keys) and
 //! chunk boundaries, and include key 0, the line of address 2^63 − 64 (the
 //! top of the data space a trace may name) and metadata lines above it.
@@ -75,10 +75,18 @@ fn paged_table_matches_btree_map_under_random_ops() {
                         "seed {seed} step {step}: get_or_insert_with({k})"
                     );
                 }
-                // get / contains
+                // get / contains / update in place
                 4 | 5 => {
                     assert_eq!(paged.get(k), btree.get(&k), "seed {seed} step {step}");
                     assert_eq!(paged.contains_key(k), btree.contains_key(&k));
+                    match (paged.get_mut(k), btree.get_mut(&k)) {
+                        (Some(p), Some(b)) => {
+                            *p ^= step as u64;
+                            *b ^= step as u64;
+                        }
+                        (None, None) => {}
+                        _ => panic!("seed {seed} step {step}: get_mut({k}) diverged"),
+                    }
                 }
                 6 => {
                     assert_eq!(paged.remove(k), btree.remove(&k), "seed {seed} step {step}");
@@ -112,6 +120,17 @@ fn paged_table_matches_btree_map_under_random_ops() {
             entries(btree.iter().map(|(&k, v)| (k, v))),
             "seed {seed}: final state diverged"
         );
+        // Equality sees contents only: the same entries inserted in the
+        // opposite order, without the pages `remove` emptied, compare equal.
+        let mut rebuilt: PagedTable<u64> = PagedTable::new();
+        for (&k, &v) in btree.iter().rev() {
+            *rebuilt.entry(k) = v;
+        }
+        assert_eq!(rebuilt, paged, "seed {seed}");
+        if let Some((&k, _)) = btree.iter().next() {
+            rebuilt.remove(k);
+            assert_ne!(rebuilt, paged, "seed {seed}");
+        }
     }
 }
 

@@ -12,7 +12,7 @@
 //! Leaves store value pointers in `child_or_val[i]` aligned with `key[i]`;
 //! internals store child pointers with the usual k keys / k+1 children.
 
-use dolos_sim::flat::FlatMap;
+use dolos_sim::paged::PagedTable;
 use dolos_sim::rng::XorShift;
 
 use crate::env::PmEnv;
@@ -28,8 +28,8 @@ pub struct BTreeWorkload {
     keyspace: u64,
     header: u64,
     log: Option<UndoLog>,
-    mirror: FlatMap<(u64, usize)>,
-    versions: FlatMap<u64>,
+    mirror: PagedTable<(u64, usize)>,
+    versions: PagedTable<u64>,
 }
 
 struct Node {
@@ -46,8 +46,8 @@ impl BTreeWorkload {
             keyspace,
             header: 0,
             log: None,
-            mirror: FlatMap::new(),
-            versions: FlatMap::new(),
+            mirror: PagedTable::new(),
+            versions: PagedTable::new(),
         }
     }
 
@@ -241,12 +241,12 @@ impl Workload for BTreeWorkload {
         // undo/redo logging doubling the payload, the value is half of it.
         let txn_bytes = (txn_bytes / 2).max(64);
         let key = rng.next_below(self.keyspace) + 1; // avoid the 0 sentinel
-        let version = self.versions.get_mut_or_insert(key, 0);
+        let version = self.versions.entry(key);
         *version += 1;
         let version = *version;
         let value = value_pattern(key, version, txn_bytes);
         self.upsert(env, key, &value);
-        self.mirror.insert(key, (version, txn_bytes));
+        *self.mirror.entry(key) = (version, txn_bytes);
     }
 
     fn verify(&mut self, env: &mut PmEnv) {
@@ -302,8 +302,8 @@ mod tests {
             log.begin(&mut env);
             w.upsert_inner(&mut env, &mut log, key, &value_pattern(key, 1, 64));
             log.commit(&mut env);
-            w.mirror.insert(key, (1, 64));
-            w.versions.insert(key, 1);
+            *w.mirror.entry(key) = (1, 64);
+            *w.versions.entry(key) = 1;
         }
         w.log = Some(log);
         w.verify(&mut env);

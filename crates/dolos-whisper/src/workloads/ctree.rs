@@ -12,7 +12,7 @@
 //! `bit` is the index (63 = MSB) of the highest bit where the two subtrees
 //! differ; lookups walk by testing that bit of the key.
 
-use dolos_sim::flat::FlatMap;
+use dolos_sim::paged::PagedTable;
 use dolos_sim::rng::XorShift;
 
 use crate::env::PmEnv;
@@ -28,8 +28,8 @@ pub struct CtreeWorkload {
     keyspace: u64,
     root_ptr: u64,
     log: Option<UndoLog>,
-    mirror: FlatMap<(u64, usize)>,
-    versions: FlatMap<u64>,
+    mirror: PagedTable<(u64, usize)>,
+    versions: PagedTable<u64>,
 }
 
 impl CtreeWorkload {
@@ -39,8 +39,8 @@ impl CtreeWorkload {
             keyspace,
             root_ptr: 0,
             log: None,
-            mirror: FlatMap::new(),
-            versions: FlatMap::new(),
+            mirror: PagedTable::new(),
+            versions: PagedTable::new(),
         }
     }
 
@@ -142,12 +142,12 @@ impl Workload for CtreeWorkload {
         // undo/redo logging doubling the payload, the value is half of it.
         let txn_bytes = (txn_bytes / 2).max(64);
         let key = rng.next_below(self.keyspace);
-        let version = self.versions.get_mut_or_insert(key, 0);
+        let version = self.versions.entry(key);
         *version += 1;
         let version = *version;
         let value = value_pattern(key, version, txn_bytes);
         self.upsert(env, key, &value);
-        self.mirror.insert(key, (version, txn_bytes));
+        *self.mirror.entry(key) = (version, txn_bytes);
     }
 
     fn verify(&mut self, env: &mut PmEnv) {
@@ -206,8 +206,8 @@ mod tests {
         for key in [8u64, 9] {
             let v = value_pattern(key, 1, 64);
             w.upsert(&mut env, key, &v);
-            w.mirror.insert(key, (1, 64));
-            w.versions.insert(key, 1);
+            *w.mirror.entry(key) = (1, 64);
+            *w.versions.entry(key) = 1;
         }
         w.verify(&mut env);
         // The discriminating internal node must test bit 0.
@@ -224,8 +224,8 @@ mod tests {
         // Insert every key once so later transactions are pure updates.
         for key in 0..8u64 {
             w.upsert(&mut env, key, &value_pattern(key, 1, 64));
-            w.mirror.insert(key, (1, 64));
-            w.versions.insert(key, 1);
+            *w.mirror.entry(key) = (1, 64);
+            *w.versions.entry(key) = 1;
         }
         let mut rng = XorShift::new(5);
         let heap_after_inserts = env.heap_used();

@@ -11,7 +11,7 @@
 //! Every transaction upserts one key with a fresh value through the undo
 //! log: chain walk, node/value writes, commit.
 
-use dolos_sim::flat::FlatMap;
+use dolos_sim::paged::PagedTable;
 use dolos_sim::rng::XorShift;
 
 use crate::env::PmEnv;
@@ -27,8 +27,8 @@ pub struct HashmapWorkload {
     buckets: u64,
     log: Option<UndoLog>,
     /// Volatile mirror of committed state: key -> (version, len).
-    mirror: FlatMap<(u64, usize)>,
-    versions: FlatMap<u64>,
+    mirror: PagedTable<(u64, usize)>,
+    versions: PagedTable<u64>,
 }
 
 impl HashmapWorkload {
@@ -38,8 +38,8 @@ impl HashmapWorkload {
             keyspace,
             buckets: 0,
             log: None,
-            mirror: FlatMap::new(),
-            versions: FlatMap::new(),
+            mirror: PagedTable::new(),
+            versions: PagedTable::new(),
         }
     }
 
@@ -117,12 +117,12 @@ impl Workload for HashmapWorkload {
         // undo/redo logging doubling the payload, the value is half of it.
         let txn_bytes = (txn_bytes / 2).max(64);
         let key = rng.next_below(self.keyspace);
-        let version = self.versions.get_mut_or_insert(key, 0);
+        let version = self.versions.entry(key);
         *version += 1;
         let version = *version;
         let value = value_pattern(key, version, txn_bytes);
         self.upsert(env, key, &value);
-        self.mirror.insert(key, (version, txn_bytes));
+        *self.mirror.entry(key) = (version, txn_bytes);
     }
 
     fn verify(&mut self, env: &mut PmEnv) {
@@ -201,14 +201,14 @@ mod tests {
         for key in 0..4u64 {
             let v = value_pattern(key, 1, 64);
             w.upsert(&mut env, key, &v);
-            w.mirror.insert(key, (1, 64));
-            w.versions.insert(key, 1);
+            *w.mirror.entry(key) = (1, 64);
+            *w.versions.entry(key) = 1;
         }
         for version in 2..6u64 {
             let v = value_pattern(1, version, 64);
             w.upsert(&mut env, 1, &v);
-            w.mirror.insert(1, (version, 64));
-            w.versions.insert(1, version);
+            *w.mirror.entry(1) = (version, 64);
+            *w.versions.entry(1) = version;
         }
         w.verify(&mut env);
     }

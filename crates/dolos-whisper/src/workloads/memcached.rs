@@ -16,7 +16,7 @@
 //! lru:     [head u64 | tail u64]
 //! ```
 
-use dolos_sim::flat::FlatMap;
+use dolos_sim::paged::PagedTable;
 use dolos_sim::rng::XorShift;
 
 use crate::env::PmEnv;
@@ -42,8 +42,8 @@ pub struct MemcachedWorkload {
     buckets: u64,
     lru: u64,
     item_capacity: u64,
-    mirror: FlatMap<(u64, usize)>,
-    versions: FlatMap<u64>,
+    mirror: PagedTable<(u64, usize)>,
+    versions: PagedTable<u64>,
     gets: u64,
     sets: u64,
 }
@@ -56,8 +56,8 @@ impl MemcachedWorkload {
             buckets: 0,
             lru: 0,
             item_capacity: 0,
-            mirror: FlatMap::new(),
-            versions: FlatMap::new(),
+            mirror: PagedTable::new(),
+            versions: PagedTable::new(),
             gets: 0,
             sets: 0,
         }
@@ -205,12 +205,12 @@ impl Workload for MemcachedWorkload {
         if rng.chance(GET_RATIO) && self.mirror.contains_key(key) {
             let _ = self.get(env, key);
         } else {
-            let version = self.versions.get_mut_or_insert(key, 0);
+            let version = self.versions.entry(key);
             *version += 1;
             let version = *version;
             let value = value_pattern(key, version, txn_bytes);
             self.set(env, key, version, &value);
-            self.mirror.insert(key, (version, txn_bytes));
+            *self.mirror.entry(key) = (version, txn_bytes);
         }
     }
 
@@ -276,8 +276,8 @@ mod tests {
         for key in 0..4u64 {
             let value = value_pattern(key, 1, 64);
             w.set(&mut env, key, 1, &value);
-            w.mirror.insert(key, (1, 64));
-            w.versions.insert(key, 1);
+            *w.mirror.entry(key) = (1, 64);
+            *w.versions.entry(key) = 1;
         }
         let head = env.read_u64(w.lru);
         assert_eq!(env.read_u64(head + OFF_KEY), 3);
@@ -292,8 +292,8 @@ mod tests {
         assert!(w.get(&mut env, 5).is_none());
         let v = value_pattern(1, 1, 64);
         w.set(&mut env, 1, 1, &v);
-        w.mirror.insert(1, (1, 64));
-        w.versions.insert(1, 1);
+        *w.mirror.entry(1) = (1, 64);
+        *w.versions.entry(1) = 1;
         assert!(w.get(&mut env, 99).is_none());
         w.verify(&mut env);
     }
@@ -306,8 +306,8 @@ mod tests {
         for key in 0..3u64 {
             let v = value_pattern(key, 1, 64);
             w.set(&mut env, key, 1, &v);
-            w.mirror.insert(key, (1, 64));
-            w.versions.insert(key, 1);
+            *w.mirror.entry(key) = (1, 64);
+            *w.versions.entry(key) = 1;
         }
         // Head is key 2; GET key 0 must move it to the front.
         let _ = w.get(&mut env, 0);

@@ -14,7 +14,7 @@
 //! wal:     [head u64] then records [key u64 | version u64 | len u64 | bytes...]
 //! ```
 
-use dolos_sim::flat::FlatMap;
+use dolos_sim::paged::PagedTable;
 use dolos_sim::rng::{XorShift, Zipfian};
 
 use crate::env::PmEnv;
@@ -32,8 +32,8 @@ pub struct NstoreYcsbWorkload {
     wal_capacity: u64,
     wal_head: u64,
     zipf: Option<Zipfian>,
-    mirror: FlatMap<(u64, usize)>,
-    versions: FlatMap<u64>,
+    mirror: PagedTable<(u64, usize)>,
+    versions: PagedTable<u64>,
     reads: u64,
     updates: u64,
 }
@@ -48,8 +48,8 @@ impl NstoreYcsbWorkload {
             wal_capacity: 512 * 1024,
             wal_head: 64,
             zipf: None,
-            mirror: FlatMap::new(),
-            versions: FlatMap::new(),
+            mirror: PagedTable::new(),
+            versions: PagedTable::new(),
             reads: 0,
             updates: 0,
         }
@@ -87,7 +87,7 @@ impl NstoreYcsbWorkload {
     }
 
     fn update(&mut self, env: &mut PmEnv, key: u64, value: &[u8]) {
-        let version = self.versions.get_mut_or_insert(key, 0);
+        let version = self.versions.entry(key);
         *version += 1;
         let version = *version;
         self.wal_append(env, key, version, value);
@@ -110,7 +110,7 @@ impl NstoreYcsbWorkload {
             env.clwb(rec, 24 + value.len() as u64);
             env.sfence();
         }
-        self.mirror.insert(key, (version, value.len()));
+        *self.mirror.entry(key) = (version, value.len());
     }
 
     fn read(&mut self, env: &mut PmEnv, key: u64) -> Option<Vec<u8>> {

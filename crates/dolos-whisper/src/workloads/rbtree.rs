@@ -12,7 +12,7 @@
 //! node:   [key u64 | vptr u64 | color u64 | left u64 | right u64 | parent u64]
 //! ```
 
-use dolos_sim::flat::FlatMap;
+use dolos_sim::paged::PagedTable;
 use dolos_sim::rng::XorShift;
 
 use crate::env::PmEnv;
@@ -35,8 +35,8 @@ pub struct RbtreeWorkload {
     keyspace: u64,
     header: u64,
     log: Option<UndoLog>,
-    mirror: FlatMap<(u64, usize)>,
-    versions: FlatMap<u64>,
+    mirror: PagedTable<(u64, usize)>,
+    versions: PagedTable<u64>,
 }
 
 impl RbtreeWorkload {
@@ -46,8 +46,8 @@ impl RbtreeWorkload {
             keyspace,
             header: 0,
             log: None,
-            mirror: FlatMap::new(),
-            versions: FlatMap::new(),
+            mirror: PagedTable::new(),
+            versions: PagedTable::new(),
         }
     }
 
@@ -242,12 +242,12 @@ impl Workload for RbtreeWorkload {
         // undo/redo logging doubling the payload, the value is half of it.
         let txn_bytes = (txn_bytes / 2).max(64);
         let key = rng.next_below(self.keyspace) + 1;
-        let version = self.versions.get_mut_or_insert(key, 0);
+        let version = self.versions.entry(key);
         *version += 1;
         let version = *version;
         let value = value_pattern(key, version, txn_bytes);
         self.upsert(env, key, &value);
-        self.mirror.insert(key, (version, txn_bytes));
+        *self.mirror.entry(key) = (version, txn_bytes);
     }
 
     fn verify(&mut self, env: &mut PmEnv) {
@@ -298,7 +298,7 @@ mod tests {
         for key in 1..=32u64 {
             let value = value_pattern(key, 1, 64);
             w.upsert(&mut env, key, &value);
-            w.mirror.insert(key, (1, 64));
+            *w.mirror.entry(key) = (1, 64);
         }
         w.verify(&mut env);
         // A degenerate chain of 32 would have depth 32; red-black depth is
@@ -323,7 +323,7 @@ mod tests {
         w.setup(&mut env);
         for key in (1..=24u64).rev() {
             w.upsert(&mut env, key, &value_pattern(key, 1, 64));
-            w.mirror.insert(key, (1, 64));
+            *w.mirror.entry(key) = (1, 64);
         }
         w.verify(&mut env);
     }
@@ -336,8 +336,8 @@ mod tests {
         // Insert every key once so later transactions are pure updates.
         for key in 1..=4u64 {
             w.upsert(&mut env, key, &value_pattern(key, 1, 64));
-            w.mirror.insert(key, (1, 64));
-            w.versions.insert(key, 1);
+            *w.mirror.entry(key) = (1, 64);
+            *w.versions.entry(key) = 1;
         }
         let mut rng = XorShift::new(8);
         let heap = env.heap_used();

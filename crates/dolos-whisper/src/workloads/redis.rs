@@ -13,7 +13,7 @@
 //! value: [version u64 | len u64 | bytes...]
 //! ```
 
-use dolos_sim::flat::FlatMap;
+use dolos_sim::paged::PagedTable;
 use dolos_sim::rng::XorShift;
 
 use crate::env::PmEnv;
@@ -31,8 +31,8 @@ pub struct RedisWorkload {
     aof_capacity: u64,
     aof_head: u64,
     rewrites: u64,
-    mirror: FlatMap<(u64, usize)>,
-    versions: FlatMap<u64>,
+    mirror: PagedTable<(u64, usize)>,
+    versions: PagedTable<u64>,
 }
 
 impl RedisWorkload {
@@ -46,8 +46,8 @@ impl RedisWorkload {
             aof_capacity: 512 * 1024,
             aof_head: 64,
             rewrites: 0,
-            mirror: FlatMap::new(),
-            versions: FlatMap::new(),
+            mirror: PagedTable::new(),
+            versions: PagedTable::new(),
         }
     }
 
@@ -133,12 +133,12 @@ impl Workload for RedisWorkload {
         let txn_bytes = (txn_bytes / 2).max(64);
         let key = rng.next_below(self.keyspace);
         env.work(30); // command parsing (RESP protocol)
-        let version = self.versions.get_mut_or_insert(key, 0);
+        let version = self.versions.entry(key);
         *version += 1;
         let version = *version;
         let value = value_pattern(key, version, txn_bytes);
         self.set(env, key, version, &value);
-        self.mirror.insert(key, (version, txn_bytes));
+        *self.mirror.entry(key) = (version, txn_bytes);
     }
 
     fn verify(&mut self, env: &mut PmEnv) {
@@ -199,8 +199,8 @@ mod tests {
         for key in 0..16u64 {
             let v = value_pattern(key, 1, 64);
             w.set(&mut env, key, 1, &v);
-            w.mirror.insert(key, (1, 64));
-            w.versions.insert(key, 1);
+            *w.mirror.entry(key) = (1, 64);
+            *w.versions.entry(key) = 1;
         }
         w.verify(&mut env);
     }
