@@ -4,9 +4,17 @@
 //! 4-way) and the Merkle-tree metadata cache (256 KiB, 8-way) from Table 1
 //! use the default, a 64-byte [`Line`]: dirty blocks exist *only* here until
 //! written back, which is precisely the volatility that makes secure-NVM
-//! crash consistency hard. The WHISPER front end's CPU caches are tags only
-//! (`SetAssocCache<()>`): their bytes live in the environment's line image,
-//! so a way there is a key, a dirty bit and an LRU stamp.
+//! crash consistency hard. The WHISPER front end's CPU caches carry no
+//! bytes (their data lives in the environment's line image): L2 and the LLC
+//! are tags only (`SetAssocCache<()>`), and each L1 way carries two
+//! [`Pos`] hints, where its line last sat in L2 and the LLC.
+//!
+//! Key-based calls ([`SetAssocCache::probe`], [`SetAssocCache::fill`], ...)
+//! scan the key's set. [`SetAssocCache::find`] and
+//! [`SetAssocCache::fill_at`] return the key's [`Pos`] and take one back as
+//! a hint, and [`SetAssocCache::clean`] cleans a known way in place, so a
+//! caller that kept a position skips the scan. A set is one `Vec` that
+//! grows on first touch, so storage follows the sets actually used.
 
 use std::collections::BTreeMap;
 
@@ -34,6 +42,18 @@ pub struct Eviction<P = Line> {
     pub dirty: bool,
 }
 
+/// Where a block sits: its set and its way in that set.
+///
+/// A fill that evicts moves its set's last way into the victim's slot, and
+/// [`SetAssocCache::lose_all`] empties every set, so a kept position is a
+/// hint: the cache checks the key at it before use and scans the set when
+/// it no longer holds that key.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Pos {
+    set: u32,
+    way: u32,
+}
+
 #[derive(Debug, Clone)]
 struct Way<P> {
     key: u64,
@@ -56,15 +76,34 @@ struct Way<P> {
 /// cache.fill(5, [1; 64], false);
 /// assert_eq!(cache.probe(5), Access::Hit);
 /// assert_eq!(cache.get(5).unwrap()[0], 1);
+///
+/// // A kept position skips the set scan; a stale one falls back to it.
+/// let pos = cache.find(5, None).unwrap();
+/// assert_eq!(cache.find(5, Some(pos)), Some(pos));
+/// assert!(!cache.clean(pos), "filled clean");
 /// ```
 #[derive(Debug, Clone)]
 pub struct SetAssocCache<P = Line> {
     sets: Vec<Vec<Way<P>>>,
     ways: usize,
+    /// `2^64 / sets` rounded up (wrapping to 0 for one set): the
+    /// reciprocal [`Self::set_of`] multiplies by in place of a divide.
+    set_magic: u64,
     tick: u64,
     hits: u64,
     misses: u64,
     writebacks: u64,
+}
+
+/// `hash % sets` for a 32-bit `hash` without a divide, given
+/// `magic = u64::MAX / sets + 1` (Lemire, Kaser and Kurz, "Faster
+/// remainder by direct computation", 2019): the low 64 bits of
+/// `magic * hash` are the fraction `hash / sets`, and scaling that
+/// fraction by `sets` gives the remainder as the high 64 bits. Exact for
+/// every `hash` and `sets` below 2^32.
+fn fastmod(hash: u64, magic: u64, sets: u64) -> u64 {
+    let fraction = magic.wrapping_mul(hash);
+    ((u128::from(fraction) * u128::from(sets)) >> 64) as u64
 }
 
 impl<P: Copy> SetAssocCache<P> {
@@ -72,12 +111,17 @@ impl<P: Copy> SetAssocCache<P> {
     ///
     /// # Panics
     ///
-    /// Panics if `sets` or `ways` is zero.
+    /// Panics if `sets` or `ways` is zero, or either is 2^32 or more.
     pub fn new(sets: usize, ways: usize) -> Self {
         assert!(sets > 0 && ways > 0, "cache geometry must be non-zero");
+        assert!(
+            u32::try_from(sets).is_ok() && u32::try_from(ways).is_ok(),
+            "cache geometry must fit a 32-bit position"
+        );
         Self {
             sets: vec![Vec::with_capacity(ways); sets],
             ways,
+            set_magic: (u64::MAX / sets as u64).wrapping_add(1),
             tick: 0,
             hits: 0,
             misses: 0,
@@ -100,21 +144,31 @@ impl<P: Copy> SetAssocCache<P> {
     }
 
     fn set_of(&self, key: u64) -> usize {
-        // Multiplicative hash spreads metadata regions across sets.
-        (key.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 32) as usize % self.sets.len()
+        // Multiplicative hash spreads metadata regions across sets. The
+        // hash is below 2^32, so `fastmod` maps it exactly as `%` would.
+        let hash = key.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 32;
+        fastmod(hash, self.set_magic, self.sets.len() as u64) as usize
+    }
+
+    /// `key`'s set, and its way there if resident: `hint` when the way at
+    /// it holds `key`, else the result of scanning the set.
+    fn locate(&self, key: u64, hint: Option<Pos>) -> (usize, Option<usize>) {
+        if let Some(Pos { set, way }) = hint {
+            let (set, way) = (set as usize, way as usize);
+            let held = self.sets.get(set).and_then(|s| s.get(way));
+            if held.is_some_and(|w| w.key == key) {
+                return (set, Some(way));
+            }
+        }
+        let set = self.set_of(key);
+        (set, self.sets[set].iter().position(|w| w.key == key))
     }
 
     /// Probes for `key`, updating hit/miss statistics and LRU on hit.
     pub fn probe(&mut self, key: u64) -> Access {
-        self.tick += 1;
-        let set = self.set_of(key);
-        let tick = self.tick;
-        if let Some(way) = self.sets[set].iter_mut().find(|w| w.key == key) {
-            way.last_use = tick;
-            self.hits += 1;
+        if self.probe_get(key).is_some() {
             Access::Hit
         } else {
-            self.misses += 1;
             Access::Miss
         }
     }
@@ -124,29 +178,41 @@ impl<P: Copy> SetAssocCache<P> {
     /// one hit or miss). Returns the cached payload on a hit.
     pub fn probe_get(&mut self, key: u64) -> Option<&P> {
         self.tick += 1;
-        let set = self.set_of(key);
-        let tick = self.tick;
-        if let Some(way) = self.sets[set].iter_mut().find(|w| w.key == key) {
-            way.last_use = tick;
-            self.hits += 1;
-            Some(&way.data)
-        } else {
+        let (set, way) = self.locate(key, None);
+        let Some(way) = way else {
             self.misses += 1;
-            None
-        }
+            return None;
+        };
+        self.hits += 1;
+        let way = &mut self.sets[set][way];
+        way.last_use = self.tick;
+        Some(&way.data)
     }
 
     /// Whether `key` is present, without touching statistics or LRU.
     pub fn contains(&self, key: u64) -> bool {
-        self.sets[self.set_of(key)].iter().any(|w| w.key == key)
+        self.locate(key, None).1.is_some()
     }
 
     /// Reads a cached payload without changing replacement state.
     pub fn get(&self, key: u64) -> Option<&P> {
-        self.sets[self.set_of(key)]
-            .iter()
-            .find(|w| w.key == key)
-            .map(|w| &w.data)
+        self.find(key, None).map(|pos| self.payload(pos))
+    }
+
+    /// Where `key` sits, without touching statistics or LRU. A `hint` that
+    /// still holds `key` is returned without scanning the set.
+    pub fn find(&self, key: u64, hint: Option<Pos>) -> Option<Pos> {
+        let (set, way) = self.locate(key, hint);
+        way.map(|way| Pos {
+            set: set as u32,
+            way: way as u32,
+        })
+    }
+
+    /// The payload at `pos`, which must come from [`Self::find`] or
+    /// [`Self::fill_at`] with no fill or loss since.
+    pub fn payload(&self, pos: Pos) -> &P {
+        &self.sets[pos.set as usize][pos.way as usize].data
     }
 
     /// Updates a cached payload in place, marking it dirty.
@@ -154,16 +220,15 @@ impl<P: Copy> SetAssocCache<P> {
     /// Returns `false` if the block is not cached.
     pub fn update(&mut self, key: u64, data: P) -> bool {
         self.tick += 1;
-        let set = self.set_of(key);
-        let tick = self.tick;
-        if let Some(way) = self.sets[set].iter_mut().find(|w| w.key == key) {
-            way.data = data;
-            way.dirty = true;
-            way.last_use = tick;
-            true
-        } else {
-            false
-        }
+        let (set, way) = self.locate(key, None);
+        let Some(way) = way else {
+            return false;
+        };
+        let way = &mut self.sets[set][way];
+        way.data = data;
+        way.dirty = true;
+        way.last_use = self.tick;
+        true
     }
 
     /// Inserts a block fetched from memory, evicting the LRU way if the set
@@ -172,24 +237,41 @@ impl<P: Copy> SetAssocCache<P> {
     ///
     /// If `key` is already present its payload is replaced instead.
     pub fn fill(&mut self, key: u64, data: P, dirty: bool) -> Option<Eviction<P>> {
+        self.fill_at(key, data, dirty, None).1
+    }
+
+    /// [`Self::fill`] that tries `hint` before scanning for `key`, and also
+    /// returns where `key` now sits.
+    pub fn fill_at(
+        &mut self,
+        key: u64,
+        data: P,
+        dirty: bool,
+        hint: Option<Pos>,
+    ) -> (Pos, Option<Eviction<P>>) {
         self.tick += 1;
-        let set_idx = self.set_of(key);
         let tick = self.tick;
+        let (set_idx, found) = self.locate(key, hint);
         let set = &mut self.sets[set_idx];
-        if let Some(way) = set.iter_mut().find(|w| w.key == key) {
+        if let Some(way_idx) = found {
+            let way = &mut set[way_idx];
             way.data = data;
-            way.dirty = way.dirty || dirty;
+            way.dirty |= dirty;
             way.last_use = tick;
-            return None;
+            let pos = Pos {
+                set: set_idx as u32,
+                way: way_idx as u32,
+            };
+            return (pos, None);
         }
         let evicted = if set.len() == self.ways {
-            #[expect(clippy::expect_used, reason = "a full set has a least-recent way")]
+            // A full set is non-empty, and its stamps are unique: the
+            // least recent way is always found, and unambiguous.
             let lru = set
                 .iter()
                 .enumerate()
                 .min_by_key(|(_, w)| w.last_use)
-                .map(|(i, _)| i)
-                .expect("set is full, so non-empty");
+                .map_or(0, |(i, _)| i);
             let way = set.swap_remove(lru);
             if way.dirty {
                 self.writebacks += 1;
@@ -202,26 +284,28 @@ impl<P: Copy> SetAssocCache<P> {
         } else {
             None
         };
+        let pos = Pos {
+            set: set_idx as u32,
+            way: set.len() as u32,
+        };
         set.push(Way {
             key,
             data,
             dirty,
             last_use: tick,
         });
-        evicted
+        (pos, evicted)
     }
 
-    /// Removes a block, returning its payload and dirtiness.
-    pub fn invalidate(&mut self, key: u64) -> Option<Eviction<P>> {
-        let set_idx = self.set_of(key);
-        let set = &mut self.sets[set_idx];
-        let pos = set.iter().position(|w| w.key == key)?;
-        let way = set.swap_remove(pos);
-        Some(Eviction {
-            key: way.key,
-            data: way.data,
-            dirty: way.dirty,
-        })
+    /// Cleans the block at `pos` in place, as an invalidate and a clean
+    /// refill of it would: it becomes the set's most recent way, and
+    /// whether it was dirty is returned. `pos` must come from
+    /// [`Self::find`] or [`Self::fill_at`] with no fill or loss since.
+    pub fn clean(&mut self, pos: Pos) -> bool {
+        self.tick += 1;
+        let way = &mut self.sets[pos.set as usize][pos.way as usize];
+        way.last_use = self.tick;
+        std::mem::replace(&mut way.dirty, false)
     }
 
     /// Drops every block (models volatile loss at a crash).
@@ -372,16 +456,6 @@ mod tests {
     }
 
     #[test]
-    fn invalidate_returns_payload() {
-        let mut c = SetAssocCache::new(2, 2);
-        c.fill(3, [3; 64], true);
-        let ev = c.invalidate(3).unwrap();
-        assert!(ev.dirty);
-        assert!(!c.contains(3));
-        assert!(c.invalidate(3).is_none());
-    }
-
-    #[test]
     fn tag_only_ways_carry_no_payload() {
         // A 16-way set scan over tags reads 24-byte ways, not 88-byte ones.
         assert_eq!(std::mem::size_of::<Way<()>>(), 24);
@@ -396,6 +470,40 @@ mod tests {
         // 256 KiB 8-way MT cache = 512 sets.
         let m: SetAssocCache = SetAssocCache::with_capacity_bytes(256 * 1024, 8);
         assert_eq!(m.sets.len(), 512);
+    }
+
+    #[test]
+    fn fastmod_is_the_remainder() {
+        let mut rng = dolos_sim::rng::XorShift::new(7);
+        let max = u64::from(u32::MAX);
+        for sets in [1, 2, 3, 7, 256, 1000, 8192, 65_537, max - 1, max] {
+            let magic = (u64::MAX / sets).wrapping_add(1);
+            let edges = [0, 1, sets - 1, sets, max - 1, max];
+            let random = (0..1000).map(|_| rng.next_below(max + 1));
+            for hash in edges.into_iter().chain(random) {
+                assert_eq!(fastmod(hash, magic, sets), hash % sets, "{hash} % {sets}");
+            }
+        }
+    }
+
+    #[test]
+    fn a_position_is_a_checked_hint() {
+        // One set of two ways: keys 1 and 2 fill it, key 3 evicts key 1
+        // and moves key 2 into way 0.
+        let mut c: SetAssocCache<u8> = SetAssocCache::new(1, 2);
+        let (one, _) = c.fill_at(1, 10, true, None);
+        let (two, _) = c.fill_at(2, 20, false, None);
+        assert_eq!(c.find(2, Some(two)), Some(two));
+        assert_eq!(c.fill(3, 30, false).map(|ev| ev.key), Some(1));
+        assert_eq!(c.find(2, None), Some(one), "swap-moved into way 0");
+        assert_eq!(c.find(2, Some(two)), Some(one), "stale hint: scanned");
+        assert_eq!(c.find(1, Some(one)), None);
+        assert_eq!(c.payload(one), &20);
+        // An in-place clean refreshes LRU: key 3 is now the victim.
+        assert!(!c.clean(one));
+        assert_eq!(c.fill(4, 40, false).map(|ev| ev.key), Some(3));
+        c.lose_all();
+        assert_eq!(c.find(2, Some(one)), None, "hint past the emptied set");
     }
 
     #[test]

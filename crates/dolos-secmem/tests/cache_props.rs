@@ -6,8 +6,11 @@
 //! value and every periodic full-state export must agree, so any
 //! divergence in hit/miss behaviour, eviction choice, dirtiness
 //! propagation, or crash loss is caught with the exact operation index.
+//! The positional calls run against it too: an in-place `clean` must act as
+//! the model's invalidate and clean refill, and a `fill_at` given a kept,
+//! often stale position as a plain `fill`.
 //!
-//! A tags-only `SetAssocCache<()>` (the CPU caches' payload type) runs the
+//! A tags-only `SetAssocCache<()>` (the L2 and LLC payload type) runs the
 //! same sequences alongside and must agree with the `Line` cache on every
 //! key, dirty flag, eviction and hit/miss count: the payload type never
 //! steers replacement.
@@ -100,6 +103,8 @@ impl RefCache {
         evicted
     }
 
+    /// Removes `key`: with a clean refill, what the real cache's
+    /// in-place `clean` must match.
     fn invalidate(&mut self, key: u64) -> Option<Eviction> {
         let set_idx = self.set_of(key);
         let set = &mut self.sets[set_idx];
@@ -154,6 +159,8 @@ fn lockstep(seed: u64, sets: usize, ways: usize, keyspace: u64, ops: usize) {
     let mut cache: SetAssocCache = SetAssocCache::new(sets, ways);
     let mut tag_cache: SetAssocCache<()> = SetAssocCache::new(sets, ways);
     let mut model = RefCache::new(sets, ways);
+    // Positions `fill_at` returned, every one kept as a later hint.
+    let mut hints = vec![None];
     for op in 0..ops {
         let key = rng.next_below(keyspace);
         match rng.next_below(100) {
@@ -184,14 +191,44 @@ fn lockstep(seed: u64, sets: usize, ways: usize, keyspace: u64, ops: usize) {
                     "op {op}: tag update {key}"
                 );
             }
-            85..=94 => {
-                let removed = cache.invalidate(key);
+            // `clean` at a found position: the model's invalidate and
+            // clean refill. A miss leaves every side untouched.
+            85..=89 => {
+                let found = cache.find(key, None);
+                let tag_found = tag_cache.find(key, None);
+                assert_eq!(found.is_some(), tag_found.is_some(), "op {op}: find {key}");
+                let was_dirty = found.map(|pos| cache.clean(pos));
                 assert_eq!(
-                    tag_of(tag_cache.invalidate(key)),
-                    tag_of(removed.clone()),
-                    "op {op}: tag invalidate {key}"
+                    tag_found.map(|pos| tag_cache.clean(pos)),
+                    was_dirty,
+                    "op {op}: tag clean {key}"
                 );
-                assert_eq!(removed, model.invalidate(key), "op {op}: invalidate {key}");
+                let expect = model.invalidate(key).map(|ev| {
+                    model.fill(key, ev.data, false);
+                    ev.dirty
+                });
+                assert_eq!(was_dirty, expect, "op {op}: clean {key}");
+            }
+            // `fill_at` with a kept position, often stale: it must act as
+            // a plain fill, and return where `key` now sits.
+            90..=94 => {
+                let data = line(rng.next_u64());
+                let dirty = rng.chance(0.4);
+                let hint = hints[rng.next_below(hints.len() as u64) as usize];
+                let (pos, evicted) = cache.fill_at(key, data, dirty, hint);
+                hints.push(Some(pos));
+                assert_eq!(cache.find(key, None), Some(pos), "op {op}: pos {key}");
+                assert_eq!(cache.payload(pos), &data, "op {op}: payload {key}");
+                assert_eq!(
+                    tag_of(tag_cache.fill_at(key, (), dirty, hint).1),
+                    tag_of(evicted.clone()),
+                    "op {op}: tag fill_at {key}"
+                );
+                assert_eq!(
+                    evicted,
+                    model.fill(key, data, dirty),
+                    "op {op}: fill_at {key}"
+                );
             }
             // Rare crash: every side loses everything.
             _ => {

@@ -2,19 +2,28 @@
 //!
 //! Three levels — L1 32 KiB 2-way (2 cycles), L2 512 KiB 8-way (20 cycles),
 //! LLC 8 MiB 16-way (32 cycles) — tracked at cacheline granularity for
-//! *timing and eviction behaviour*. The levels hold tags only
-//! (`SetAssocCache<()>`: a key, a dirty bit and an LRU stamp per way); the
-//! data bytes themselves live in the environment's line image
-//! ([`crate::env::PmEnv`]). Two event kinds leave the hierarchy toward the
-//! memory controller:
+//! *timing and eviction behaviour*. The levels hold no data bytes: a way is
+//! a key, a dirty bit and an LRU stamp, and the bytes themselves live in
+//! the environment's line image ([`crate::env::PmEnv`]). Two event kinds
+//! leave the hierarchy toward the memory controller:
 //!
 //! * explicit `clwb` flushes (the workload's persists), and
 //! * **dirty LLC evictions** — Figure 7's "flushed cachelines and evictions
 //!   from LLC", the background writeback traffic that also competes for WPQ
 //!   slots. §5.2.1 attributes part of the Post design's retry count to
 //!   exactly these writebacks arriving when the WPQ is full.
+//!
+//! Each L1 way carries two hints, the [`Pos`] where its line last sat in L2
+//! and in the LLC. On the WHISPER workloads about four in five accesses
+//! hit L1, and such a hit scans one 2-way set: it refreshes the line in
+//! the LLC and L2 through the hints, checking the key at each, and scans a
+//! level only when its hint went stale. A miss scans each level at most once before its fill, and a
+//! `clwb` cleans each level in place. Every refresh happens in the same
+//! per-level order as a probe of every level followed by a fill of every
+//! level would make it; LRU compares stamps only within one level, so the
+//! victims, write-backs and latencies are that algorithm's.
 
-use dolos_secmem::cache::SetAssocCache;
+use dolos_secmem::cache::{Pos, SetAssocCache};
 use dolos_sim::stats::StatSet;
 
 /// L1: 32 KiB, 2-way, 2 cycles (Table 1).
@@ -66,7 +75,8 @@ pub struct CacheAccess {
 /// ```
 #[derive(Debug)]
 pub struct CpuCacheHierarchy {
-    l1: SetAssocCache<()>,
+    /// Each way's payload is `[L2 hint, LLC hint]` for its line.
+    l1: SetAssocCache<[Pos; 2]>,
     l2: SetAssocCache<()>,
     llc: SetAssocCache<()>,
     hits: [u64; 3],
@@ -83,10 +93,19 @@ impl Default for CpuCacheHierarchy {
 impl CpuCacheHierarchy {
     /// Creates the Table 1 hierarchy.
     pub fn new() -> Self {
+        Self::with_geometry([
+            (L1_BYTES / 64 / L1_WAYS, L1_WAYS),
+            (L2_BYTES / 64 / L2_WAYS, L2_WAYS),
+            (LLC_BYTES / 64 / LLC_WAYS, LLC_WAYS),
+        ])
+    }
+
+    /// A hierarchy with `(sets, ways)` for L1, L2 and the LLC.
+    fn with_geometry([l1, l2, llc]: [(usize, usize); 3]) -> Self {
         Self {
-            l1: SetAssocCache::with_capacity_bytes(L1_BYTES, L1_WAYS),
-            l2: SetAssocCache::with_capacity_bytes(L2_BYTES, L2_WAYS),
-            llc: SetAssocCache::with_capacity_bytes(LLC_BYTES, LLC_WAYS),
+            l1: SetAssocCache::new(l1.0, l1.1),
+            l2: SetAssocCache::new(l2.0, l2.1),
+            llc: SetAssocCache::new(llc.0, llc.1),
             hits: [0; 3],
             memory_misses: 0,
             writebacks: 0,
@@ -100,50 +119,43 @@ impl CpuCacheHierarchy {
     /// an eviction from an inner level writes through to the next level
     /// (dirtiness propagates down, leaving the LLC as the last holder).
     pub fn access(&mut self, line: u64, write: bool) -> CacheAccess {
-        use dolos_secmem::cache::Access;
-        let mut writebacks = Vec::new();
-        let (latency, memory_miss) = if self.l1.probe(line) == Access::Hit {
+        let in_l1 = self.l1.find(line, None);
+        // Where the line sits in L2 and the LLC, as far as the lookup saw:
+        // an L1 hit brings both hints, a probe past L1 the level it hit.
+        let (latency, memory_miss, [in_l2, in_llc]) = if let Some(pos) = in_l1 {
             self.hits[0] += 1;
-            (L1_LATENCY, false)
-        } else if self.l2.probe(line) == Access::Hit {
+            (L1_LATENCY, false, self.l1.payload(pos).map(Some))
+        } else if let Some(pos) = self.l2.find(line, None) {
             self.hits[1] += 1;
-            (L1_LATENCY + L2_LATENCY, false)
-        } else if self.llc.probe(line) == Access::Hit {
+            (L1_LATENCY + L2_LATENCY, false, [Some(pos), None])
+        } else if let Some(pos) = self.llc.find(line, None) {
             self.hits[2] += 1;
-            (L1_LATENCY + L2_LATENCY + LLC_LATENCY, false)
+            (
+                L1_LATENCY + L2_LATENCY + LLC_LATENCY,
+                false,
+                [None, Some(pos)],
+            )
         } else {
             self.memory_misses += 1;
-            (L1_LATENCY + L2_LATENCY + LLC_LATENCY, true)
+            (L1_LATENCY + L2_LATENCY + LLC_LATENCY, true, [None, None])
         };
         // Fill/refresh the line in every level (inclusive hierarchy),
         // outermost first so inner victims can land one level out. A dirty
         // victim leaving a level is installed dirty in the next level; a
         // dirty LLC victim becomes a memory write-back.
-        if let Some(ev) = self.llc.fill(line, (), false) {
-            if ev.dirty {
-                writebacks.push(ev.key);
-            }
+        let mut writebacks = Vec::new();
+        let (llc_pos, victim) = self.llc.fill_at(line, (), false, in_llc);
+        writebacks.extend(victim.filter(|v| v.dirty).map(|v| v.key));
+        let (l2_pos, victim) = self.l2.fill_at(line, (), false, in_l2);
+        if let Some(victim) = victim.filter(|v| v.dirty) {
+            self.spill_to_llc(victim.key, &mut writebacks);
         }
-        if let Some(ev) = self.l2.fill(line, (), false) {
-            if ev.dirty {
-                if let Some(ev3) = self.llc.fill(ev.key, (), true) {
-                    if ev3.dirty {
-                        writebacks.push(ev3.key);
-                    }
-                }
-            }
-        }
-        if let Some(ev) = self.l1.fill(line, (), write) {
-            if ev.dirty {
-                if let Some(ev2) = self.l2.fill(ev.key, (), true) {
-                    if ev2.dirty {
-                        if let Some(ev3) = self.llc.fill(ev2.key, (), true) {
-                            if ev3.dirty {
-                                writebacks.push(ev3.key);
-                            }
-                        }
-                    }
-                }
+        let (_, victim) = self.l1.fill_at(line, [l2_pos, llc_pos], write, in_l1);
+        if let Some(victim) = victim.filter(|v| v.dirty) {
+            let [l2_hint, _] = victim.data;
+            let (_, spilled) = self.l2.fill_at(victim.key, (), true, Some(l2_hint));
+            if let Some(spilled) = spilled.filter(|v| v.dirty) {
+                self.spill_to_llc(spilled.key, &mut writebacks);
             }
         }
         self.writebacks += writebacks.len() as u64;
@@ -154,16 +166,29 @@ impl CpuCacheHierarchy {
         }
     }
 
+    /// Installs a dirty L2 victim in the LLC; a dirty LLC victim of that
+    /// fill becomes a memory write-back.
+    fn spill_to_llc(&mut self, line: u64, writebacks: &mut Vec<u64>) {
+        if let Some(victim) = self.llc.fill(line, (), true).filter(|v| v.dirty) {
+            writebacks.push(victim.key);
+        }
+    }
+
     /// `clwb`: cleans the line in every level (it stays cached). Returns
     /// whether any level held it dirty — i.e., whether a write-back is due.
     pub fn clean(&mut self, line: u64) -> bool {
         let mut was_dirty = false;
-        for cache in [&mut self.l1, &mut self.l2, &mut self.llc] {
-            if let Some(ev) = cache.invalidate(line) {
-                was_dirty |= ev.dirty;
-                // Re-install clean (clwb retains the cached copy).
-                cache.fill(line, (), false);
-            }
+        let mut hints = [None, None];
+        if let Some(pos) = self.l1.find(line, None) {
+            hints = self.l1.payload(pos).map(Some);
+            was_dirty |= self.l1.clean(pos);
+        }
+        let [in_l2, in_llc] = hints;
+        if let Some(pos) = self.l2.find(line, in_l2) {
+            was_dirty |= self.l2.clean(pos);
+        }
+        if let Some(pos) = self.llc.find(line, in_llc) {
+            was_dirty |= self.llc.clean(pos);
         }
         was_dirty
     }
@@ -186,6 +211,9 @@ impl CpuCacheHierarchy {
         s
     }
 }
+
+#[cfg(test)]
+mod reference;
 
 #[cfg(test)]
 mod tests {

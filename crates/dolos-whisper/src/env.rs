@@ -6,10 +6,12 @@
 //! an instruction/cycle accounting model.
 //!
 //! The cache image is a [`PagedTable`] keyed by line index: an entry of
-//! `{data, dirty}` exists while the CPU holds a copy of the line. A store
-//! edits its entry in place, `clwb` and `sfence` read and clear the dirty
-//! flag on that same entry, and a dirty-eviction write-back removes it. The
-//! CPU cache hierarchy beside it keeps tags only.
+//! `{data, dirty, queued}` exists while the CPU holds a copy of the line. A
+//! store edits its entry in place, `clwb` reads the dirty flag and sets the
+//! queued flag on that same entry (so a line joins the flush queue once,
+//! without a scan of the queue), `sfence` clears both, and a dirty-eviction
+//! write-back removes the entry. The CPU cache hierarchy beside it keeps no
+//! data bytes: tags, dirty bits and LRU stamps only.
 //!
 //! Persistence semantics mirror x86: stores land in the (volatile) cache
 //! image; [`PmEnv::clwb`] queues a line for write-back; [`PmEnv::sfence`]
@@ -38,6 +40,8 @@ struct LineSlot {
     data: [u8; 64],
     /// Modified since its last write-back.
     dirty: bool,
+    /// In the flush queue, waiting for the next `sfence`.
+    queued: bool,
 }
 
 impl Default for LineSlot {
@@ -45,6 +49,7 @@ impl Default for LineSlot {
         Self {
             data: [0; 64],
             dirty: false,
+            queued: false,
         }
     }
 }
@@ -203,8 +208,10 @@ impl PmEnv {
                 if let Some(trace) = self.recorder.as_mut() {
                     trace.push(TraceOp::Writeback(line));
                 }
-                // An eviction write-back supersedes any pending clwb.
-                self.flush_queue.retain(|&l| l != line);
+                // An eviction write-back supersedes a pending clwb.
+                if slot.queued {
+                    self.flush_queue.retain(|&l| l != line);
+                }
             }
         }
     }
@@ -226,7 +233,11 @@ impl PmEnv {
             if let Some(trace) = self.recorder.as_mut() {
                 trace.push(TraceOp::Read(line));
             }
-            LineSlot { data, dirty: false }
+            LineSlot {
+                data,
+                dirty: false,
+                queued: false,
+            }
         })
     }
 
@@ -286,8 +297,9 @@ impl PmEnv {
         let last = Self::line_of(addr + len.max(1) - 1);
         let mut line = first;
         loop {
-            let dirty = self.image.get(line / 64).is_some_and(|slot| slot.dirty);
-            if dirty && !self.flush_queue.contains(&line) {
+            let slot = self.image.get_mut(line / 64);
+            if let Some(slot) = slot.filter(|slot| slot.dirty && !slot.queued) {
+                slot.queued = true;
                 self.flush_queue.push(line);
                 self.flushes += 1;
                 self.work(1);
@@ -309,19 +321,23 @@ impl PmEnv {
         }
         let start = self.now;
         let mut fence_done = start;
-        let queue = std::mem::take(&mut self.flush_queue);
+        // Taken out for the loop and put back empty, keeping its capacity.
+        let mut queue = std::mem::take(&mut self.flush_queue);
         if let Some(trace) = self.recorder.as_mut() {
             trace.push(TraceOp::PersistBatch(queue.clone()));
         }
-        for line in queue {
+        for &line in &queue {
             // Queued lines are dirty, hence held: a write-back that
             // evicted one also dropped it from the queue.
             let slot = self.image.entry(line / 64);
             slot.dirty = false;
+            slot.queued = false;
             let done = self.system.persist_write(start, line, &slot.data);
             fence_done = fence_done.max(done);
             self.caches.clean(line);
         }
+        queue.clear();
+        self.flush_queue = queue;
         self.now = fence_done;
     }
 
