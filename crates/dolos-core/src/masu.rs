@@ -361,23 +361,25 @@ impl MajorSecurityUnit {
         nvm: &mut NvmDevice,
     ) {
         self.overflows += 1;
-        for line_in_page in 0..64 {
+        // The page's written lines, in line order: only they have ECC.
+        for (line_index, &ecc) in self.ecc.range(page * 64, page * 64 + 64) {
+            let addr = LineAddr::from_index(line_index);
+            let line_in_page = addr.line_in_page();
             if line_in_page == skip_line {
                 continue; // the triggering line is re-written by the caller
             }
-            let addr = LineAddr::containing(page * 4096 + line_in_page as u64 * 64);
-            let line_index = addr.line_index();
-            let Some(&ecc) = self.ecc.get(line_index) else {
-                continue; // never written
-            };
             let old_ct = nvm.peek(addr);
             let old_counter = old_block.line_counter(line_in_page).packed();
             let mut plaintext = old_ct;
-            xor_in_place(&mut plaintext, &self.pad_for(addr, old_counter));
+            // `pad_for` inlined: it would borrow all of `self` while the
+            // ECC range is read.
+            let old_pad = self.pad_cache.pad(&self.aes, addr.as_u64(), old_counter);
+            xor_in_place(&mut plaintext, &old_pad);
             debug_assert_eq!(ecc64(&plaintext), ecc, "pre-overflow state consistent");
             let new_counter = new_block.line_counter(line_in_page).packed();
             let mut ct = plaintext;
-            xor_in_place(&mut ct, &self.pad_for(addr, new_counter));
+            let new_pad = self.pad_cache.pad(&self.aes, addr.as_u64(), new_counter);
+            xor_in_place(&mut ct, &new_pad);
             #[expect(clippy::disallowed_methods, reason = "Ma-SU: overflow re-encryption")]
             nvm.write_line(now, addr, &ct);
             self.write_data_mac(
@@ -584,33 +586,24 @@ impl MajorSecurityUnit {
 
         // Anubis: only shadow-tracked counter blocks can be stale.
         // Anubis tracks both counter blocks and MT nodes; only counter
-        // blocks (no level tag in the high bits) need Osiris rebuilding —
-        // interior nodes are recomputed wholesale below.
-        let mut tracked: Vec<u64> = self
-            .shadow
-            .tracked()
-            .into_iter()
-            .filter(|k| k >> 56 == 0)
-            .collect();
-        // Replay in ascending page order: recovery work (and its cycle
-        // accounting) must be a pure function of the tracked set, not of
-        // the order the shadow table happened to allocate slots.
-        tracked.sort_unstable();
+        // blocks (the keys below the level-tagged MT keys) need Osiris
+        // rebuilding — interior nodes are recomputed wholesale below. The
+        // table yields them in ascending page order, so recovery work (and
+        // its cycle accounting) is a pure function of the tracked set.
+        let mut tracked_pages = 0u64;
         // Counter blocks Osiris rewrites, for the lazy tree's leaf check.
         let mut rewritten: Vec<(u64, Line)> = Vec::new();
-        // Shadow-table scan + one counter-block read per tracked page.
-        report.cycles += (tracked.len() as u64).div_ceil(8) * NVM_READ;
-        for page in &tracked {
-            let page = *page;
+        for page in self.shadow.tracked().take_while(|&key| key < 1 << 56) {
+            // One counter-block read per tracked page.
+            tracked_pages += 1;
             report.cycles += NVM_READ;
             let stored = CounterBlock::from_line(&nvm.peek(self.layout.counter_block_addr(page)));
             let mut rebuilt = stored;
             let mut changed = false;
-            for line_in_page in 0..64 {
-                let addr = LineAddr::containing(page * 4096 + line_in_page as u64 * 64);
-                let Some(&ecc) = self.ecc.get(addr.line_index()) else {
-                    continue;
-                };
+            // The page's written lines, in line order: only they have ECC.
+            for (line_index, &ecc) in self.ecc.range(page * 64, page * 64 + 64) {
+                let addr = LineAddr::from_index(line_index);
+                let line_in_page = addr.line_in_page();
                 let ciphertext = nvm.peek(addr);
                 let base = stored.line_counter(line_in_page).packed();
                 let (counter, _) = probe_counter(
@@ -647,6 +640,8 @@ impl MajorSecurityUnit {
                 rewritten.push((page, line));
             }
         }
+        // The shadow-table scan: one NVM read per 8 tracked pages.
+        report.cycles += tracked_pages.div_ceil(8) * NVM_READ;
         self.shadow.clear();
 
         // Rebuild the integrity tree from the persisted counter blocks and
@@ -903,6 +898,60 @@ mod tests {
         assert!(report.rebuilt_counter_blocks > 0);
         let (_, got) = m.read(Cycle::ZERO, addr(5), &mut nvm).unwrap();
         assert_eq!(got, [9; 64]);
+    }
+
+    #[test]
+    fn recovery_is_a_function_of_the_tracked_set() {
+        // 24 pages, three lines each written 1–3 times. Each page keeps the
+        // order of its own writes (its Osiris write-backs depend on it);
+        // only the order across pages differs, and with it the order the
+        // shadow table records them in.
+        let pages: Vec<Vec<u64>> = (0..24u64)
+            .map(|p| {
+                let lines = [0, 3, 17 + p % 5].into_iter();
+                let writes = |l: u64| std::iter::repeat_n(p * 64 + l, 1 + ((p + l) % 3) as usize);
+                lines.flat_map(writes).collect()
+            })
+            .collect();
+        let ascending: Vec<u64> = pages.iter().flatten().copied().collect();
+        let descending: Vec<u64> = pages.iter().rev().flatten().copied().collect();
+        let interleaved: Vec<u64> = (0..9)
+            .flat_map(|round| {
+                pages
+                    .iter()
+                    .rev()
+                    .filter_map(move |p| p.get(round).copied())
+            })
+            .collect();
+        for scheme in [UpdateScheme::EagerMerkle, UpdateScheme::LazyToc] {
+            let outcomes: Vec<_> = [&ascending, &descending, &interleaved]
+                .into_iter()
+                .map(|order| {
+                    assert_eq!(order.len(), ascending.len());
+                    let (mut m, mut nvm) = masu(scheme);
+                    for &line in order {
+                        m.process_write(Cycle::ZERO, addr(line), &[line as u8; 64], &mut nvm);
+                    }
+                    // Every page is still cached, so every order tracks
+                    // the same pages.
+                    assert_eq!(m.stats().get("ctr_cache.resident"), Some(24.0));
+                    let tracked: Vec<u64> = m.shadow.tracked().collect();
+                    m.crash();
+                    nvm.power_cycle();
+                    let report = m.recover(&mut nvm).expect("clean recovery");
+                    for &line in &ascending {
+                        let (_, got) = m.read(Cycle::ZERO, addr(line), &mut nvm).unwrap();
+                        assert_eq!(got, [line as u8; 64], "{scheme:?} line {line}");
+                    }
+                    (tracked, report)
+                })
+                .collect();
+            let (_, first) = &outcomes[0];
+            assert!(first.probed_lines > 0 && first.rebuilt_counter_blocks > 0);
+            for outcome in &outcomes[1..] {
+                assert_eq!(outcome, &outcomes[0], "{scheme:?}");
+            }
+        }
     }
 
     #[test]

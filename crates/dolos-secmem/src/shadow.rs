@@ -1,18 +1,22 @@
 //! The Anubis shadow table (AGIT scheme).
 //!
-//! Anubis keeps, in NVM, one entry per metadata-cache frame recording the
-//! *address* of the security-metadata block cached in that frame. After a
-//! crash, only the blocks named by the shadow table can be stale, so
-//! recovery touches a bounded set instead of rebuilding the whole tree
-//! (Osiris' whole-memory scan). Each cache fill/eviction costs one extra NVM
-//! write to keep the table current — the run-time price Anubis pays for its
-//! bounded recovery time, charged by the Ma-SU timing model.
+//! Anubis keeps, in NVM, the *addresses* of the security-metadata blocks
+//! the metadata caches hold. After a crash, only the blocks it names can be
+//! stale, so recovery touches a bounded set instead of rebuilding the whole
+//! tree (Osiris' whole-memory scan). Each cache fill/eviction costs one
+//! extra NVM write to keep the table current — the run-time price Anubis
+//! pays for its bounded recovery time, charged by the Ma-SU timing model.
+//!
+//! The model keeps the tracked keys as a set. Which NVM slot holds a key
+//! is never observable (recovery reads the keys in ascending order), so no
+//! slot array is kept: recording, removing, listing and clearing cost what
+//! the table holds, not its capacity.
 
 use dolos_sim::paged::PagedTable;
 use dolos_sim::stats::StatSet;
 
-/// The shadow table: a fixed array of slots, each optionally naming the
-/// metadata block (by key) resident in the corresponding cache frame.
+/// The shadow table: the set of metadata-block keys resident in the
+/// caches, bounded by a capacity of one entry per cache frame.
 ///
 /// # Examples
 ///
@@ -20,50 +24,52 @@ use dolos_sim::stats::StatSet;
 /// use dolos_secmem::shadow::ShadowTable;
 ///
 /// let mut st = ShadowTable::new(4);
-/// st.record(0xAA);
 /// st.record(0xBB);
+/// st.record(0xAA);
+/// st.record(1 << 63);
 /// st.remove(0xAA);
-/// assert_eq!(st.tracked(), vec![0xBB]);
+/// assert_eq!(st.tracked().collect::<Vec<_>>(), vec![0xBB, 1 << 63]);
 /// ```
 #[derive(Debug, Clone)]
 pub struct ShadowTable {
-    slots: Vec<Option<u64>>,
-    /// Key → slot reverse index. Keys are counter-block page numbers, and
-    /// MT-node keys with bit 63 set: two dense runs, one page per 64 keys.
-    /// Nothing about it may depend on hasher state — recovery derives its
-    /// working set from this structure.
-    index: PagedTable<usize>,
+    capacity: usize,
+    /// The tracked keys. Keys are counter-block page numbers, and MT-node
+    /// keys with bit 63 set: two dense runs, one page per 64 keys. Nothing
+    /// about it may depend on hasher state — recovery derives its working
+    /// set from this structure.
+    keys: PagedTable<()>,
     writes: u64,
 }
 
 impl ShadowTable {
-    /// Creates a table with `capacity` slots (one per cache frame).
+    /// Creates a table that can track `capacity` keys (one per cache
+    /// frame).
     ///
     /// # Panics
     ///
     /// Panics if `capacity` is zero.
     pub fn new(capacity: usize) -> Self {
-        assert!(capacity > 0, "shadow table must have slots");
+        assert!(capacity > 0, "shadow table capacity must be non-zero");
         Self {
-            slots: vec![None; capacity],
-            index: PagedTable::new(),
+            capacity,
+            keys: PagedTable::new(),
             writes: 0,
         }
     }
 
-    /// Number of slots.
+    /// Number of keys the table can track.
     pub fn capacity(&self) -> usize {
-        self.slots.len()
+        self.capacity
     }
 
     /// Number of tracked blocks.
     pub fn len(&self) -> usize {
-        self.index.len()
+        self.keys.len()
     }
 
     /// Whether nothing is tracked.
     pub fn is_empty(&self) -> bool {
-        self.index.is_empty()
+        self.keys.is_empty()
     }
 
     /// NVM writes issued to keep the table current.
@@ -80,17 +86,14 @@ impl ShadowTable {
     /// Panics if the table is full — the caller must `remove` the evicted
     /// frame's entry first, mirroring the cache's fixed geometry.
     pub fn record(&mut self, key: u64) {
-        if self.index.contains_key(key) {
+        if self.keys.contains_key(key) {
             return;
         }
-        #[expect(clippy::expect_used, reason = "documented panic: the table is full")]
-        let slot = self
-            .slots
-            .iter()
-            .position(Option::is_none)
-            .expect("shadow table full: remove evicted entries first");
-        self.slots[slot] = Some(key);
-        *self.index.entry(key) = slot;
+        assert!(
+            self.keys.len() < self.capacity,
+            "shadow table full: remove evicted entries first"
+        );
+        self.keys.entry(key);
         self.writes += 1;
     }
 
@@ -98,29 +101,26 @@ impl ShadowTable {
     ///
     /// Returns whether an entry was present.
     pub fn remove(&mut self, key: u64) -> bool {
-        if let Some(slot) = self.index.remove(key) {
-            self.slots[slot] = None;
+        let present = self.keys.remove(key).is_some();
+        if present {
             self.writes += 1;
-            true
-        } else {
-            false
         }
+        present
     }
 
-    /// The tracked keys — the recovery working set. Order is slot order.
-    pub fn tracked(&self) -> Vec<u64> {
-        self.slots.iter().filter_map(|s| *s).collect()
+    /// The tracked keys — the recovery working set — in ascending order.
+    pub fn tracked(&self) -> impl Iterator<Item = u64> + '_ {
+        self.keys.iter().map(|(key, ())| key)
     }
 
     /// Whether `key` is tracked.
     pub fn contains(&self, key: u64) -> bool {
-        self.index.contains_key(key)
+        self.keys.contains_key(key)
     }
 
     /// Clears the table (after recovery completes).
     pub fn clear(&mut self) {
-        self.slots.iter_mut().for_each(|s| *s = None);
-        self.index.clear();
+        self.keys.clear();
     }
 
     /// Snapshots statistics.
@@ -145,7 +145,7 @@ mod tests {
         assert!(st.remove(1));
         assert!(!st.contains(1));
         assert!(!st.remove(1));
-        assert_eq!(st.tracked(), vec![2]);
+        assert!(st.tracked().eq([2]));
     }
 
     #[test]
@@ -162,8 +162,8 @@ mod tests {
         let mut st = ShadowTable::new(1);
         st.record(1);
         st.remove(1);
-        st.record(2); // must not panic: slot was freed
-        assert_eq!(st.tracked(), vec![2]);
+        st.record(2); // must not panic: the removal freed capacity
+        assert!(st.tracked().eq([2]));
     }
 
     #[test]
@@ -181,6 +181,54 @@ mod tests {
         st.record(2);
         st.remove(1);
         assert_eq!(st.writes(), 3);
+    }
+
+    #[test]
+    fn matches_a_key_set_model() {
+        use std::collections::BTreeSet;
+        use std::panic::{catch_unwind, AssertUnwindSafe};
+        // Counter pages and MT-node keys (bit 63 and a level tag), drawn
+        // from small pools so records, removes and refills collide.
+        let mut rng = dolos_sim::rng::XorShift::new(0xA9B1);
+        for capacity in [1, 3, 16, 40] {
+            let mut st = ShadowTable::new(capacity);
+            let mut model = BTreeSet::new();
+            let mut writes = 0;
+            let mut overflows = 0;
+            for step in 0..4000 {
+                let key = match rng.next_below(3) {
+                    0 => (1 << 63) | (rng.next_below(4) + 1) << 56 | rng.next_below(24),
+                    _ => rng.next_below(60),
+                };
+                match rng.next_below(100) {
+                    0..=54 if !model.contains(&key) && model.len() == capacity => {
+                        // The first distinct key past capacity panics and
+                        // leaves the table as it was.
+                        let full = catch_unwind(AssertUnwindSafe(|| st.record(key)));
+                        assert!(full.is_err(), "step {step}: record past capacity");
+                        overflows += 1;
+                    }
+                    0..=54 => {
+                        st.record(key);
+                        writes += u64::from(model.insert(key));
+                    }
+                    55..=97 => {
+                        let present = model.remove(&key);
+                        assert_eq!(st.remove(key), present, "step {step}");
+                        writes += u64::from(present);
+                    }
+                    _ => {
+                        st.clear();
+                        model.clear();
+                    }
+                }
+                let expected: Vec<u64> = model.iter().copied().collect();
+                assert_eq!(st.tracked().collect::<Vec<_>>(), expected, "step {step}");
+                assert_eq!((st.len(), st.writes()), (model.len(), writes));
+                assert!(model.iter().all(|&k| st.contains(k)));
+            }
+            assert!(overflows > 0, "capacity {capacity} never filled");
+        }
     }
 
     #[test]

@@ -6,8 +6,8 @@
 //! are dense inside a few fixed regions (data from address 0, then one
 //! region per kind of metadata) and empty everywhere else. The smaller
 //! integer-keyed tables have the same shape: the Ma-SU's pending-counter
-//! tallies and the Anubis shadow table's index (keyed by counter page, and
-//! by MT node with bit 63 set), the integrity trees' nodes (keyed by node
+//! tallies and the Anubis shadow table's key set (counter pages, and
+//! MT nodes with bit 63 set), the integrity trees' nodes (keyed by node
 //! index past their level's offset) and pending leaves, and the WHISPER
 //! workloads' key mirrors. [`PagedTable`] fits that shape: a page holds 64
 //! consecutive slots and a presence mask, allocated on first touch; a

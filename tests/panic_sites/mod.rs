@@ -20,7 +20,7 @@ pub const PANIC_LINTS: [&str; 6] = [
 const PANIC_BUDGETS: [(&str, usize); 5] = [
     ("dolos-core", 20),
     ("dolos-nvm", 3),
-    ("dolos-secmem", 1),
+    ("dolos-secmem", 0),
     ("dolos-whisper", 13),
     ("dolos-bench", 1),
 ];
