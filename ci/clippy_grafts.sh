@@ -22,9 +22,16 @@ restore() {
 }
 trap 'restore; rm -rf "$scratch"' EXIT
 
-# graft <crate> <file> <expected lint | pass> <code to append>
+# graft <crate> <file> <expected lint | pass> <code to append> [<log text>]
+# Clippy lints link to `...#<lint>` and rustc lints print `-D <lint-name>`;
+# a lint denied by a crate attribute is named only by the attribute's text,
+# which the optional fifth argument gives.
 graft() {
     local crate=$1 file=$2 expect=$3 code=$4 status=0
+    local names=(-E "#$expect\b|${expect//_/-}")
+    if [ $# -ge 5 ]; then
+        names=(-F "$5")
+    fi
     cp "$file" "$scratch/original.rs"
     grafted=$file
     printf '\n#[allow(dead_code, clippy::items_after_test_module)]\n%s\n' "$code" >>"$file"
@@ -36,8 +43,7 @@ graft() {
             echo "FAIL: control graft in $file should pass clippy"
             exit 1
         fi
-    # Clippy lints link to `...#<lint>`; rustc lints print `-D <lint-name>`.
-    elif [ "$status" -eq 0 ] || ! grep -qE "#$expect\b|${expect//_/-}" "$scratch/log"; then
+    elif [ "$status" -eq 0 ] || ! grep -q "${names[@]}" "$scratch/log"; then
         cat "$scratch/log"
         echo "FAIL: graft in $file should fail clippy with $expect"
         exit 1
@@ -76,6 +82,13 @@ graft dolos-core crates/dolos-core/src/controller.rs disallowed_methods \
     "fn clippy_graft($dev) { nvm.replay_snapshot(a, l); }"
 graft dolos-verify crates/dolos-verify/src/engine.rs disallowed_methods \
     "fn clippy_graft($dev) { nvm.restore_lines(&[(a, *l)]); }"
+# The crypto crate's only `unsafe` is the AES-NI backend (`aes/ni.rs`):
+# the counter-mode pad kernel it serves stays safe code in `ctr.rs`.
+graft dolos-crypto crates/dolos-crypto/src/ctr.rs unsafe_code \
+    'fn clippy_graft(x: &u8) -> u8 {
+    // SAFETY: a reference is valid for reads.
+    unsafe { *core::ptr::from_ref(x) }
+}' '#![deny(unsafe_code)]'
 # A CLI reads args_os: a non-UTF-8 argument must exit 2, not panic.
 graft dolos-verify crates/dolos-verify/src/bin/dolos-verify.rs disallowed_methods \
     'fn clippy_graft() -> usize { std::env::args().count() }'

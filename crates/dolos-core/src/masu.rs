@@ -563,13 +563,17 @@ impl MajorSecurityUnit {
         if let Tree::Lazy(toc) = &mut self.tree {
             toc.crash(&self.mac);
         }
-        // The eager tree's interior nodes are volatile too, but they are
-        // recomputed wholesale during recovery, so nothing to do here.
+        // The eager tree's interior nodes are volatile too, but recovery
+        // keeps them only if they match the persisted counter blocks, so
+        // nothing to do here.
     }
 
     /// Recovers metadata after a crash: replays the Anubis shadow working
-    /// set through Osiris counter probing, rebuilds the integrity tree, and
-    /// verifies it against the persistent root register.
+    /// set through Osiris counter probing, and verifies the integrity tree
+    /// against the persisted counter blocks and the persistent root
+    /// register. An eager tree whose leaves are exactly the persisted
+    /// counter blocks equals their rebuild, so it is kept without one; the
+    /// modelled hardware's wholesale rebuild is charged in cycles.
     ///
     /// # Errors
     ///
@@ -587,7 +591,7 @@ impl MajorSecurityUnit {
         // Anubis: only shadow-tracked counter blocks can be stale.
         // Anubis tracks both counter blocks and MT nodes; only counter
         // blocks (the keys below the level-tagged MT keys) need Osiris
-        // rebuilding — interior nodes are recomputed wholesale below. The
+        // rebuilding — interior nodes are checked as a whole below. The
         // table yields them in ascending page order, so recovery work (and
         // its cycle accounting) is a pure function of the tracked set.
         let mut tracked_pages = 0u64;
@@ -637,31 +641,49 @@ impl MajorSecurityUnit {
                 let line = rebuilt.to_line();
                 #[expect(clippy::disallowed_methods, reason = "recovery: rebuilt counter block")]
                 nvm.poke(self.layout.counter_block_addr(page), &line);
-                rewritten.push((page, line));
+                if matches!(self.tree, Tree::Lazy(_)) {
+                    rewritten.push((page, line));
+                }
             }
         }
         // The shadow-table scan: one NVM read per 8 tracked pages.
         report.cycles += tracked_pages.div_ceil(8) * NVM_READ;
         self.shadow.clear();
 
-        // Rebuild the integrity tree from the persisted counter blocks and
-        // verify against the persistent root register.
+        // Check the integrity tree against the persisted counter blocks and
+        // the persistent root register.
         match &mut self.tree {
             Tree::Eager(bmt) => {
-                let expected_root = bmt.root(&self.mac);
-                let mut rebuilt = BonsaiMerkleTree::new(self.layout.pages(), &self.mac);
                 let base = self.layout.counter_block_addr(0).as_u64();
                 let end = base + self.layout.pages() * 64;
-                for addr in nvm.resident_lines_in(base, end) {
-                    let page = (addr.as_u64() - base) / 64;
-                    rebuilt.update_leaf(&self.mac, page, &nvm.peek(addr));
-                    report.cycles +=
-                        NVM_READ + rebuilt.height() as u64 * dolos_crypto::latency::MAC_LATENCY;
+                // A tree whose leaves are exactly the persisted blocks
+                // equals their rebuild at every node (`holds_exactly`), so
+                // it is kept as it is, with nothing built or allocated.
+                // Otherwise the root recomputed from the blocks decides, as
+                // in `check_tree_consistency`; the held tree is kept either
+                // way, so a failed recovery leaves it as it was.
+                let mut blocks = 0;
+                let lines = nvm.lines_in(base, end).map(|(addr, line)| {
+                    blocks += 1;
+                    ((addr.as_u64() - base) / 64, line)
+                });
+                if !bmt.holds_exactly(&self.mac, lines) {
+                    let contents: BTreeMap<u64, Line> = nvm
+                        .lines_in(base, end)
+                        .map(|(addr, line)| ((addr.as_u64() - base) / 64, *line))
+                        .collect();
+                    let rebuilt =
+                        BonsaiMerkleTree::recompute_root(&self.mac, self.layout.pages(), &contents);
+                    if rebuilt != bmt.root(&self.mac) {
+                        return Err(SecurityError::TreeRootMismatch);
+                    }
+                    blocks = contents.len() as u64;
                 }
-                if rebuilt.root(&self.mac) != expected_root {
-                    return Err(SecurityError::TreeRootMismatch);
-                }
-                *bmt = rebuilt;
+                // The modelled hardware rebuilds the tree wholesale: one
+                // counter-block read and one leaf-to-root MAC chain per
+                // resident block.
+                report.cycles +=
+                    blocks * (NVM_READ + bmt.height() as u64 * dolos_crypto::latency::MAC_LATENCY);
             }
             Tree::Lazy(toc) => {
                 toc.recover(&self.mac)
@@ -1029,6 +1051,190 @@ mod tests {
         nvm.replay_snapshot(addr(5), &stale);
         m.write_data_mac(&mut nvm, addr(5), stale_mac);
         assert_eq!(m.recover(&mut nvm), Err(SecurityError::TreeRootMismatch));
+    }
+
+    /// The eager tree.
+    fn eager_tree(m: &mut MajorSecurityUnit) -> &mut BonsaiMerkleTree {
+        let Tree::Eager(bmt) = &mut m.tree else {
+            panic!("eager scheme")
+        };
+        bmt
+    }
+
+    /// The eager tree's root, read on a clone so `m` stays unmaterialized.
+    fn eager_root(m: &MajorSecurityUnit) -> dolos_crypto::mac::Mac64 {
+        let mut m = m.clone();
+        let mac = m.mac.clone();
+        eager_tree(&mut m).root(&mac)
+    }
+
+    /// The resident counter blocks, by page.
+    fn counter_blocks(m: &MajorSecurityUnit, nvm: &NvmDevice) -> BTreeMap<u64, Line> {
+        let base = m.layout.counter_block_addr(0).as_u64();
+        nvm.lines_in(base, base + m.layout.pages() * 64)
+            .map(|(addr, line)| ((addr.as_u64() - base) / 64, *line))
+            .collect()
+    }
+
+    /// Recovers `m`, returning the outcome and whether its eager tree, as
+    /// it was before recovery, holds exactly the resident counter blocks
+    /// after it: the condition under which recovery keeps the tree without
+    /// a root compare. (The compare materializes the tree, so the tree
+    /// after recovery cannot tell.)
+    fn recover_kept(
+        m: &mut MajorSecurityUnit,
+        nvm: &mut NvmDevice,
+    ) -> (Result<MasuRecovery, SecurityError>, bool) {
+        let mut before = m.clone();
+        let outcome = m.recover(nvm);
+        let blocks = counter_blocks(m, nvm);
+        let mac = m.mac.clone();
+        let kept = eager_tree(&mut before)
+            .holds_exactly(&mac, blocks.iter().map(|(page, line)| (*page, line)));
+        (outcome, kept)
+    }
+
+    /// Replaces `m`'s eager tree with one rebuilt wholesale from the
+    /// resident counter blocks, as the modelled hardware's recovery does.
+    fn rebuild_tree(m: &mut MajorSecurityUnit, nvm: &NvmDevice) {
+        let mut rebuilt = BonsaiMerkleTree::new(m.layout.pages(), &m.mac);
+        for (page, line) in &counter_blocks(m, nvm) {
+            rebuilt.update_leaf(&m.mac, *page, line);
+        }
+        m.tree = Tree::Eager(rebuilt);
+    }
+
+    /// Over seeded lineages of writes (hot lines that overflow, pages
+    /// spread past the counter cache's reach so blocks are written back
+    /// and fall out of the Anubis working set), audits that materialize
+    /// the tree and crashes, a Ma-SU that keeps its eager tree at every
+    /// recovery and one whose tree is rebuilt wholesale after every
+    /// recovery return the same outcomes, leave the same device, hold the
+    /// same root and read back every written line alike. Each recovery
+    /// finds the kept tree holding exactly the resident blocks.
+    #[test]
+    fn kept_tree_and_wholesale_rebuild_agree_over_seeded_lineages() {
+        for seed in [1u64, 0xD0105, 0x5EED_0033] {
+            let mut rng = dolos_sim::rng::XorShift::new(seed);
+            let (mut m, mut nvm) = masu(UpdateScheme::EagerMerkle);
+            let (mut r, mut r_nvm) = (m.clone(), nvm.clone());
+            let mut written: BTreeMap<u64, u8> = BTreeMap::new();
+            for round in 0..10 {
+                for _ in 0..1 + rng.next_below(120) {
+                    let line = match rng.next_below(4) {
+                        0 | 1 => rng.next_below(2),
+                        _ => rng.next_below(250) * 64 + rng.next_below(4),
+                    };
+                    let value = rng.next_u64() as u8;
+                    m.process_write(Cycle::ZERO, addr(line), &[value; 64], &mut nvm);
+                    r.process_write(Cycle::ZERO, addr(line), &[value; 64], &mut r_nvm);
+                    written.insert(line, value);
+                }
+                if rng.next_below(3) == 0 {
+                    m.audit(&mut nvm).expect("clean audit");
+                    r.audit(&mut r_nvm).expect("clean audit");
+                }
+                for (m, nvm) in [(&mut m, &mut nvm), (&mut r, &mut r_nvm)] {
+                    m.crash();
+                    nvm.power_cycle();
+                }
+                let at = format!("seed {seed:#x} round {round}");
+                let (outcome, kept) = recover_kept(&mut m, &mut nvm);
+                assert_eq!(outcome, r.recover(&mut r_nvm), "{at}");
+                outcome.unwrap_or_else(|e| panic!("{at}: {e:?}"));
+                assert!(kept, "{at}: tree not kept");
+                rebuild_tree(&mut r, &r_nvm);
+                let lines = |nvm: &NvmDevice| -> Vec<(LineAddr, Line)> {
+                    nvm.lines_in(0, u64::MAX).map(|(a, l)| (a, *l)).collect()
+                };
+                assert_eq!(lines(&nvm), lines(&r_nvm), "{at}");
+                assert_eq!(eager_root(&m), eager_root(&r), "{at}");
+                for (&line, &value) in &written {
+                    for (m, nvm) in [(&mut m, &mut nvm), (&mut r, &mut r_nvm)] {
+                        let (_, got) = m.read(Cycle::ZERO, addr(line), nvm).unwrap();
+                        assert_eq!(got, [value; 64], "{at} line {line}");
+                    }
+                }
+            }
+            let stats = m.stats();
+            for key in ["masu.overflows", "ctr_cache.writebacks"] {
+                assert!(stats.get_or_zero(key) >= 1.0, "seed {seed:#x}: {key}");
+            }
+        }
+    }
+
+    /// A resident counter block that differs from the tree's leaf, however
+    /// the tree holds that leaf (pending, materialized, both, or not at all),
+    /// fails recovery with `TreeRootMismatch`, leaves the tree as it was,
+    /// and fails a second recovery the same way; the untampered state
+    /// keeps its tree.
+    #[test]
+    fn tampered_counter_block_fails_recovery_and_leaves_the_tree() {
+        // Sets line 63's minor counter in `page`'s block. Line 63 is never
+        // written, so Osiris (which probes written lines) still succeeds
+        // and only the tree can see the change.
+        let tamper = |m: &MajorSecurityUnit, nvm: &mut NvmDevice, page: u64| {
+            let at = m.layout.counter_block_addr(page);
+            let mut block = CounterBlock::from_line(&nvm.peek(at));
+            let major = block.line_counter(63).major;
+            block.set_line_counter(63, LineCounter { major, minor: 1 });
+            nvm.poke(at, &block.to_line());
+        };
+        // How the tree holds page 0's leaf at the crash.
+        let holds = ["pending", "materialized", "pending over materialized"];
+        for (held, tampered_page) in holds
+            .into_iter()
+            .flat_map(|held| [None, Some(0), Some(40)].map(|page| (held, page)))
+        {
+            let case = format!("{held} leaf, tampered page {tampered_page:?}");
+            let (mut m, mut nvm) = masu(UpdateScheme::EagerMerkle);
+            for i in 0..3u64 {
+                m.process_write(Cycle::ZERO, addr(5 + i), &[i as u8 + 1; 64], &mut nvm);
+            }
+            if held != "pending" {
+                m.audit(&mut nvm).expect("clean audit");
+            }
+            if held == "pending over materialized" {
+                m.process_write(Cycle::ZERO, addr(6), &[9; 64], &mut nvm);
+            }
+            let root = eager_root(&m);
+            m.crash();
+            nvm.power_cycle();
+            let Some(page) = tampered_page else {
+                let (outcome, kept) = recover_kept(&mut m, &mut nvm);
+                assert!(outcome.is_ok() && kept, "{case}: {outcome:?}, kept {kept}");
+                continue;
+            };
+            tamper(&m, &mut nvm, page);
+            for attempt in 0..2 {
+                assert_eq!(
+                    m.recover(&mut nvm),
+                    Err(SecurityError::TreeRootMismatch),
+                    "{case}, attempt {attempt}"
+                );
+                assert_eq!(eager_root(&m), root, "{case}: the tree must stay as it was");
+            }
+        }
+        // A zero block where the tree holds no leaf equals the default:
+        // the tree is kept.
+        let (mut m, mut nvm) = masu(UpdateScheme::EagerMerkle);
+        m.process_write(Cycle::ZERO, addr(5), &[1; 64], &mut nvm);
+        m.crash();
+        nvm.poke(m.layout.counter_block_addr(40), &[0; 64]);
+        let (outcome, kept) = recover_kept(&mut m, &mut nvm);
+        assert!(outcome.is_ok() && kept, "{outcome:?}, kept {kept}");
+        // A held leaf equal to the default with no resident block is not
+        // held exactly, yet a rebuild has the same root: the root compare
+        // decides, and recovery succeeds with the tree as it was.
+        let (mut m, mut nvm) = masu(UpdateScheme::EagerMerkle);
+        m.process_write(Cycle::ZERO, addr(5), &[1; 64], &mut nvm);
+        let mac = m.mac.clone();
+        eager_tree(&mut m).update_leaf(&mac, 40, &[0; 64]);
+        let root = eager_root(&m);
+        m.crash();
+        let (outcome, kept) = recover_kept(&mut m, &mut nvm);
+        assert!(outcome.is_ok() && !kept, "{outcome:?}, kept {kept}");
+        assert_eq!(eager_root(&m), root);
     }
 
     #[test]

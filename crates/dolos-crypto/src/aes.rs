@@ -6,7 +6,7 @@
 //!
 //! * **AES-NI** (`aes/ni.rs`, `x86_64` only) — the hardware `aesenc`
 //!   instructions. [`Aes128::new`] selects it once per key schedule when the
-//!   CPU reports the `aes` and `ssse3` features.
+//!   CPU reports the `aes` feature.
 //! * **T-table** — the portable software cipher, with round tables
 //!   precomputed at compile time: one round is 16 table loads and 16 XORs.
 //!   [`Aes128::new`] selects it on every other host.
@@ -15,14 +15,14 @@
 //!   specification. It is never selected; tests compare against it.
 //!
 //! The choice is made by the host, never by a flag, and is invisible in
-//! every output byte: [`Aes128::encrypt_words`],
-//! [`Aes128::encrypt_words4`] and the crate-internal PMAC block sum
-//! (`Aes128::encrypt_sum`) dispatch on it, and every pad, MAC tag, Mi-SU
-//! entry and tree node in the workspace reaches the cipher through one of
-//! those three. The lockstep tests in this module force each backend in
-//! turn and pin the block entry points against the reference and the
-//! FIPS-197 appendix vectors; `mac.rs` pins PMAC against a byte-domain
-//! specification built on the reference, and
+//! every output byte: [`Aes128::encrypt_block`], the counter-mode pad
+//! kernel [`Aes128::ctr4`] and the crate-internal PMAC entry points
+//! (`Aes128::encrypt_sum`, `Aes128::encrypt_pair`) dispatch on it, and
+//! every pad, MAC tag, Mi-SU entry and tree node in the workspace reaches
+//! the cipher through one of them. The lockstep tests in this module force
+//! each backend in turn and pin the entry points against the reference and
+//! the FIPS-197 appendix vectors; `ctr.rs` pins pads and `mac.rs` pins
+//! PMAC against byte-domain specifications built on the reference, and
 //! `tests/aes_lockstep.rs` pins the host's selection the same way.
 //!
 //! No path changes *simulated* timing: the cycle model charges the fixed
@@ -235,44 +235,40 @@ impl Aes128 {
     /// Encrypts one 16-byte block on the selected backend.
     ///
     /// Bit-for-bit identical to [`Self::encrypt_block_reference`]; the
-    /// lockstep suite and the FIPS-197 vectors pin the equivalence.
-    /// `#[inline]` so the MAC and pad loops (including cross-crate
-    /// callers) fold the call away — this function runs ~100M times per
-    /// full-scale bench.
+    /// lockstep suite and the FIPS-197 vectors pin the equivalence. One
+    /// PMAC block held in registers (`encrypt_pair`); no hot path
+    /// calls it (PMAC derives its masks from it once per key).
     #[inline]
     pub fn encrypt_block(&self, plaintext: &Block) -> Block {
-        bytes_from_words(&self.encrypt_words(words_from_bytes(plaintext)))
+        self.encrypt_pair(u128::from_le_bytes(*plaintext), None)
+            .to_le_bytes()
     }
 
-    /// Encrypts one block given (and returned) in the T-table state
-    /// representation: 4 big-endian column words, row 0 in each word's high
-    /// byte. Byte-identical to [`Self::encrypt_block`] modulo the
-    /// [`words_from_bytes`]/`to_be_bytes` packing. The CTR pad loops run
-    /// in this domain so the byte↔word conversion happens once per pad,
-    /// not once per cipher call.
-    #[inline]
-    pub fn encrypt_words(&self, w: [u32; 4]) -> [u32; 4] {
-        match self.backend {
-            Backend::Table => self.table_words(w),
-            #[cfg(target_arch = "x86_64")]
-            Backend::Ni(ni) => ni.encrypt_words(&self.round_keys, w),
-        }
-    }
-
-    /// Encrypts four independent blocks (word representation, see
-    /// [`words_from_bytes`]) in one interleaved pass.
+    /// Writes four counter-mode pad blocks into `pad`: block `j` is
+    /// `E_K(iv ⊕ (j << 56))`, with `iv` and every block given as
+    /// `u128::from_le_bytes` of the block's bytes. Bits 56..64 are the
+    /// block-index byte of the CTR IV layout (`ctr.rs`), so a caller passes
+    /// the IV of block `4q` and gets blocks `4q..4q + 4`.
     ///
-    /// One block is latency-bound: each round waits on the previous
-    /// round's result. The four blocks of a cacheline pad are independent,
-    /// so both backends interleave them per round, keeping four chains in
-    /// flight.
-    /// Byte-identical to four [`Self::encrypt_words`] calls.
+    /// This is the pad kernel behind every cacheline pad. The IV is
+    /// assembled in registers, never in memory, and on AES-NI the four
+    /// blocks run interleaved per round and are stored straight from the
+    /// cipher state: the cipher's byte order is the pad's. The T-table
+    /// backend computes the same bytes through its word representation.
     #[inline]
-    pub fn encrypt_words4(&self, blocks: [[u32; 4]; 4]) -> [[u32; 4]; 4] {
+    pub fn ctr4(&self, iv: u128, pad: &mut [u8; 64]) {
         match self.backend {
-            Backend::Table => self.table_words4(blocks),
+            Backend::Table => {
+                let blocks = core::array::from_fn(|j| {
+                    words_from_bytes(&(iv ^ ((j as u128) << 56)).to_le_bytes())
+                });
+                let words = self.table_words4(blocks);
+                for (chunk, block) in pad.chunks_exact_mut(BLOCK_SIZE).zip(&words) {
+                    chunk.copy_from_slice(&bytes_from_words(block));
+                }
+            }
             #[cfg(target_arch = "x86_64")]
-            Backend::Ni(ni) => ni.encrypt_words4(&self.round_keys, blocks),
+            Backend::Ni(ni) => ni.ctr4(&self.round_keys, iv, pad),
         }
     }
 
@@ -326,7 +322,9 @@ impl Aes128 {
         }
     }
 
-    /// [`Self::encrypt_words`] on the T-table backend.
+    /// One block on the T-table backend, given (and returned) in the
+    /// T-table state representation: 4 big-endian column words, row 0 in
+    /// each word's high byte (see [`words_from_bytes`]).
     #[inline]
     fn table_words(&self, w: [u32; 4]) -> [u32; 4] {
         let rk = &self.rk;
@@ -386,9 +384,9 @@ impl Aes128 {
         [t0 ^ rk[40], t1 ^ rk[41], t2 ^ rk[42], t3 ^ rk[43]]
     }
 
-    /// [`Self::encrypt_words4`] on the T-table backend: interleaving the
-    /// four blocks per round turns the table-load *latency* bound into a
-    /// load *throughput* bound.
+    /// Four independent blocks on the T-table backend, for [`Self::ctr4`]:
+    /// interleaving them per round turns the table-load *latency* bound
+    /// into a load *throughput* bound.
     #[inline]
     fn table_words4(&self, blocks: [[u32; 4]; 4]) -> [[u32; 4]; 4] {
         let rk = &self.rk;
@@ -463,11 +461,9 @@ impl Aes128 {
 
 /// Packs a 16-byte block into the T-table state representation: 4 big-endian
 /// column words (`w[c]` = bytes `4c..4c+4`, row 0 in the high byte).
-///
-/// `bytes_from_words` is the exact inverse; callers that chain blocks through
-/// [`Aes128::encrypt_words`] convert once at each end of the message.
+/// [`bytes_from_words`] is the exact inverse.
 #[inline]
-pub fn words_from_bytes(b: &Block) -> [u32; 4] {
+fn words_from_bytes(b: &Block) -> [u32; 4] {
     [
         u32::from_be_bytes([b[0], b[1], b[2], b[3]]),
         u32::from_be_bytes([b[4], b[5], b[6], b[7]]),
@@ -478,7 +474,7 @@ pub fn words_from_bytes(b: &Block) -> [u32; 4] {
 
 /// Unpacks a T-table state (see [`words_from_bytes`]) back into block bytes.
 #[inline]
-pub fn bytes_from_words(w: &[u32; 4]) -> Block {
+fn bytes_from_words(w: &[u32; 4]) -> Block {
     let mut out = [0u8; BLOCK_SIZE];
     out[0..4].copy_from_slice(&w[0].to_be_bytes());
     out[4..8].copy_from_slice(&w[1].to_be_bytes());
@@ -533,16 +529,15 @@ mod tests {
     use super::*;
 
     /// Asserts `key` maps `pt` to `expected` through the reference and, on
-    /// every backend, through the block, word and four-way entry points.
+    /// every backend, through the block and pad-kernel entry points (block
+    /// 0 of `ctr4` is the IV itself).
     fn assert_kat(key: &[u8; 16], pt: &Block, expected: &Block) {
         for aes in Aes128::on_each_backend(key) {
             assert_eq!(aes.encrypt_block_reference(pt), *expected);
             assert_eq!(aes.encrypt_block(pt), *expected);
-            let w = words_from_bytes(pt);
-            assert_eq!(bytes_from_words(&aes.encrypt_words(w)), *expected);
-            for out in aes.encrypt_words4([w; 4]) {
-                assert_eq!(bytes_from_words(&out), *expected);
-            }
+            let mut pad = [0u8; 64];
+            aes.ctr4(u128::from_le_bytes(*pt), &mut pad);
+            assert_eq!(pad[..BLOCK_SIZE], *expected);
         }
     }
 
@@ -582,8 +577,8 @@ mod tests {
         assert_kat(&key, &pt, &expected);
     }
 
-    /// Seeded random keys × random blocks: every backend's `encrypt_words`
-    /// and `encrypt_words4` equal the reference, bit for bit.
+    /// Seeded random keys × random blocks: every backend's `encrypt_block`
+    /// and `ctr4` equal the reference, bit for bit.
     #[test]
     fn every_backend_matches_reference_on_random_keys_and_blocks() {
         let mut rng = dolos_sim::rng::XorShift::new(0xae5_1a6e_0bac_c3d5);
@@ -606,11 +601,15 @@ mod tests {
                 let expected = pts.map(|pt| backends[0].encrypt_block_reference(&pt));
                 for aes in &backends {
                     for (pt, want) in pts.iter().zip(&expected) {
-                        let got = aes.encrypt_words(words_from_bytes(pt));
-                        assert_eq!(bytes_from_words(&got), *want);
+                        assert_eq!(aes.encrypt_block(pt), *want);
                     }
-                    let quad = aes.encrypt_words4(pts.map(|pt| words_from_bytes(&pt)));
-                    assert_eq!(quad.map(|w| bytes_from_words(&w)), expected);
+                    let iv = u128::from_le_bytes(pts[0]);
+                    let mut pad = [0u8; 64];
+                    aes.ctr4(iv, &mut pad);
+                    for (j, got) in pad.chunks_exact(BLOCK_SIZE).enumerate() {
+                        let block = (iv ^ ((j as u128) << 56)).to_le_bytes();
+                        assert_eq!(got, backends[0].encrypt_block_reference(&block));
+                    }
                 }
             }
         }
@@ -683,20 +682,19 @@ mod tests {
 
     #[test]
     fn interleaved_quad_matches_single_block_path() {
-        // encrypt_words4 must be byte-identical to four encrypt_block calls
-        // for arbitrary (including equal and structured) inputs.
-        let mut blocks = [[0u8; 16]; 4];
-        for (k, block) in blocks.iter_mut().enumerate() {
-            for (i, b) in block.iter_mut().enumerate() {
-                *b = (k * 37 + i * 11) as u8;
-            }
-        }
-        blocks[2] = blocks[0]; // duplicate inputs must not interfere
+        // ctr4 must be byte-identical to four encrypt_block calls on the
+        // blocks it derives from the IV, whatever the IV's index byte
+        // already holds (XOR, not addition, sets blocks 1–3).
         for key in Aes128::on_each_backend(&[0x3Cu8; 16]) {
-            let quad = key.encrypt_words4(blocks.map(|b| words_from_bytes(&b)));
-            for (block, words) in blocks.iter().zip(quad.iter()) {
-                assert_eq!(bytes_from_words(words), key.encrypt_block(block));
-                assert_eq!(bytes_from_words(words), key.encrypt_block_reference(block));
+            for index in [0u128, 1, 4, 0xfc, 0xff] {
+                let iv = 0x0123_4567_89ab_cdef_0011_2233_4455_6677 ^ (index << 56);
+                let mut pad = [0u8; 64];
+                key.ctr4(iv, &mut pad);
+                for (j, got) in pad.chunks_exact(BLOCK_SIZE).enumerate() {
+                    let block = (iv ^ ((j as u128) << 56)).to_le_bytes();
+                    assert_eq!(got, key.encrypt_block(&block));
+                    assert_eq!(got, key.encrypt_block_reference(&block));
+                }
             }
         }
     }

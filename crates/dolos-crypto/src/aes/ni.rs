@@ -1,12 +1,16 @@
 //! The AES-NI backend of [`super::Aes128`]: the crate's only `unsafe` code.
 //!
 //! Compiled on `x86_64` only. Every function here computes exactly what
-//! the T-table path in `aes.rs` computes. The word-domain functions (4
-//! big-endian column words in, 4 out) byte-swap the state into the
-//! cipher's byte order with one `pshufb`, run it through
-//! `aesenc`/`aesenclast` with the byte-order round keys of the shared
-//! schedule, and swap it back. The lockstep tests in `aes.rs` and `mac.rs`
-//! pin this equivalence on every host that has the instructions.
+//! the T-table path in `aes.rs` computes, running blocks in the cipher's
+//! byte order through `aesenc`/`aesenclast` with the byte-order round keys
+//! of the shared schedule. The lockstep tests in `aes.rs`, `ctr.rs` and
+//! `mac.rs` pin this equivalence on every host that has the instructions.
+//!
+//! [`Ni::ctr4`] builds a counter-mode pad in the cipher's byte order: the
+//! IV arrives in two general-purpose halves, the four block indices are
+//! XORed in as constants, and the four encrypted states are stored
+//! straight into the pad. No IV byte passes through memory and no block is
+//! byte-swapped.
 //!
 //! [`Ni::encrypt_sum`] and [`Ni::encrypt_pair`] run PMAC's independent
 //! blocks one `encrypt_state` after another with the 11 round keys loaded
@@ -18,7 +22,7 @@
 //! out through 64-bit halves.
 //!
 //! Soundness rests on one type: [`Ni`] is a zero-sized proof that the CPU
-//! supports AES-NI and SSSE3, and [`Ni::detect`] is its only constructor.
+//! supports AES-NI, and [`Ni::detect`] is its only constructor.
 //! The `#[target_feature]` functions are reachable only through methods
 //! taking that proof.
 
@@ -26,40 +30,27 @@
 
 use core::arch::x86_64::{
     __m128i, _mm_aesenc_si128, _mm_aesenclast_si128, _mm_cvtsi128_si64, _mm_loadu_si128,
-    _mm_set_epi64x, _mm_setr_epi32, _mm_setr_epi8, _mm_setzero_si128, _mm_shuffle_epi8,
-    _mm_storeu_si128, _mm_unpackhi_epi64, _mm_xor_si128,
+    _mm_set_epi64x, _mm_setzero_si128, _mm_storeu_si128, _mm_unpackhi_epi64, _mm_xor_si128,
 };
 
 use super::Block;
 
-/// Proof that the running CPU executes AES-NI and SSSE3 instructions.
+/// Proof that the running CPU executes AES-NI instructions.
 #[derive(Clone, Copy)]
 pub(super) struct Ni(());
 
 impl Ni {
-    /// Returns the proof when the CPU reports both features, else `None`.
+    /// Returns the proof when the CPU reports AES-NI, else `None`.
     pub(super) fn detect() -> Option<Self> {
-        (std::is_x86_feature_detected!("aes") && std::is_x86_feature_detected!("ssse3"))
-            .then_some(Ni(()))
+        std::is_x86_feature_detected!("aes").then_some(Ni(()))
     }
 
-    /// One block; see [`super::Aes128::encrypt_words`].
+    /// Four counter-mode pad blocks; see [`super::Aes128::ctr4`].
     #[inline]
-    pub(super) fn encrypt_words(self, round_keys: &[Block; 11], w: [u32; 4]) -> [u32; 4] {
-        // SAFETY: `self` exists only if `detect` found AES-NI and SSSE3 on
-        // this CPU, the two features `encrypt1` is compiled for.
-        unsafe { encrypt1(round_keys, w) }
-    }
-
-    /// Four independent blocks; see [`super::Aes128::encrypt_words4`].
-    #[inline]
-    pub(super) fn encrypt_words4(
-        self,
-        round_keys: &[Block; 11],
-        blocks: [[u32; 4]; 4],
-    ) -> [[u32; 4]; 4] {
-        // SAFETY: as in `encrypt_words`; `encrypt4` needs the same features.
-        unsafe { encrypt4(round_keys, blocks) }
+    pub(super) fn ctr4(self, round_keys: &[Block; 11], iv: u128, pad: &mut [u8; 64]) {
+        // SAFETY: `self` exists only if `detect` found AES-NI on this CPU,
+        // the feature `ctr` is compiled for.
+        unsafe { ctr(round_keys, iv, pad) }
     }
 
     /// `⊕ E_K(b_i ⊕ z_i)` over blocks and masks; see
@@ -72,7 +63,7 @@ impl Ni {
         masks: &[Block],
         extra: Option<u128>,
     ) -> u128 {
-        // SAFETY: as in `encrypt_words`; `sum` needs the same features.
+        // SAFETY: as in `ctr4`; `sum` needs the same feature.
         unsafe { sum(round_keys, blocks, masks, extra) }
     }
 
@@ -80,7 +71,7 @@ impl Ni {
     /// [`super::Aes128::encrypt_pair`].
     #[inline]
     pub(super) fn encrypt_pair(self, round_keys: &[Block; 11], x: u128, y: Option<u128>) -> u128 {
-        // SAFETY: as in `encrypt_words`; `pair` needs the same features.
+        // SAFETY: as in `ctr4`; `pair` needs the same feature.
         unsafe { pair(round_keys, x, y) }
     }
 }
@@ -100,32 +91,6 @@ fn load_keys(round_keys: &[Block; 11]) -> [__m128i; 11] {
     round_keys.map(|k| load_block(&k))
 }
 
-/// Reverses the bytes of each 32-bit lane: maps the little-endian in-memory
-/// image of the big-endian column words to the cipher's byte order, and
-/// back (the permutation is its own inverse).
-#[inline]
-#[target_feature(enable = "sse2")]
-fn swap_mask() -> __m128i {
-    _mm_setr_epi8(3, 2, 1, 0, 7, 6, 5, 4, 11, 10, 9, 8, 15, 14, 13, 12)
-}
-
-#[inline]
-#[target_feature(enable = "ssse3")]
-fn words_to_state(w: [u32; 4], mask: __m128i) -> __m128i {
-    let v = _mm_setr_epi32(w[0] as i32, w[1] as i32, w[2] as i32, w[3] as i32);
-    _mm_shuffle_epi8(v, mask)
-}
-
-#[inline]
-#[target_feature(enable = "ssse3")]
-fn state_to_words(s: __m128i, mask: __m128i) -> [u32; 4] {
-    let mut out = [0u32; 4];
-    // SAFETY: `out` is 16 writable bytes and `storeu` has no alignment
-    // requirement.
-    unsafe { _mm_storeu_si128(out.as_mut_ptr().cast(), _mm_shuffle_epi8(s, mask)) };
-    out
-}
-
 /// AES-128 over one state already in the cipher's byte order. Alone, this
 /// is latency-bound on the 10 dependent `aesenc` steps.
 #[inline]
@@ -136,16 +101,6 @@ fn encrypt_state(k: &[__m128i; 11], s: __m128i) -> __m128i {
         s = _mm_aesenc_si128(s, *key);
     }
     _mm_aesenclast_si128(s, k[10])
-}
-
-/// AES-128 over one block.
-#[target_feature(enable = "aes,ssse3")]
-fn encrypt1(round_keys: &[Block; 11], w: [u32; 4]) -> [u32; 4] {
-    let mask = swap_mask();
-    state_to_words(
-        encrypt_state(&load_keys(round_keys), words_to_state(w, mask)),
-        mask,
-    )
 }
 
 /// Moves a block given as `u128::from_le_bytes` of its bytes into a
@@ -194,17 +149,23 @@ fn sum(round_keys: &[Block; 11], blocks: &[Block], masks: &[Block], extra: Optio
     state_to_u128(acc)
 }
 
-/// AES-128 over four independent blocks, interleaved per round so the four
-/// `aesenc` chains overlap in the pipeline.
-#[target_feature(enable = "aes,ssse3")]
-fn encrypt4(round_keys: &[Block; 11], blocks: [[u32; 4]; 4]) -> [[u32; 4]; 4] {
+/// The pad of [`super::Aes128::ctr4`]: blocks `iv ⊕ (j << 56)` for
+/// `j` in `0..4`, interleaved per round so the four `aesenc` chains overlap
+/// in the pipeline, each stored straight into its 16 bytes of `pad`.
+#[target_feature(enable = "aes")]
+fn ctr(round_keys: &[Block; 11], iv: u128, pad: &mut [u8; 64]) {
     let k = load_keys(round_keys);
-    let mask = swap_mask();
-    let mut s = blocks.map(|w| _mm_xor_si128(words_to_state(w, mask), k[0]));
+    let base = _mm_xor_si128(u128_to_state(iv), k[0]);
+    let mut s: [__m128i; 4] =
+        core::array::from_fn(|j| _mm_xor_si128(base, _mm_set_epi64x(0, (j as i64) << 56)));
     for key in &k[1..10] {
         for b in &mut s {
             *b = _mm_aesenc_si128(*b, *key);
         }
     }
-    s.map(|b| state_to_words(_mm_aesenclast_si128(b, k[10]), mask))
+    for (chunk, b) in pad.chunks_exact_mut(16).zip(s) {
+        // SAFETY: `chunk` is 16 writable bytes and `storeu` has no
+        // alignment requirement.
+        unsafe { _mm_storeu_si128(chunk.as_mut_ptr().cast(), _mm_aesenclast_si128(b, k[10])) };
+    }
 }

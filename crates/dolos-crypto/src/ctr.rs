@@ -8,7 +8,7 @@
 //! property both the Ma-SU decryption-latency hiding and the Mi-SU
 //! boot-time pre-generation rely on.
 
-use crate::aes::{bytes_from_words, words_from_bytes, Aes128, Block, BLOCK_SIZE};
+use crate::aes::{Aes128, BLOCK_SIZE};
 
 /// Bytes per 4 KiB page (64 cachelines of 64 B).
 const PAGE_SIZE: u64 = 4096;
@@ -54,8 +54,10 @@ impl Iv {
         self.counter
     }
 
-    /// Serializes the IV into an AES block, with `block_index` occupying the
-    /// padding field so each 16-byte slice of a cacheline gets a distinct IV.
+    /// The IV of block 0 as `u128::from_le_bytes` of its bytes, the form
+    /// [`Aes128::ctr4`] takes. Block `i` of a pad sets the block-index
+    /// byte to `i`, so each 16-byte slice of a cacheline gets a distinct
+    /// IV.
     ///
     /// Layout (little-endian fields):
     ///
@@ -72,22 +74,14 @@ impl Iv {
     /// must never permit. The page-ID field is the one deliberately
     /// narrowed — its 40 bits still address 2^52 bytes of 4 KiB pages,
     /// far beyond any configuration the simulator models.
-    fn to_block(self, block_index: u8) -> Block {
-        let mut block = [0u8; BLOCK_SIZE];
-        block[0..5].copy_from_slice(&self.page_id.to_le_bytes()[0..5]);
-        block[5..7].copy_from_slice(&self.page_offset.to_le_bytes());
-        block[7] = block_index;
-        block[8..16].copy_from_slice(&self.counter.to_le_bytes());
-        block
-    }
-
-    /// [`Self::to_block`] with block index 0, pre-packed into the cipher's
-    /// word representation. The block-index byte is the low byte of word 1
-    /// and is zero here, so pad loops derive block `i`'s IV words as
-    /// `[w0, w1 ^ i, w2, w3]` (i ≤ 255) without rebuilding and repacking the
-    /// byte block per AES call.
-    fn to_base_words(self) -> [u32; 4] {
-        words_from_bytes(&self.to_block(0))
+    ///
+    /// The value is built from the fields in registers: an IV written one
+    /// byte field at a time and reloaded whole would stall on store
+    /// forwarding on every pad.
+    fn block0(self) -> u128 {
+        (u128::from(self.counter) << 64)
+            | (u128::from(self.page_offset) << 40)
+            | u128::from(self.page_id & ((1 << 40) - 1))
     }
 }
 
@@ -155,9 +149,9 @@ pub const MAX_PAD_BYTES: usize = 256 * BLOCK_SIZE;
 /// Generates a 64-byte cacheline pad for the given IV without allocating.
 ///
 /// This is the hot path: every simulated line encryption, decryption and
-/// recovery probe funnels through here, so the pad is built directly in a
-/// stack array (4 AES blocks) instead of a `Vec`. Byte-identical to
-/// `generate_pad(key, iv, 64)`.
+/// recovery probe funnels through here, so the pad is one
+/// [`Aes128::ctr4`] call straight into a stack array instead of a `Vec`.
+/// Byte-identical to `generate_pad(key, iv, 64)`.
 ///
 /// # Examples
 ///
@@ -169,20 +163,8 @@ pub const MAX_PAD_BYTES: usize = 256 * BLOCK_SIZE;
 /// assert_eq!(pad_line(&key, &iv).to_vec(), generate_pad(&key, &iv, 64));
 /// ```
 pub fn pad_line(key: &Aes128, iv: &Iv) -> [u8; LINE_SIZE] {
-    let b = iv.to_base_words();
-    // The four blocks are independent (distinct block indices), so one
-    // interleaved cipher pass keeps the core's load ports busy instead of
-    // serializing four latency-bound chains.
-    let blocks = key.encrypt_words4([
-        b,
-        [b[0], b[1] ^ 1, b[2], b[3]],
-        [b[0], b[1] ^ 2, b[2], b[3]],
-        [b[0], b[1] ^ 3, b[2], b[3]],
-    ]);
     let mut pad = [0u8; LINE_SIZE];
-    for (chunk, block) in pad.chunks_exact_mut(BLOCK_SIZE).zip(blocks.iter()) {
-        chunk.copy_from_slice(&bytes_from_words(block));
-    }
+    key.ctr4(iv.block0(), &mut pad);
     pad
 }
 
@@ -190,8 +172,9 @@ pub fn pad_line(key: &Aes128, iv: &Iv) -> [u8; LINE_SIZE] {
 ///
 /// The caller supplies the buffer, so steady-state users (e.g. the Mi-SU's
 /// pre-generated pad slots) can regenerate in place with zero allocation.
-/// The final partial block, if any, is produced into a stack scratch block
-/// and copied, so `pad` may be any length up to [`MAX_PAD_BYTES`].
+/// Each whole 64 bytes is one [`Aes128::ctr4`] call straight into `pad`; a
+/// final partial chunk, if any, is produced into a stack line and copied,
+/// so `pad` may be any length up to [`MAX_PAD_BYTES`].
 ///
 /// # Panics
 ///
@@ -207,33 +190,19 @@ pub fn pad_into(key: &Aes128, iv: &Iv, pad: &mut [u8]) {
         pad.len(),
         MAX_PAD_BYTES
     );
-    let b = iv.to_base_words();
-    let mut i = 0u32;
-    // Four independent blocks per interleaved cipher pass (see `pad_line`),
-    // then single passes for the stragglers.
-    let mut quads = pad.chunks_exact_mut(4 * BLOCK_SIZE);
-    for quad in &mut quads {
-        let blocks = key.encrypt_words4([
-            [b[0], b[1] ^ i, b[2], b[3]],
-            [b[0], b[1] ^ (i + 1), b[2], b[3]],
-            [b[0], b[1] ^ (i + 2), b[2], b[3]],
-            [b[0], b[1] ^ (i + 3), b[2], b[3]],
-        ]);
-        for (chunk, block) in quad.chunks_exact_mut(BLOCK_SIZE).zip(blocks.iter()) {
-            chunk.copy_from_slice(&bytes_from_words(block));
+    let block0 = iv.block0();
+    // Chunk `q` starts at block index 4q (at most 252), so its blocks are
+    // the IV with index byte 4q..4q + 4.
+    for (q, chunk) in (0u128..).zip(pad.chunks_mut(LINE_SIZE)) {
+        let iv = block0 | (4 * q) << 56;
+        match chunk.try_into() {
+            Ok(line) => key.ctr4(iv, line),
+            Err(_) => {
+                let mut line = [0u8; LINE_SIZE];
+                key.ctr4(iv, &mut line);
+                chunk.copy_from_slice(&line[..chunk.len()]);
+            }
         }
-        i += 4;
-    }
-    let mut chunks = quads.into_remainder().chunks_exact_mut(BLOCK_SIZE);
-    for chunk in &mut chunks {
-        let block = key.encrypt_words([b[0], b[1] ^ i, b[2], b[3]]);
-        chunk.copy_from_slice(&bytes_from_words(&block));
-        i += 1;
-    }
-    let tail = chunks.into_remainder();
-    if !tail.is_empty() {
-        let block = bytes_from_words(&key.encrypt_words([b[0], b[1] ^ i, b[2], b[3]]));
-        tail.copy_from_slice(&block[..tail.len()]);
     }
 }
 
@@ -283,27 +252,52 @@ pub fn xor_in_place(data: &mut [u8], pad: &[u8]) {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::aes::Block;
 
     fn key() -> Aes128 {
         Aes128::new(&[0xA5; 16])
     }
 
+    /// The IV of block `block_index`, written byte field by byte field
+    /// from the layout table on [`Iv::block0`]: the specification the
+    /// register-built IV is checked against.
+    fn reference_block(iv: &Iv, block_index: u8) -> Block {
+        let mut block = [0u8; BLOCK_SIZE];
+        block[0..5].copy_from_slice(&iv.page_id().to_le_bytes()[0..5]);
+        block[5..7].copy_from_slice(&iv.page_offset().to_le_bytes());
+        block[7] = block_index;
+        block[8..16].copy_from_slice(&iv.counter().to_le_bytes());
+        block
+    }
+
     /// Every backend produces the pad the reference cipher specifies: block
-    /// `i` is the encryption of the IV with block index `i`.
+    /// `i` is the encryption of the IV with block index `i`. Both pad entry
+    /// points reach the cipher only through `Aes128::ctr4`.
     #[test]
     fn pads_match_reference_on_every_backend() {
         for aes in Aes128::on_each_backend(&[0x6e; 16]) {
-            for (addr, counter) in [(0u64, 0u64), (4160, 1), (1 << 20, 255), (64, u64::MAX)] {
-                let iv = IvBuilder::new().address(addr).counter(counter).build();
+            for (page, offset, counter) in [
+                (0u64, 0u16, 0u64),
+                (1, 1, 1),
+                (256, 0, 255),
+                (0, 1, u64::MAX),
+                ((1 << 40) - 1, 63, 1 << 63),
+                (u64::MAX, u16::MAX, 0x0123_4567_89ab_cdef),
+            ] {
+                let iv = IvBuilder::new()
+                    .page_id(page)
+                    .page_offset(offset)
+                    .counter(counter)
+                    .build();
                 let mut want = Vec::with_capacity(MAX_PAD_BYTES);
                 for i in 0..=255u8 {
-                    want.extend_from_slice(&aes.encrypt_block_reference(&iv.to_block(i)));
+                    want.extend_from_slice(&aes.encrypt_block_reference(&reference_block(&iv, i)));
                 }
                 assert_eq!(pad_line(&aes, &iv), want[..LINE_SIZE]);
                 for len in [0usize, 1, 15, 16, 17, 63, 64, 65, 200, MAX_PAD_BYTES] {
                     let mut pad = vec![0xAB; len];
                     pad_into(&aes, &iv, &mut pad);
-                    assert_eq!(pad, want[..len], "addr {addr:#x} len {len}");
+                    assert_eq!(pad, want[..len], "{iv:?} len {len}");
                 }
             }
         }

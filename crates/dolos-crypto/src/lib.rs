@@ -7,8 +7,8 @@
 //!
 //! * [`aes`] — AES-128 block encryption (FIPS-197, encrypt-only) with three
 //!   implementations of one function: AES-NI, selected by [`Aes128::new`]
-//!   when the `x86_64` CPU reports `aes` and `ssse3`; the portable T-table
-//!   cipher, selected everywhere else; and the byte-oriented
+//!   when the `x86_64` CPU reports `aes`; the portable T-table cipher,
+//!   selected everywhere else; and the byte-oriented
 //!   [`Aes128::encrypt_block_reference`] both are lockstep-tested against;
 //! * [`ctr`] — counter-mode pad generation with the paper's IV layout
 //!   (page ID ‖ page offset ‖ counter ‖ padding, Figure 2); hot paths use

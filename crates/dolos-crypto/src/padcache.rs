@@ -2,7 +2,7 @@
 //!
 //! A counter-mode pad is a pure function of `(line address, packed
 //! counter)`, so recomputing it costs four AES block encryptions (one
-//! interleaved `encrypt_words4` call in `pad_line`) of *host* time on
+//! `Aes128::ctr4` call in `pad_line`) of *host* time on
 //! every touch of a line — yet the dominant access pattern
 //! (write a line, read it back; decrypt-then-reencrypt during a counter
 //! overflow) asks for the same `(address, counter)` pair again almost

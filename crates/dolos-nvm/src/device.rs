@@ -203,10 +203,7 @@ impl NvmDevice {
     /// region-wide replay attacks: snapshot the region, let execution
     /// continue, then restore a chosen subset of its lines.
     pub fn snapshot_range(&self, start: u64, end: u64) -> Vec<(LineAddr, Line)> {
-        self.resident_lines_in(start, end)
-            .into_iter()
-            .map(|a| (a, self.peek(a)))
-            .collect()
+        self.lines_in(start, end).map(|(a, l)| (a, *l)).collect()
     }
 
     /// Writes captured `(address, contents)` pairs back, untimed. Restoring
@@ -264,11 +261,17 @@ impl NvmDevice {
     /// without scanning the full device: the paged store skips every page
     /// below `start` and stops at `end`.
     pub fn resident_lines_in(&self, start: u64, end: u64) -> Vec<LineAddr> {
+        self.lines_in(start, end).map(|(addr, _)| addr).collect()
+    }
+
+    /// The resident lines within `[start, end)` with their contents, in
+    /// address order, walked in place: recovery reads a region this way
+    /// without collecting it or looking each line up again.
+    pub fn lines_in(&self, start: u64, end: u64) -> impl Iterator<Item = (LineAddr, &Line)> {
         let line = LINE_SIZE as u64;
         self.lines
             .range(start.div_ceil(line), end.div_ceil(line))
-            .map(|(index, _)| LineAddr::from_index(index))
-            .collect()
+            .map(|(index, stored)| (LineAddr::from_index(index), &stored.data))
     }
 
     /// Snapshots device statistics.
@@ -502,6 +505,20 @@ mod tests {
         );
         assert_eq!(got(chunk, chunk), []);
         assert_eq!(got(chunk + 64, chunk), []);
+        let contents: Vec<(LineAddr, u8)> = nvm
+            .lines_in(page - 64, chunk + 1)
+            .map(|(a, l)| (a, l[0]))
+            .collect();
+        assert_eq!(
+            contents,
+            [
+                (addr(page - 64), 1),
+                (addr(page), 2),
+                (addr(page + 64), 3),
+                (addr(chunk - 64), 4),
+                (addr(chunk), 5)
+            ]
+        );
 
         // Equal counts on both sides of each boundary: the lowest address
         // wins the tie.

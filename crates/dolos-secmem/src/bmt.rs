@@ -274,6 +274,67 @@ impl BonsaiMerkleTree {
         self.node(self.height, 0) == self.root
     }
 
+    /// Whether `lines`, given as `(leaf index, line)` with each index at
+    /// most once, are exactly the leaves this tree holds:
+    ///
+    /// * each line equals the leaf held for its index: a pending leaf by
+    ///   its bytes, a materialized leaf by its stored MAC, an absent leaf
+    ///   by the level-0 default;
+    /// * every leaf the tree holds, pending or materialized, is among
+    ///   `lines`.
+    ///
+    /// Interior nodes are functions of the leaves below them, so when this
+    /// holds, a tree built afresh from `lines` (as recovery does) equals
+    /// this one at every node and this one may be kept. The only writer
+    /// that breaks "functions of the leaves" is [`Self::tamper_node`],
+    /// which only this module's tests call. Nothing is materialized or
+    /// allocated; a line outside the tree answers `false`.
+    pub fn holds_exactly<'a>(
+        &self,
+        engine: &MacEngine,
+        lines: impl IntoIterator<Item = (u64, &'a Line)>,
+    ) -> bool {
+        let mut held_lines = 0;
+        for (index, line) in lines {
+            if index >= self.leaves {
+                return false;
+            }
+            let held = if let Some(PendingLine(pending)) = self.pending.get(index) {
+                if pending != line {
+                    return false;
+                }
+                true
+            } else {
+                let stored = self.nodes.get(self.key(0, index));
+                if engine.tag(line) != *stored.unwrap_or(&self.defaults[0]) {
+                    return false;
+                }
+                stored.is_some()
+            };
+            held_lines += usize::from(held);
+        }
+        held_lines == self.held_leaves()
+    }
+
+    /// Leaves held pending or materialized (or both): the two key sets are
+    /// ascending, so one merge counts their union.
+    fn held_leaves(&self) -> usize {
+        let mut stored = self
+            .nodes
+            .range(self.starts[0], self.starts[1])
+            .map(|(key, _)| key - self.starts[0])
+            .peekable();
+        let mut union = 0;
+        for (index, _) in self.pending.iter() {
+            while stored.next_if(|&s| s < index).is_some() {
+                union += 1;
+            }
+            stored.next_if_eq(&index);
+            union += 1;
+        }
+        union + stored.count()
+    }
+
     /// Recomputes the root from scratch given every non-default leaf, as
     /// recovery does after rebuilding counters (AGIT/Anubis recovery).
     ///
@@ -540,6 +601,103 @@ pub(crate) mod tests {
             }
             assert_eq!(t.root(&e), reference_root(&e, leaves, &contents));
             assert_eq!(t.updates(), 120);
+        }
+    }
+
+    /// `holds_exactly` over each way a tree can hold a leaf: pending (by
+    /// bytes), materialized (by MAC), both at once (counted once), absent
+    /// (by the default), and a held leaf with no line.
+    #[test]
+    fn holds_exactly_decides_each_leaf_by_how_it_is_held() {
+        let e = engine();
+        let mut t = tree(64);
+        let (a, b, zero) = ([1u8; 64], [2u8; 64], [0u8; 64]);
+        let holds = |t: &BonsaiMerkleTree, lines: &[(u64, Line)]| {
+            t.holds_exactly(&e, lines.iter().map(|(i, l)| (*i, l)))
+        };
+        assert!(holds(&t, &[]));
+        // Pending leaf 3.
+        t.update_leaf(&e, 3, &a);
+        assert!(holds(&t, &[(3, a)]));
+        assert!(!holds(&t, &[(3, b)]));
+        assert!(!holds(&t, &[]), "a pending leaf with no line");
+        // Materialized leaf 3.
+        t.root(&e);
+        assert!(holds(&t, &[(3, a)]));
+        assert!(!holds(&t, &[(3, b)]));
+        assert!(!holds(&t, &[]), "a materialized leaf with no line");
+        // Absent leaf 5: only a line tagging as the default matches.
+        assert!(holds(&t, &[(3, a), (5, zero)]));
+        assert!(!holds(&t, &[(3, a), (5, b)]));
+        // Leaf 3 pending over its materialized MAC: the pending line wins,
+        // and the leaf is one held leaf, not two.
+        t.update_leaf(&e, 3, &b);
+        assert!(holds(&t, &[(3, b)]));
+        assert!(!holds(&t, &[(3, a)]));
+        // Leaves on both sides of a pending-only and a stored-only leaf.
+        t.update_leaf(&e, 9, &a);
+        t.root(&e);
+        t.update_leaf(&e, 1, &a);
+        t.update_leaf(&e, 20, &b);
+        assert!(holds(&t, &[(1, a), (3, b), (9, a), (20, b)]));
+        assert!(
+            !holds(&t, &[(1, a), (3, b), (20, b)]),
+            "stored leaf 9 missing"
+        );
+        assert!(
+            !holds(&t, &[(1, a), (3, b), (9, a)]),
+            "pending leaf 20 missing"
+        );
+        assert!(!holds(&t, &[(1, a), (3, b), (9, a), (20, b), (64, zero)]));
+    }
+
+    /// Over seeded update streams with materializations at arbitrary
+    /// points, a tree holds exactly its current leaves, and a tree rebuilt
+    /// from them has its root and verifies every one of them; a changed,
+    /// missing or extra line is refused.
+    #[test]
+    fn a_tree_holding_exactly_its_lines_equals_their_rebuild() {
+        let e = engine();
+        for (seed, leaves) in [(0x40Du64, 8u64), (0x1DEA, 100), (0x5A17, 300)] {
+            let mut rng = XorShift::new(seed);
+            let mut t = BonsaiMerkleTree::new(leaves, &e);
+            let mut contents: BTreeMap<u64, Line> = BTreeMap::new();
+            for step in 0..150u64 {
+                let idx = rng.next_below(leaves);
+                let line = random_line(&mut rng);
+                t.update_leaf(&e, idx, &line);
+                contents.insert(idx, line);
+                if rng.next_below(5) == 0 {
+                    t.root(&e);
+                }
+                if step % 10 != 9 {
+                    continue;
+                }
+                assert!(t.holds_exactly(&e, contents.iter().map(|(i, l)| (*i, l))));
+                let mut rebuilt = BonsaiMerkleTree::new(leaves, &e);
+                for (&i, line) in &contents {
+                    rebuilt.update_leaf(&e, i, line);
+                }
+                assert_eq!(rebuilt.root(&e), t.root(&e), "{leaves} leaves, step {step}");
+                for (&i, line) in &contents {
+                    assert!(rebuilt.verify_leaf(&e, i, line));
+                }
+                let pick = *contents
+                    .keys()
+                    .nth(rng.next_below(contents.len() as u64) as usize)
+                    .unwrap();
+                let mut changed = contents.clone();
+                changed.entry(pick).and_modify(|l| l[7] ^= 0x10);
+                assert!(!t.holds_exactly(&e, changed.iter().map(|(i, l)| (*i, l))));
+                let mut missing = contents.clone();
+                missing.remove(&pick);
+                assert!(!t.holds_exactly(&e, missing.iter().map(|(i, l)| (*i, l))));
+                if let Some(free) = (0..leaves).find(|i| !contents.contains_key(i)) {
+                    let mut extra = contents.clone();
+                    extra.insert(free, random_line(&mut rng));
+                    assert!(!t.holds_exactly(&e, extra.iter().map(|(i, l)| (*i, l))));
+                }
+            }
         }
     }
 

@@ -17,11 +17,19 @@
 //! `MacStream`. `MinorSecurityUnit::regenerate_pads` runs only at
 //! boot and at the end of recovery, and `MacEngine::tag` only behind
 //! `MacEngine::verify`, which no persist path calls; neither is on it.
+//!
+//! A second case counts recoveries: a Ma-SU recovery that finds its eager
+//! tree unchanged keeps it and allocates nothing.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
-use dolos::core::{ControllerConfig, ControllerKind, SecureMemorySystem, UpdateScheme};
+use dolos::core::{
+    ControllerConfig, ControllerKind, MajorSecurityUnit, SecureMemorySystem, UpdateScheme,
+};
+use dolos::nvm::addr::LineAddr;
+use dolos::nvm::NvmDevice;
+use dolos::secmem::MetadataLayout;
 use dolos::sim::stats::StatSet;
 use dolos::sim::Cycle;
 
@@ -152,6 +160,46 @@ fn steady_state_persist_window_allocates_nothing() {
         "hot-path allocations:\n{}",
         failures.join("\n")
     );
+}
+
+/// A Ma-SU recovery that finds its eager tree's leaves unchanged keeps the
+/// tree: Osiris probing, the counter-block rewrites and the tree check
+/// allocate nothing. Four crash/recover rounds, each after 300 writes over
+/// 24 pages whose rewrites leave counters for Osiris to probe and blocks
+/// to rebuild, are counted inside `MajorSecurityUnit::recover` alone.
+#[test]
+fn an_untampered_eager_recovery_allocates_nothing() {
+    let config =
+        ControllerConfig::from(ControllerKind::PreWpqSecure).with_scheme(UpdateScheme::EagerMerkle);
+    let mut masu = MajorSecurityUnit::new(
+        config.scheme,
+        MetadataLayout::new(config.region_bytes),
+        config.latency,
+        config.counter_cache_bytes,
+        config.counter_cache_ways,
+        config.mt_cache_bytes,
+        config.mt_cache_ways,
+        config.osiris_phase,
+        config.key_seed,
+    );
+    let mut nvm = NvmDevice::new();
+    let mut counts = Vec::new();
+    for round in 0..4u64 {
+        for i in 0..300u64 {
+            let addr = LineAddr::from_index((i * 7 + round) % 24 * 64 + i % 5);
+            masu.process_write(Cycle::ZERO, addr, &[(round + i) as u8; 64], &mut nvm);
+        }
+        masu.crash();
+        nvm.power_cycle();
+        let (report, n) = count_allocations(|| masu.recover(&mut nvm));
+        let report = report.unwrap_or_else(|e| panic!("round {round}: {e:?}"));
+        assert!(
+            report.probed_lines > 0 && report.rebuilt_counter_blocks > 0,
+            "round {round}: nothing for Osiris to rebuild: {report:?}"
+        );
+        counts.push(n);
+    }
+    assert_eq!(counts, [0; 4], "allocations per recovery");
 }
 
 /// The control: the counter is installed, live and thread-local.
