@@ -14,6 +14,10 @@
 //!   MACs of critical-path latency; the Ma-SU secures entries after
 //!   eviction.
 //!
+//! Each architecture is one variant of the private `Units` enum, holding
+//! exactly the security units that design has, so every step matches on the
+//! units it needs rather than on the configured kind.
+//!
 //! Timing is simulated by lazy catch-up: every public operation first
 //! advances the background drain engine to `now`; the drain processes each
 //! bank's WPQ shard strictly in order, retiring up to one entry per idle
@@ -52,6 +56,37 @@ pub struct RecoveryReport {
     pub measured_masu_cycles: u64,
 }
 
+/// The security units of one controller architecture (Figure 5): each
+/// variant holds exactly the units its design has.
+#[derive(Debug)]
+#[expect(clippy::large_enum_variant, reason = "one per system, held inline")]
+enum Units {
+    /// No security unit: lines enter and leave the WPQ as plaintext.
+    Ideal,
+    /// Figure 5-c: the Ma-SU runs behind the WPQ on plaintext entries.
+    Deferred(MajorSecurityUnit),
+    /// Figure 5-b: the Ma-SU secures each line before it enters the WPQ.
+    PreWpq(MajorSecurityUnit),
+    /// The Mi-SU in front of the WPQ, the Ma-SU behind it.
+    Dolos(MinorSecurityUnit, MajorSecurityUnit),
+}
+
+impl Units {
+    /// Whichever of the Mi-SU and Ma-SU this design has.
+    fn parts(
+        &mut self,
+    ) -> (
+        Option<&mut MinorSecurityUnit>,
+        Option<&mut MajorSecurityUnit>,
+    ) {
+        match self {
+            Units::Ideal => (None, None),
+            Units::Deferred(masu) | Units::PreWpq(masu) => (None, Some(masu)),
+            Units::Dolos(misu, masu) => (Some(misu), Some(masu)),
+        }
+    }
+}
+
 /// The secure persistent-memory system.
 ///
 /// # Examples
@@ -74,8 +109,7 @@ pub struct SecureMemorySystem {
     layout: MetadataLayout,
     nvm: NvmDevice,
     wpq: BankSet,
-    misu: Option<MinorSecurityUnit>,
-    masu: Option<MajorSecurityUnit>,
+    units: Units,
     /// Per-bank: entries being drained (started, not yet cleared), in
     /// order, with their completion times. Completion is monotone within a
     /// bank by construction (the bank's busy-until clamp).
@@ -107,19 +141,8 @@ impl SecureMemorySystem {
     /// Builds a system from a configuration.
     pub fn new(config: ControllerConfig) -> Self {
         let layout = MetadataLayout::new(config.region_bytes);
-        let misu = match config.kind {
-            ControllerKind::Dolos(kind) => Some(MinorSecurityUnit::with_geometry(
-                kind,
-                config.banks,
-                config.physical_wpq_entries,
-                config.key_seed,
-                config.latency.mac,
-            )),
-            _ => None,
-        };
-        let masu = match config.kind {
-            ControllerKind::IdealNonSecure => None,
-            _ => Some(MajorSecurityUnit::new(
+        let masu = || {
+            let mut masu = MajorSecurityUnit::new(
                 config.scheme,
                 layout,
                 config.latency,
@@ -129,39 +152,45 @@ impl SecureMemorySystem {
                 config.mt_cache_ways,
                 config.osiris_phase,
                 config.key_seed,
-            )),
+            );
+            masu.set_banks(config.banks);
+            masu
         };
-        let usable = config.usable_wpq_entries();
-        let mut wpq = BankSet::new(config.banks, usable);
-        wpq.set_coalescing(config.coalescing);
-        wpq.set_trace_mode(config.trace);
-        let mut nvm = NvmDevice::new();
-        nvm.set_trace_mode(config.trace);
-        let misu = misu.map(|mut m| {
-            m.set_trace_mode(config.trace);
-            m
-        });
-        let masu = masu.map(|mut m| {
-            m.set_banks(config.banks);
-            m.set_trace_mode(config.trace);
-            m
-        });
-        let drain_depth = match config.kind {
-            ControllerKind::IdealNonSecure | ControllerKind::PreWpqSecure => {
+        let units = match config.kind {
+            ControllerKind::IdealNonSecure => Units::Ideal,
+            ControllerKind::DeferredSecure => Units::Deferred(masu()),
+            ControllerKind::PreWpqSecure => Units::PreWpq(masu()),
+            ControllerKind::Dolos(kind) => Units::Dolos(
+                MinorSecurityUnit::with_geometry(
+                    kind,
+                    config.banks,
+                    config.physical_wpq_entries,
+                    config.key_seed,
+                    config.latency.mac,
+                ),
+                masu(),
+            ),
+        };
+        let drain_depth = match units {
+            Units::Ideal | Units::PreWpq(_) => {
                 (dolos_nvm::device::WRITE_LATENCY / dolos_nvm::device::WRITE_ISSUE_INTERVAL)
                     as usize
             }
-            _ => (config.masu_update_cycles() / config.latency.mac.max(1)) as usize + 1,
+            Units::Deferred(_) | Units::Dolos(..) => {
+                (config.masu_update_cycles() / config.latency.mac.max(1)) as usize + 1
+            }
         };
+        let mut wpq = BankSet::new(config.banks, config.usable_wpq_entries());
+        wpq.set_coalescing(config.coalescing);
         let banks = config.banks;
-        Self {
-            trace: TraceSink::from_mode(config.trace),
+        let trace = config.trace;
+        let mut system = Self {
+            trace: TraceSink::Null,
             config,
             layout,
-            nvm,
+            nvm: NvmDevice::new(),
             wpq,
-            misu,
-            masu,
+            units,
             inflight: vec![VecDeque::new(); banks],
             ready_times: vec![VecDeque::new(); banks],
             drain_depth,
@@ -172,7 +201,9 @@ impl SecureMemorySystem {
             read_wpq_hits: 0,
             fault: None,
             pending_power_failure: None,
-        }
+        };
+        system.set_trace_mode(trace);
+        system
     }
 
     /// Switches the tracing mode of the whole system (controller plus every
@@ -183,10 +214,11 @@ impl SecureMemorySystem {
         self.trace = TraceSink::from_mode(mode);
         self.wpq.set_trace_mode(mode);
         self.nvm.set_trace_mode(mode);
-        if let Some(misu) = self.misu.as_mut() {
+        let (misu, masu) = self.units.parts();
+        if let Some(misu) = misu {
             misu.set_trace_mode(mode);
         }
-        if let Some(masu) = self.masu.as_mut() {
+        if let Some(masu) = masu {
             masu.set_trace_mode(mode);
         }
     }
@@ -202,10 +234,11 @@ impl SecureMemorySystem {
         let mut events = self.trace.take();
         events.extend(self.wpq.take_trace_events());
         events.extend(self.nvm.take_trace_events());
-        if let Some(misu) = self.misu.as_mut() {
+        let (misu, masu) = self.units.parts();
+        if let Some(misu) = misu {
             events.extend(misu.take_trace_events());
         }
-        if let Some(masu) = self.masu.as_mut() {
+        if let Some(masu) = masu {
             events.extend(masu.take_trace_events());
         }
         sort_events(&mut events);
@@ -226,11 +259,6 @@ impl SecureMemorySystem {
     /// if any.
     pub fn disarm_fault(&mut self) -> Option<FaultPlan> {
         self.fault.take()
-    }
-
-    /// The currently armed plan, if any.
-    pub fn fault(&self) -> Option<&FaultPlan> {
-        self.fault.as_ref()
     }
 
     fn fault_fires(&mut self, point: InjectionPoint) -> bool {
@@ -273,10 +301,9 @@ impl SecureMemorySystem {
     pub fn nvm(&self) -> &NvmDevice {
         &self.nvm
     }
-
     fn drain_one(&mut self, slot: usize, addr: LineAddr, payload: &Line, start: Cycle) -> Cycle {
-        match self.config.kind {
-            ControllerKind::IdealNonSecure | ControllerKind::PreWpqSecure => {
+        match &mut self.units {
+            Units::Ideal | Units::PreWpq(_) => {
                 // Ideal writes plaintext; the baseline writes the ciphertext
                 // it secured before insertion. Either way the drain is just
                 // the data write, and the slot frees when the device accepts
@@ -285,16 +312,10 @@ impl SecureMemorySystem {
                 let (accepted, _completed) = self.nvm.write_line_ticket(start, addr, payload);
                 accepted
             }
-            ControllerKind::DeferredSecure => {
-                // Full pipeline behind the WPQ, payload still plaintext.
-                #[expect(clippy::expect_used, reason = "deferred kind always has a Ma-SU")]
-                let masu = self.masu.as_mut().expect("deferred has a Ma-SU");
-                masu.process_write(start, addr, payload, &mut self.nvm)
-            }
-            ControllerKind::Dolos(_) => {
+            // Full pipeline behind the WPQ, payload still plaintext.
+            Units::Deferred(masu) => masu.process_write(start, addr, payload, &mut self.nvm),
+            Units::Dolos(misu, masu) => {
                 // ① decrypt with the slot pad (one XOR), ②③ full pipeline.
-                #[expect(clippy::expect_used, reason = "Dolos kind always has a Mi-SU")]
-                let misu = self.misu.as_mut().expect("dolos has a Mi-SU");
                 let plaintext = misu.decrypt(slot, payload);
                 if self.trace.is_enabled() {
                     self.trace.span(
@@ -305,8 +326,6 @@ impl SecureMemorySystem {
                         0,
                     );
                 }
-                #[expect(clippy::expect_used, reason = "Dolos kind always has a Ma-SU")]
-                let masu = self.masu.as_mut().expect("dolos has a Ma-SU");
                 masu.process_write(start + 1, addr, &plaintext, &mut self.nvm)
             }
         }
@@ -388,7 +407,7 @@ impl SecureMemorySystem {
                         break;
                     }
                     self.wpq.clear_at(done, slot);
-                    if let Some(misu) = self.misu.as_mut() {
+                    if let Units::Dolos(misu, _) = &mut self.units {
                         misu.on_clear(slot);
                     }
                     self.inflight[bank].pop_front();
@@ -401,15 +420,29 @@ impl SecureMemorySystem {
         }
     }
 
-    /// When the oldest in-flight drain of `bank` completes (used to wait on
-    /// a full shard). The shard being full guarantees an in-flight entry
-    /// exists.
-    #[expect(clippy::expect_used, reason = "a full bank has an in-flight drain")]
-    fn next_slot_free_at(&self, bank: usize) -> Cycle {
-        self.inflight[bank]
+    /// A full bank: one retry event (Table 2), then wait for the bank's
+    /// oldest in-flight drain to free a slot. Other banks may still be
+    /// idle, but an address cannot change banks. Returns the new time.
+    fn retry_when_bank_frees(
+        &mut self,
+        t: Cycle,
+        bank: usize,
+        addr: LineAddr,
+    ) -> Result<Cycle, SecurityError> {
+        self.retries += 1;
+        #[expect(clippy::expect_used, reason = "a full bank has an in-flight drain")]
+        let free_at = self.inflight[bank]
             .front()
             .map(|&(_, done)| done)
-            .expect("a full WPQ bank always has an in-flight drain")
+            .expect("a full WPQ bank always has an in-flight drain");
+        let until = t.max(free_at);
+        if self.trace.is_enabled() {
+            self.trace
+                .span(EventKind::FenceStall, t, until, addr.as_u64(), 0);
+        }
+        self.advance(until);
+        self.take_power_failure(until)?;
+        Ok(until)
     }
 
     /// Persists one cacheline: the core has executed a flush (clwb+fence)
@@ -474,23 +507,19 @@ impl SecureMemorySystem {
 
         // Pre-WPQ security (baseline): the whole pipeline runs before the
         // line may enter the persistence domain.
-        let payload_pre = match self.config.kind {
-            ControllerKind::PreWpqSecure => {
-                #[expect(clippy::expect_used, reason = "the baseline always has a Ma-SU")]
-                let masu = self.masu.as_mut().expect("baseline has a Ma-SU");
-                let (done, ciphertext) = masu.secure_write(t, addr, data, &mut self.nvm, false);
-                t = done;
-                self.advance(t);
-                self.take_power_failure(t)?;
-                Some(ciphertext)
-            }
-            _ => None,
-        };
+        let mut secured = *data;
+        if let Units::PreWpq(masu) = &mut self.units {
+            let (done, ciphertext) = masu.secure_write(t, addr, data, &mut self.nvm, false);
+            secured = ciphertext;
+            t = done;
+            self.advance(t);
+            self.take_power_failure(t)?;
+        }
 
-        loop {
+        let (t, done) = loop {
             // Dolos Post design: the Mi-SU may be busy with its one allowed
             // deferred MAC; the write retries when it is.
-            if let (ControllerKind::Dolos(_), Some(misu)) = (self.config.kind, self.misu.as_mut()) {
+            if let Units::Dolos(misu, _) = &mut self.units {
                 if misu.is_busy(t) {
                     let until = misu.busy_until();
                     if self.trace.is_enabled() {
@@ -511,18 +540,7 @@ impl SecureMemorySystem {
                 None => self.wpq.next_insert_slot(bank),
             };
             let Some(slot) = slot else {
-                // The address's bank is full: one retry event, then wait
-                // for that bank's drain (other banks may still be idle, but
-                // an address cannot change banks).
-                self.retries += 1;
-                let free_at = self.next_slot_free_at(bank);
-                if self.trace.is_enabled() {
-                    self.trace
-                        .span(EventKind::FenceStall, t, t.max(free_at), addr.as_u64(), 0);
-                }
-                t = t.max(free_at);
-                self.advance(t);
-                self.take_power_failure(t)?;
+                t = self.retry_when_bank_frees(t, bank, addr)?;
                 continue;
             };
 
@@ -530,7 +548,7 @@ impl SecureMemorySystem {
             // lost before any Mi-SU state (pad, leaf MAC, root) is touched,
             // so the dump stays consistent with the persistent registers.
             // (Dolos-only: other kinds have no Mi-SU instant to cut at.)
-            if matches!(self.config.kind, ControllerKind::Dolos(_))
+            if matches!(self.units, Units::Dolos(..))
                 && self.fault_fires(InjectionPoint::MisuProtect)
             {
                 self.crash(t);
@@ -538,79 +556,40 @@ impl SecureMemorySystem {
                     point: InjectionPoint::MisuProtect,
                 });
             }
-            let (done, payload, mac) = match self.config.kind {
-                ControllerKind::Dolos(_) => {
-                    #[expect(clippy::expect_used, reason = "Dolos kind always has a Mi-SU")]
-                    let misu = self.misu.as_mut().expect("dolos has a Mi-SU");
-                    misu.protect(t, slot, addr, data)
-                }
-                #[expect(clippy::expect_used, reason = "set above for the baseline")]
-                ControllerKind::PreWpqSecure => (t, payload_pre.expect("secured above"), None),
-                _ => (t, *data, None),
+            let (done, payload, mac) = match &mut self.units {
+                Units::Dolos(misu, _) => misu.protect(t, slot, addr, data),
+                _ => (t, secured, None),
             };
-            let outcome = self.wpq.try_insert_at(t, addr, payload, mac);
-            match outcome {
+            match self.wpq.try_insert_at(t, addr, payload, mac) {
                 InsertOutcome::Inserted { slot: s } => {
                     debug_assert_eq!(s, slot);
                     self.ready_times[bank].push_back(done);
-                    self.persist_latency.record(done - now);
-                    if self.trace.is_enabled() {
-                        self.trace.span(
-                            EventKind::PersistAck,
-                            now,
-                            done,
-                            addr.as_u64(),
-                            done - now,
-                        );
-                    }
-                    // The persist completed: from here the write must
-                    // survive any power failure.
-                    if self.fault_fires(InjectionPoint::WpqInsert) {
-                        self.crash(t);
-                        return Err(SecurityError::PowerInterrupted {
-                            point: InjectionPoint::WpqInsert,
-                        });
-                    }
-                    self.advance(done);
-                    self.take_power_failure(done)?;
-                    return Ok(done);
                 }
-                InsertOutcome::Coalesced { slot: s } => {
-                    debug_assert_eq!(s, slot);
-                    self.persist_latency.record(done - now);
-                    if self.trace.is_enabled() {
-                        self.trace.span(
-                            EventKind::PersistAck,
-                            now,
-                            done,
-                            addr.as_u64(),
-                            done - now,
-                        );
-                    }
-                    if self.fault_fires(InjectionPoint::WpqInsert) {
-                        self.crash(t);
-                        return Err(SecurityError::PowerInterrupted {
-                            point: InjectionPoint::WpqInsert,
-                        });
-                    }
-                    self.advance(done);
-                    self.take_power_failure(done)?;
-                    return Ok(done);
-                }
+                InsertOutcome::Coalesced { slot: s } => debug_assert_eq!(s, slot),
                 InsertOutcome::Full => {
                     // Raced with our own slot choice: treat as a retry.
-                    self.retries += 1;
-                    let free_at = self.next_slot_free_at(bank);
-                    if self.trace.is_enabled() {
-                        self.trace
-                            .span(EventKind::FenceStall, t, t.max(free_at), addr.as_u64(), 0);
-                    }
-                    t = t.max(free_at);
-                    self.advance(t);
-                    self.take_power_failure(t)?;
+                    t = self.retry_when_bank_frees(t, bank, addr)?;
+                    continue;
                 }
             }
+            break (t, done);
+        };
+        self.persist_latency.record(done - now);
+        if self.trace.is_enabled() {
+            self.trace
+                .span(EventKind::PersistAck, now, done, addr.as_u64(), done - now);
         }
+        // The persist completed: from here the write must survive any power
+        // failure.
+        if self.fault_fires(InjectionPoint::WpqInsert) {
+            self.crash(t);
+            return Err(SecurityError::PowerInterrupted {
+                point: InjectionPoint::WpqInsert,
+            });
+        }
+        self.advance(done);
+        self.take_power_failure(done)?;
+        Ok(done)
     }
 
     /// Reads one cacheline, serving WPQ hits from the tag array (§4.5).
@@ -654,27 +633,17 @@ impl SecureMemorySystem {
             let payload = entry.payload;
             let slot = entry.slot;
             self.read_wpq_hits += 1;
-            let data = match self.config.kind {
-                #[expect(clippy::expect_used, reason = "Dolos kind always has a Mi-SU")]
-                ControllerKind::Dolos(_) => self
-                    .misu
-                    .as_ref()
-                    .expect("dolos has a Mi-SU")
-                    .decrypt(slot, &payload),
-                #[expect(clippy::expect_used, reason = "the baseline always has a Ma-SU")]
-                ControllerKind::PreWpqSecure => self
-                    .masu
-                    .as_mut()
-                    .expect("baseline has a Ma-SU")
-                    .decrypt_current(now, addr, &payload, &mut self.nvm),
-                _ => payload,
+            let data = match &mut self.units {
+                Units::Dolos(misu, _) => misu.decrypt(slot, &payload),
+                Units::PreWpq(masu) => masu.decrypt_current(now, addr, &payload, &mut self.nvm),
+                Units::Ideal | Units::Deferred(_) => payload,
             };
             // Tag-array hit plus one XOR: a single cycle (§4.5).
             return Ok((now + 1, data));
         }
-        match self.masu.as_mut() {
-            Some(masu) => masu.read(now, addr, &mut self.nvm),
-            None => {
+        match self.units.parts() {
+            (_, Some(masu)) => masu.read(now, addr, &mut self.nvm),
+            (_, None) => {
                 // Never-written lines short-circuit, mirroring the secure
                 // paths (which skip verification for lines with no MAC).
                 if self.nvm.peek(addr) == [0u8; 64] {
@@ -734,37 +703,26 @@ impl SecureMemorySystem {
         assert!(!self.crashed, "already crashed");
         self.advance(now);
         let occupied = self.wpq.occupied_in_order();
-        match self.config.kind {
-            ControllerKind::Dolos(_) => {
-                let layout = self.layout;
-                #[expect(clippy::expect_used, reason = "Dolos kind always has a Mi-SU")]
-                let misu = self.misu.as_mut().expect("dolos has a Mi-SU");
-                misu.drain_to_nvm(&occupied, &mut self.nvm, &layout);
-            }
-            ControllerKind::PreWpqSecure => {
+        match &mut self.units {
+            Units::Dolos(misu, _) => misu.drain_to_nvm(&occupied, &mut self.nvm, &self.layout),
+            Units::Ideal | Units::PreWpq(_) => {
+                // The payload is already what belongs at home: plaintext
+                // (ideal) or the ciphertext secured before insertion.
                 for entry in &occupied {
-                    #[expect(clippy::disallowed_methods, reason = "ADR dump: baseline ciphertext")]
+                    #[expect(clippy::disallowed_methods, reason = "ADR dump: payload as stored")]
                     self.nvm.poke(entry.addr, &entry.payload);
                 }
             }
-            ControllerKind::IdealNonSecure => {
-                for entry in &occupied {
-                    #[expect(clippy::disallowed_methods, reason = "ADR dump: ideal plaintext")]
-                    self.nvm.poke(entry.addr, &entry.payload);
-                }
-            }
-            ControllerKind::DeferredSecure => {
+            Units::Deferred(masu) => {
                 // Figure 5-c must run the full pipeline on reserve power —
                 // the very thing the paper argues exceeds the ADR budget. We
                 // model the functional effect regardless.
                 for entry in &occupied {
-                    #[expect(clippy::expect_used, reason = "deferred kind always has a Ma-SU")]
-                    let masu = self.masu.as_mut().expect("deferred has a Ma-SU");
                     masu.process_write(now, entry.addr, &entry.payload, &mut self.nvm);
                 }
             }
         }
-        if let Some(masu) = self.masu.as_mut() {
+        if let (_, Some(masu)) = self.units.parts() {
             masu.crash();
         }
         // `clear_all` also rewinds every bank's busy-until clock, so drains
@@ -808,12 +766,12 @@ impl SecureMemorySystem {
             estimated_misu_cycles: 0,
             measured_masu_cycles: 0,
         };
-        if let Some(masu) = self.masu.as_mut() {
+        if let (_, Some(masu)) = self.units.parts() {
             let masu_report = masu.recover(&mut self.nvm)?;
             report.measured_masu_cycles = masu_report.cycles;
             report.masu = Some(masu_report);
         }
-        if let Some(misu) = self.misu.as_ref() {
+        if let Units::Dolos(misu, masu) = &mut self.units {
             report.estimated_misu_cycles = misu.estimated_recovery_cycles();
             let replay = misu.read_dump(&self.nvm, &self.layout)?;
             report.wpq_entries_replayed = replay.len();
@@ -821,22 +779,16 @@ impl SecureMemorySystem {
                 // Nested crash between replayed entries: volatile recovery
                 // progress is lost, the dump (and the Mi-SU epoch) stays as
                 // it was, and the system remains crashed.
-                if self.fault_fires(InjectionPoint::RecoveryReplay) {
-                    if let Some(masu) = self.masu.as_mut() {
-                        masu.crash();
-                    }
+                let point = InjectionPoint::RecoveryReplay;
+                if self.fault.as_mut().is_some_and(|p| p.observe(point)) {
+                    masu.crash();
                     self.nvm.power_cycle();
-                    return Err(SecurityError::PowerInterrupted {
-                        point: InjectionPoint::RecoveryReplay,
-                    });
+                    return Err(SecurityError::PowerInterrupted { point });
                 }
-                #[expect(clippy::expect_used, reason = "Dolos kind always has a Ma-SU")]
-                let masu = self.masu.as_mut().expect("dolos has a Ma-SU");
                 masu.process_write(Cycle::ZERO, addr, &plaintext, &mut self.nvm);
             }
             // All entries are home: only now advance the pad/MAC epoch.
-            #[expect(clippy::expect_used, reason = "recovery checked the Mi-SU above")]
-            self.misu.as_mut().expect("checked above").finish_recovery();
+            misu.finish_recovery();
         }
         self.crashed = false;
         Ok(report)
@@ -844,9 +796,9 @@ impl SecureMemorySystem {
 
     /// Splits the masu/nvm borrow for the audit module.
     pub(crate) fn audit_parts(&mut self) -> Result<crate::audit::AuditReport, SecurityError> {
-        match self.masu.as_mut() {
-            Some(masu) => masu.audit(&mut self.nvm),
-            None => Ok(crate::audit::AuditReport::default()),
+        match self.units.parts() {
+            (_, Some(masu)) => masu.audit(&mut self.nvm),
+            (_, None) => Ok(crate::audit::AuditReport::default()),
         }
     }
 
@@ -884,12 +836,14 @@ impl SecureMemorySystem {
     pub fn stats(&self) -> StatSet {
         let mut s = self.wpq.stats();
         s.merge(&self.nvm.stats());
-        if let Some(masu) = &self.masu {
-            s.merge(&masu.stats());
-        }
-        if let Some(misu) = &self.misu {
-            s.set("misu.busy_rejections", misu.busy_rejections() as f64);
-            s.set("misu.persistent_counter", misu.persistent_counter() as f64);
+        match &self.units {
+            Units::Ideal => {}
+            Units::Deferred(masu) | Units::PreWpq(masu) => s.merge(&masu.stats()),
+            Units::Dolos(misu, masu) => {
+                s.merge(&masu.stats());
+                s.set("misu.busy_rejections", misu.busy_rejections() as f64);
+                s.set("misu.persistent_counter", misu.persistent_counter() as f64);
+            }
         }
         s.set("ctrl.persists", self.persists as f64);
         s.set("ctrl.retries", self.retries as f64);
@@ -1181,17 +1135,30 @@ mod tests {
 
     #[test]
     fn dolos_read_back_through_wpq_and_after_drain() {
-        let mut sys = SecureMemorySystem::new(ControllerConfig::dolos(MiSuKind::Partial));
-        let done = sys.persist_write(Cycle::ZERO, 0x40, &line(9));
-        // Immediately: served from the WPQ tag array.
-        let (t, data) = sys.read(done, 0x40);
-        assert_eq!(data, line(9));
-        assert_eq!(t - done, 1);
-        // After quiescing: served from NVM through the Ma-SU.
-        let quiet = sys.quiesce(done);
-        let (_, data) = sys.read(quiet, 0x40);
-        assert_eq!(data, line(9));
-        assert!(sys.stats().get_or_zero("ctrl.read_wpq_hits") >= 1.0);
+        // Every design, not only Dolos: each `Units` variant decodes a WPQ
+        // hit its own way (Mi-SU pad, Ma-SU decrypt, or plaintext as is).
+        for config in [
+            ControllerConfig::ideal(),
+            ControllerConfig::deferred(),
+            ControllerConfig::baseline(),
+            ControllerConfig::dolos(MiSuKind::Full),
+            ControllerConfig::dolos(MiSuKind::Partial),
+            ControllerConfig::dolos(MiSuKind::Post),
+        ] {
+            let name = config.kind.name();
+            let mut sys = SecureMemorySystem::new(config);
+            let done = sys.persist_write(Cycle::ZERO, 0x40, &line(9));
+            // Immediately: served from the WPQ tag array.
+            let (t, data) = sys.read(done, 0x40);
+            assert_eq!(data, line(9), "{name} WPQ hit");
+            assert_eq!(t - done, 1, "{name} WPQ hit time");
+            assert_eq!(sys.stats().get_or_zero("ctrl.read_wpq_hits"), 1.0, "{name}");
+            // After quiescing: served from NVM (through the Ma-SU if any).
+            let quiet = sys.quiesce(done);
+            let (_, data) = sys.read(quiet, 0x40);
+            assert_eq!(data, line(9), "{name} after the drain");
+            assert_eq!(sys.stats().get_or_zero("ctrl.read_wpq_hits"), 1.0, "{name}");
+        }
     }
 
     #[test]

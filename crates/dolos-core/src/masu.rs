@@ -66,14 +66,14 @@ pub struct MasuRecovery {
     /// Whether a staged redo-log entry was replayed.
     pub redo_replayed: bool,
     /// Simulated recovery cycles: NVM reads of the shadow working set, AES
-    /// probe decryptions, and the tree-rebuild MACs, per Table 1 latencies.
+    /// probe decryptions, and the tree-rebuild MACs, at the unit's
+    /// configured crypto latencies (Table 1 by default).
     pub cycles: u64,
 }
 
 /// The Major Security Unit.
 #[derive(Debug, Clone)]
 pub struct MajorSecurityUnit {
-    scheme: UpdateScheme,
     layout: MetadataLayout,
     aes: Aes128,
     mac: MacEngine,
@@ -102,9 +102,10 @@ pub struct MajorSecurityUnit {
     /// pipelines whose lazy subtree updates proceed independently.
     engines: Vec<Pipeline>,
     banks: usize,
-    /// AES pad latency, kept alongside the engines so trace spans can split
-    /// one engine occupancy into its encrypt and tree-update stages.
-    aes_cycles: u64,
+    /// Crypto latencies: the AES pad term lets trace spans split one engine
+    /// occupancy into its encrypt and tree-update stages, and recovery
+    /// charges its probes and tree MACs from it.
+    latency: CryptoLatency,
     /// Serial tree-update MAC latency of the active scheme.
     tree_cycles: u64,
     writes_processed: u64,
@@ -152,7 +153,6 @@ impl MajorSecurityUnit {
             UpdateScheme::LazyToc => latency.lazy_update_cycles(),
         };
         Self {
-            scheme,
             layout,
             aes: Aes128::new(&aes_key),
             mac,
@@ -178,7 +178,7 @@ impl MajorSecurityUnit {
                 vec![Pipeline::new(update, update)]
             },
             banks: 1,
-            aes_cycles: latency.aes,
+            latency,
             tree_cycles,
             writes_processed: 0,
             overflows: 0,
@@ -199,7 +199,7 @@ impl MajorSecurityUnit {
             banks.is_power_of_two(),
             "bank count must be a power of two, got {banks}"
         );
-        let update = self.aes_cycles + self.tree_cycles;
+        let update = self.latency.aes + self.tree_cycles;
         self.engines = (0..banks).map(|_| Pipeline::new(update, update)).collect();
         self.banks = banks;
     }
@@ -217,20 +217,6 @@ impl MajorSecurityUnit {
     /// The metadata layout in use.
     pub fn layout(&self) -> &MetadataLayout {
         &self.layout
-    }
-
-    /// The update scheme in use.
-    pub fn scheme(&self) -> UpdateScheme {
-        self.scheme
-    }
-
-    /// Writes fully processed so far.
-    pub fn writes_processed(&self) -> u64 {
-        self.writes_processed
-    }
-
-    fn latency_aes(&self) -> u64 {
-        dolos_crypto::latency::AES_LATENCY
     }
 
     fn pad_for(&mut self, addr: LineAddr, packed_counter: u64) -> [u8; 64] {
@@ -457,8 +443,8 @@ impl MajorSecurityUnit {
         if self.trace.is_enabled() {
             // The engine occupies one aes + tree-update slab ending at
             // `done`; split it into its re-encrypt and tree-update stages.
-            let issue = Cycle::new(done.as_u64() - (self.aes_cycles + self.tree_cycles));
-            let encrypted = issue + self.aes_cycles;
+            let issue = Cycle::new(done.as_u64() - (self.latency.aes + self.tree_cycles));
+            let encrypted = issue + self.latency.aes;
             self.trace
                 .span(EventKind::MasuEncrypt, issue, encrypted, addr.as_u64(), 0);
             self.trace
@@ -621,7 +607,7 @@ impl MajorSecurityUnit {
                 .ok_or(SecurityError::CounterUnrecoverable { addr })?;
                 report.probed_lines += 1;
                 // Data-line read plus the probe decryptions actually tried.
-                report.cycles += NVM_READ + (counter - base + 1) * self.latency_aes();
+                report.cycles += NVM_READ + (counter - base + 1) * self.latency.aes;
                 if counter != base {
                     changed = true;
                     // Unpack (major, minor) and set it directly: every
@@ -682,8 +668,7 @@ impl MajorSecurityUnit {
                 // The modelled hardware rebuilds the tree wholesale: one
                 // counter-block read and one leaf-to-root MAC chain per
                 // resident block.
-                report.cycles +=
-                    blocks * (NVM_READ + bmt.height() as u64 * dolos_crypto::latency::MAC_LATENCY);
+                report.cycles += blocks * (NVM_READ + bmt.height() as u64 * self.latency.mac);
             }
             Tree::Lazy(toc) => {
                 toc.recover(&self.mac)
@@ -756,19 +741,13 @@ mod tests {
     use super::*;
 
     fn masu(scheme: UpdateScheme) -> (MajorSecurityUnit, NvmDevice) {
+        masu_with(scheme, CryptoLatency::default())
+    }
+
+    fn masu_with(scheme: UpdateScheme, latency: CryptoLatency) -> (MajorSecurityUnit, NvmDevice) {
         let layout = MetadataLayout::new(1 << 20);
         (
-            MajorSecurityUnit::new(
-                scheme,
-                layout,
-                CryptoLatency::default(),
-                8 * 1024,
-                4,
-                256 * 1024,
-                8,
-                4,
-                7,
-            ),
+            MajorSecurityUnit::new(scheme, layout, latency, 8 * 1024, 4, 256 * 1024, 8, 4, 7),
             NvmDevice::new(),
         )
     }
@@ -920,6 +899,37 @@ mod tests {
         assert!(report.rebuilt_counter_blocks > 0);
         let (_, got) = m.read(Cycle::ZERO, addr(5), &mut nvm).unwrap();
         assert_eq!(got, [9; 64]);
+    }
+
+    #[test]
+    fn recovery_charges_the_configured_crypto_latencies() {
+        // The crash state does not depend on timing, so one lineage
+        // recovers to the same work under every latency; only the charged
+        // terms move, each in proportion to its latency.
+        let cycles = |aes: u64, mac: u64| {
+            let latency = CryptoLatency {
+                aes,
+                mac,
+                ..CryptoLatency::default()
+            };
+            let (mut m, mut nvm) = masu_with(UpdateScheme::EagerMerkle, latency);
+            for i in 0..8u64 {
+                for _ in 0..3 {
+                    m.process_write(Cycle::ZERO, addr(i * 64 + i), &[i as u8 + 1; 64], &mut nvm);
+                }
+            }
+            m.crash();
+            nvm.power_cycle();
+            m.recover(&mut nvm).expect("recovery").cycles
+        };
+        // Osiris probes: one AES decryption per counter tried.
+        let probes = cycles(40, 160) - cycles(0, 160);
+        assert!(probes > 0);
+        assert_eq!(cycles(80, 160) - cycles(0, 160), 2 * probes);
+        // The eager tree rebuild: one leaf-to-root MAC chain per block.
+        let tree = cycles(40, 320) - cycles(40, 160);
+        assert!(tree > 0);
+        assert_eq!(cycles(40, 480) - cycles(40, 160), 2 * tree);
     }
 
     #[test]

@@ -204,11 +204,6 @@ impl MinorSecurityUnit {
         unit
     }
 
-    /// Overrides the MAC latency (sensitivity sweeps).
-    pub fn set_mac_latency(&mut self, cycles: u64) {
-        self.mac_latency = cycles;
-    }
-
     /// Installs the event-tracing mode (discarding any buffered events).
     pub fn set_trace_mode(&mut self, mode: TraceMode) {
         self.trace = TraceSink::from_mode(mode);
@@ -489,32 +484,10 @@ impl MinorSecurityUnit {
         }
     }
 
-    /// Boot-time recovery: reads the dump region back, verifies integrity,
-    /// and returns the decrypted writes in slot order for Ma-SU replay.
-    /// Afterwards the persistent counter register advances by the physical
-    /// WPQ size and fresh pads are generated, so drained pads never recur.
-    ///
-    /// # Errors
-    ///
-    /// Returns a [`SecurityError`] if any occupied entry fails MAC
-    /// verification (Partial/Post) or the recomputed root does not match the
-    /// persistent root register (Full).
-    pub fn recover_from_nvm(
-        &mut self,
-        nvm: &NvmDevice,
-        layout: &MetadataLayout,
-    ) -> Result<Vec<(LineAddr, Line)>, SecurityError> {
-        // Normally a no-op: the drain that produced the dump already
-        // materialized the root. Guards direct callers that skipped it.
-        if self.root_dirty {
-            self.recompute_full_tree();
-        }
-        let recovered = self.read_dump(nvm, layout)?;
-        self.finish_recovery();
-        Ok(recovered)
-    }
-
-    /// Reads and verifies the WPQ dump without mutating any Mi-SU state.
+    /// Boot-time recovery, first half: reads the dump region back (as the
+    /// last [`Self::drain_to_nvm`] wrote it), verifies integrity, and
+    /// returns the decrypted writes in drain order for Ma-SU replay,
+    /// without mutating any Mi-SU state.
     ///
     /// Recovery is split in two so it is *restartable*: a nested crash
     /// between replayed entries leaves the persistent counter (and thus the
@@ -524,7 +497,10 @@ impl MinorSecurityUnit {
     ///
     /// # Errors
     ///
-    /// Same contract as [`Self::recover_from_nvm`].
+    /// Returns a [`SecurityError`] if the dump tables do not match the
+    /// persistent table register, any occupied entry fails MAC
+    /// verification (Partial/Post), or the recomputed root does not match
+    /// the persistent root register (Full).
     pub fn read_dump(
         &self,
         nvm: &NvmDevice,
@@ -613,7 +589,8 @@ impl MinorSecurityUnit {
         Ok(recovered)
     }
 
-    /// Completes a recovery: advances to a new epoch so a drained
+    /// Completes a recovery: advances the persistent counter register by
+    /// the physical WPQ size and generates fresh pads, so a drained
     /// (slot, counter) pair is never reused, and resets the engine.
     ///
     /// Must be called exactly once per completed recovery, after every
@@ -771,7 +748,9 @@ mod tests {
         }
         m.drain_to_nvm(&entries, &mut nvm, &layout);
         tamper(&mut nvm, &layout);
-        m.recover_from_nvm(&nvm, &layout)
+        let recovered = m.read_dump(&nvm, &layout)?;
+        m.finish_recovery();
+        Ok(recovered)
     }
 
     #[test]
@@ -835,8 +814,8 @@ mod tests {
             m.drain_to_nvm(&first, &mut nvm, &layout);
             let order_line = layout.wpq_dump_addr(16 + 2 * 2);
             let stale = nvm.snapshot_line(order_line);
-            m.recover_from_nvm(&nvm, &layout)
-                .expect("clean first epoch");
+            m.read_dump(&nvm, &layout).expect("clean first epoch");
+            m.finish_recovery();
             let second = burst(&mut m, 3, 7);
             m.drain_to_nvm(&second, &mut nvm, &layout);
             nvm.replay_snapshot(order_line, &stale);
@@ -855,7 +834,8 @@ mod tests {
         let mut nvm = NvmDevice::new();
         m.drain_to_nvm(&[], &mut nvm, &layout);
         let pad_before = m.pads[0];
-        m.recover_from_nvm(&nvm, &layout).unwrap();
+        m.read_dump(&nvm, &layout).unwrap();
+        m.finish_recovery();
         assert_eq!(m.persistent_counter(), 16);
         assert_ne!(m.pads[0], pad_before, "pads must rotate after a drain");
     }

@@ -25,11 +25,11 @@ fn panic_budget_ratchets_per_crate() {
 
 #[test]
 fn panic_budget_is_counted_per_crate_not_globally() {
-    // dolos-core's 20 and dolos-nvm's 3 do not pool: 23 sites fit the sum
+    // dolos-core's 8 and dolos-nvm's 3 do not pool: 11 sites fit the sum
     // of the two budgets, never one crate's.
-    assert!(check_budget("dolos-core", 20).is_ok());
-    assert!(check_budget("dolos-core", 23).is_err());
-    assert!(check_budget("dolos-nvm", 23).is_err());
+    assert!(check_budget("dolos-core", 8).is_ok());
+    assert!(check_budget("dolos-core", 11).is_err());
+    assert!(check_budget("dolos-nvm", 11).is_err());
 }
 
 #[test]
