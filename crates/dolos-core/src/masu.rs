@@ -95,6 +95,10 @@ pub struct MajorSecurityUnit {
     /// functional: hits and misses return identical pads, and the simulated
     /// AES latency is charged by the engine model either way.
     pad_cache: PadCache,
+    /// Counter blocks the last lazy-ToC recovery rewrote, by page. Kept
+    /// between recoveries with room for every block the counter cache can
+    /// hold, so a recovery fills it without allocating.
+    rewritten_pages: Vec<u64>,
     osiris_phase: u64,
     /// One crypto/tree-update engine per NVM bank (index =
     /// [`LineAddr::bank_index`]). With a single bank this is the paper's
@@ -165,6 +169,11 @@ impl MajorSecurityUnit {
             // 256 direct-mapped slots: covers the same-page rewrite/read-back
             // window of every workload here at 20 KiB of host memory.
             pad_cache: PadCache::new(256),
+            // Anubis tracks at most one counter block per counter-cache line.
+            rewritten_pages: match scheme {
+                UpdateScheme::EagerMerkle => Vec::new(),
+                UpdateScheme::LazyToc => Vec::with_capacity(counter_cache_bytes / 64),
+            },
             osiris_phase,
             engines: {
                 // The integrity-tree update MACs for one write are serial
@@ -581,8 +590,7 @@ impl MajorSecurityUnit {
         // table yields them in ascending page order, so recovery work (and
         // its cycle accounting) is a pure function of the tracked set.
         let mut tracked_pages = 0u64;
-        // Counter blocks Osiris rewrites, for the lazy tree's leaf check.
-        let mut rewritten: Vec<(u64, Line)> = Vec::new();
+        self.rewritten_pages.clear();
         for page in self.shadow.tracked().take_while(|&key| key < 1 << 56) {
             // One counter-block read per tracked page.
             tracked_pages += 1;
@@ -596,15 +604,11 @@ impl MajorSecurityUnit {
                 let line_in_page = addr.line_in_page();
                 let ciphertext = nvm.peek(addr);
                 let base = stored.line_counter(line_in_page).packed();
-                let (counter, _) = probe_counter(
-                    &self.aes,
-                    addr.as_u64(),
-                    &ciphertext,
-                    ecc,
-                    base,
-                    self.osiris_phase,
-                )
-                .ok_or(SecurityError::CounterUnrecoverable { addr })?;
+                // Candidate pads come from the memo, which still holds the
+                // line's newest pad unless another line evicted it.
+                let pads = |c| self.pad_cache.pad(&self.aes, addr.as_u64(), c);
+                let (counter, _) = probe_counter(pads, &ciphertext, ecc, base, self.osiris_phase)
+                    .ok_or(SecurityError::CounterUnrecoverable { addr })?;
                 report.probed_lines += 1;
                 // Data-line read plus the probe decryptions actually tried.
                 report.cycles += NVM_READ + (counter - base + 1) * self.latency.aes;
@@ -628,7 +632,7 @@ impl MajorSecurityUnit {
                 #[expect(clippy::disallowed_methods, reason = "recovery: rebuilt counter block")]
                 nvm.poke(self.layout.counter_block_addr(page), &line);
                 if matches!(self.tree, Tree::Lazy(_)) {
-                    rewritten.push((page, line));
+                    self.rewritten_pages.push(page);
                 }
             }
         }
@@ -677,8 +681,9 @@ impl MajorSecurityUnit {
                 // match the leaf the recovered tree already holds: a wrong
                 // rebuild (or a replayed line steering Osiris to an old
                 // counter) fails here, not at a later audit.
-                for (page, line) in &rewritten {
-                    if !toc.verify_leaf(&self.mac, *page, line) {
+                for &page in &self.rewritten_pages {
+                    let line = nvm.peek(self.layout.counter_block_addr(page));
+                    if !toc.verify_leaf(&self.mac, page, &line) {
                         return Err(SecurityError::TreeRootMismatch);
                     }
                 }

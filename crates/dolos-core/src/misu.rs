@@ -124,26 +124,13 @@ impl MinorSecurityUnit {
     ///
     /// Panics if `physical_entries` is zero.
     pub fn new(kind: MiSuKind, physical_entries: usize, key_seed: u64) -> Self {
-        Self::with_mac_latency(
+        Self::with_geometry(
             kind,
+            1,
             physical_entries,
             key_seed,
             dolos_crypto::latency::MAC_LATENCY,
         )
-    }
-
-    /// Creates a Mi-SU with an explicit MAC latency (sensitivity sweeps).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `physical_entries` is zero.
-    pub fn with_mac_latency(
-        kind: MiSuKind,
-        physical_entries: usize,
-        key_seed: u64,
-        mac_latency: u64,
-    ) -> Self {
-        Self::with_geometry(kind, 1, physical_entries, key_seed, mac_latency)
     }
 
     /// Creates a Mi-SU for a bank-sharded WPQ: `banks` shards of

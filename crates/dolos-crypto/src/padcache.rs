@@ -15,7 +15,9 @@
 //! deliberately allocation-free after construction (the pad path is a
 //! hot-alloc lint root). A write bumps the line's counter, maps to the same
 //! slot, and overwrites it: stale pads self-invalidate because the counter
-//! is part of the match key.
+//! is part of the match key. Osiris recovery probes a line's candidate
+//! counters upward; an older candidate's miss never evicts the line's
+//! newest pad, so the probe ends on a hit while that pad is still held.
 //!
 //! # Examples
 //!
@@ -80,24 +82,31 @@ impl PadCache {
     /// Returns the pad for `(addr, counter)`, computing and caching it on a
     /// miss. Hit or miss, the returned bytes are identical — the cache can
     /// only change host time, never a value.
+    ///
+    /// A miss never replaces the same line's pad at a newer counter. A
+    /// line's counter only grows, so only an Osiris probe asks for an older
+    /// one, on its way up to the newest, whose pad is best kept.
     pub fn pad(&mut self, key: &Aes128, addr: u64, counter: u64) -> [u8; LINE_SIZE] {
         // Line addresses are 64-byte aligned; drop the dead low bits before
         // indexing so consecutive lines land in consecutive slots.
         let slot = ((addr >> 6) as usize) & (self.slots.len() - 1);
         let entry = &mut self.slots[slot];
-        if entry.valid && entry.addr == addr && entry.counter == counter {
+        let same_line = entry.valid && entry.addr == addr;
+        if same_line && entry.counter == counter {
             self.hits += 1;
             return entry.pad;
         }
         self.misses += 1;
         let iv = IvBuilder::new().address(addr).counter(counter).build();
         let pad = pad_line(key, &iv);
-        *entry = Slot {
-            addr,
-            counter,
-            pad,
-            valid: true,
-        };
+        if !(same_line && entry.counter > counter) {
+            *entry = Slot {
+                addr,
+                counter,
+                pad,
+                valid: true,
+            };
+        }
         pad
     }
 
@@ -160,6 +169,26 @@ mod tests {
         assert_ne!(a, b);
         assert_eq!(c.pad(&k, 0x40, 1), a); // evicted, recomputed, identical
         assert_eq!(c.hits(), 0);
+    }
+
+    #[test]
+    fn an_older_counter_never_evicts_the_newer_pad_of_its_line() {
+        let k = key();
+        let mut c = PadCache::new(4);
+        let newest = c.pad(&k, 0x40, 7);
+        // Older candidates miss and leave the newest pad in place.
+        for counter in 4..7 {
+            let fresh = IvBuilder::new().address(0x40).counter(counter).build();
+            assert_eq!(c.pad(&k, 0x40, counter), pad_line(&k, &fresh));
+        }
+        assert_eq!(c.pad(&k, 0x40, 7), newest);
+        assert_eq!((c.hits(), c.misses()), (1, 4));
+        // A newer counter, or another line in the slot, is memoized.
+        let newer = c.pad(&k, 0x40, 8);
+        assert_eq!(c.pad(&k, 0x40, 8), newer);
+        let alias = c.pad(&k, 0x140, 1); // slot 1, like 0x40
+        assert_eq!(c.pad(&k, 0x140, 1), alias);
+        assert_eq!((c.hits(), c.misses()), (3, 6));
     }
 
     #[test]

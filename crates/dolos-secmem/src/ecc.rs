@@ -14,33 +14,40 @@
 //! it: the MACs and the tree detect tampering, the checksum only picks the
 //! counter.
 //!
-//! [`ecc64`] mixes the line's eight 64-bit words independently (each one
-//! keyed by its position and put through a bijective 64-bit finalizer),
-//! XORs the eight results and finalizes once more. The eight mixes share
-//! no data, so they run side by side on the host; a byte-serial hash
-//! would chain 64 multiplies on every Ma-SU write and every probe.
+//! [`ecc64`] multiplies each of the line's eight 64-bit words by an odd
+//! constant of its own position, XORs the eight products and finalizes the
+//! sum once. A multiply by an odd constant is a bijection of `u64`, so a
+//! change confined to one word changes that word's product alone, and the
+//! bijective finalizer passes the change on. The eight multiplies share no
+//! data and run side by side on the host, ahead of a single finalizer on
+//! every Ma-SU write and every probe candidate.
+//!
+//! [`probe_counter`] takes its pads from the caller. The Ma-SU hands it a
+//! lookup in its pad memo, which holds each line's newest pad until another
+//! line evicts it: a probe then computes the stale candidates' pads and
+//! finds the true counter's pad already made.
 
-use dolos_crypto::aes::Aes128;
-use dolos_crypto::ctr::{pad_line, IvBuilder};
 use dolos_nvm::Line;
 
 /// Default Osiris stop-loss: counters persist every 4th update.
 pub const DEFAULT_PHASE: u64 = 4;
 
-/// Position keys: word `i` of a line is mixed as `word ⊕ LANE_KEYS[i]`,
-/// so equal words at different positions contribute differently.
+/// Position keys: word `i` of a line is multiplied by `LANE_KEYS[i]`, an
+/// odd multiple of the golden ratio, so each multiply is a bijection and
+/// equal words at different positions contribute differently.
 const LANE_KEYS: [u64; 8] = {
     let mut keys = [0u64; 8];
     let mut i = 0;
     while i < 8 {
-        keys[i] = (i as u64 + 1).wrapping_mul(0x9e37_79b9_7f4a_7c15);
+        keys[i] = (2 * i as u64 + 1).wrapping_mul(0x9e37_79b9_7f4a_7c15);
         i += 1;
     }
     keys
 };
 
-/// A bijective 64-bit mix (MurmurHash3's `fmix64`): flipping any input bit
-/// changes the output.
+/// A bijective 64-bit finalizer (MurmurHash3's `fmix64`), applied once to
+/// the XOR of the position-keyed products: flipping any bit of that sum
+/// changes the output, and every output bit depends on every sum bit.
 #[inline]
 fn mix(mut x: u64) -> u64 {
     x ^= x >> 33;
@@ -52,8 +59,9 @@ fn mix(mut x: u64) -> u64 {
 
 /// Computes the 64-bit plaintext checksum standing in for ECC bits.
 ///
-/// Each word's mix is a bijection and the others are unchanged, so any
-/// change confined to one word (every single-bit flip) changes the result.
+/// Each word's product is a bijection of the word and the others are
+/// unchanged, so any change confined to one word (every single-bit flip)
+/// changes the result.
 ///
 /// # Examples
 ///
@@ -67,14 +75,17 @@ pub fn ecc64(plaintext: &Line) -> u64 {
     let (words, _) = plaintext.as_chunks::<8>();
     let mut acc = 0u64;
     for (word, key) in words.iter().zip(LANE_KEYS) {
-        acc ^= mix(u64::from_le_bytes(*word) ^ key);
+        acc ^= u64::from_le_bytes(*word).wrapping_mul(key);
     }
     mix(acc)
 }
 
-/// Decrypts `ciphertext` (written at `addr`) with candidate counters
-/// `base..base + window` and returns the first counter whose plaintext
+/// Decrypts `ciphertext` with candidate counters `base..=base + window`,
+/// in ascending order, and returns the first counter whose plaintext
 /// matches `ecc`, along with that plaintext.
+///
+/// `pad(counter)` must return the line's counter-mode pad under that
+/// counter; whether it computes or memoizes it cannot change the result.
 ///
 /// Returns `None` if no candidate matches — either the data was tampered
 /// with or the counter drifted beyond the stop-loss window, both of which
@@ -83,7 +94,7 @@ pub fn ecc64(plaintext: &Line) -> u64 {
 /// # Examples
 ///
 /// ```
-/// use dolos_crypto::{aes::Aes128, ctr::{generate_pad, xor_in_place, IvBuilder}};
+/// use dolos_crypto::{aes::Aes128, ctr::{generate_pad, pad_line, xor_in_place, IvBuilder}};
 /// use dolos_secmem::ecc::{ecc64, probe_counter};
 ///
 /// let key = Aes128::new(&[5; 16]);
@@ -94,23 +105,21 @@ pub fn ecc64(plaintext: &Line) -> u64 {
 /// xor_in_place(&mut ct, &generate_pad(&key, &iv, 64));
 ///
 /// // Persisted counter is stale (8); probe finds the true value.
-/// let (counter, pt) = probe_counter(&key, 0x40, &ct, ecc64(&plaintext), 8, 4).unwrap();
+/// let pad = |c| pad_line(&key, &IvBuilder::new().address(0x40).counter(c).build());
+/// let (counter, pt) = probe_counter(pad, &ct, ecc64(&plaintext), 8, 4).unwrap();
 /// assert_eq!(counter, true_counter);
 /// assert_eq!(pt, plaintext);
 /// ```
 pub fn probe_counter(
-    key: &Aes128,
-    addr: u64,
+    mut pad: impl FnMut(u64) -> Line,
     ciphertext: &Line,
     ecc: u64,
     base: u64,
     window: u64,
 ) -> Option<(u64, Line)> {
     for candidate in base..base.saturating_add(window).saturating_add(1) {
-        let iv = IvBuilder::new().address(addr).counter(candidate).build();
-        let pad = pad_line(key, &iv);
         let mut plaintext = *ciphertext;
-        dolos_crypto::ctr::xor_in_place(&mut plaintext, &pad);
+        dolos_crypto::ctr::xor_in_place(&mut plaintext, &pad(candidate));
         if ecc64(&plaintext) == ecc {
             return Some((candidate, plaintext));
         }
@@ -122,14 +131,32 @@ pub fn probe_counter(
 mod tests {
     use super::*;
     use crate::bmt::tests::random_line;
-    use dolos_crypto::ctr::{generate_pad, xor_in_place};
+    use dolos_crypto::aes::Aes128;
+    use dolos_crypto::ctr::{pad_line, xor_in_place, IvBuilder};
+    use dolos_crypto::padcache::PadCache;
     use dolos_sim::rng::XorShift;
 
+    /// The pad source with no memo: every candidate's pad made afresh.
+    fn fresh(key: &Aes128, addr: u64) -> impl FnMut(u64) -> Line + '_ {
+        move |counter| {
+            pad_line(
+                key,
+                &IvBuilder::new().address(addr).counter(counter).build(),
+            )
+        }
+    }
+
     fn encrypt(key: &Aes128, addr: u64, counter: u64, plaintext: &Line) -> Line {
-        let iv = IvBuilder::new().address(addr).counter(counter).build();
         let mut ct = *plaintext;
-        xor_in_place(&mut ct, &generate_pad(key, &iv, 64));
+        xor_in_place(&mut ct, &fresh(key, addr)(counter));
         ct
+    }
+
+    fn random_key(rng: &mut XorShift) -> Aes128 {
+        let mut key = [0u8; 16];
+        key[..8].copy_from_slice(&rng.next_u64().to_le_bytes());
+        key[8..].copy_from_slice(&rng.next_u64().to_le_bytes());
+        Aes128::new(&key)
     }
 
     #[test]
@@ -140,36 +167,38 @@ mod tests {
         assert_ne!(ecc64(&a), ecc64(&b));
     }
 
-    /// `ecc64` as the Osiris discriminator, on seeded random data: every
-    /// single-bit flip of a line changes it, no wrong counter in a 64-wide
-    /// probe window matches, and 2^16 random lines never collide.
+    /// `ecc64` as the Osiris discriminator, on seeded random data: each of
+    /// a line's 512 single-bit flips changes it (on the all-zero and
+    /// all-one lines too), no wrong counter in a 64-wide probe window
+    /// matches, and 2^16 random lines never collide.
     #[test]
     fn ecc_discriminates_flips_counters_and_lines() {
         let mut rng = XorShift::new(0xecc_0028_5eed);
-        for _ in 0..16 {
-            let line = random_line(&mut rng);
+        let lines: Vec<Line> = (0..64)
+            .map(|_| random_line(&mut rng))
+            .chain([[0; 64], [0xFF; 64]])
+            .collect();
+        for line in lines {
             let ecc = ecc64(&line);
             for bit in 0..512 {
                 let mut flipped = line;
                 flipped[bit / 8] ^= 1 << (bit % 8);
-                assert_ne!(ecc64(&flipped), ecc, "bit {bit}");
+                assert_ne!(ecc64(&flipped), ecc, "bit {bit} of {line:?}");
             }
         }
 
         for _ in 0..64 {
-            let mut key = [0u8; 16];
-            key[..8].copy_from_slice(&rng.next_u64().to_le_bytes());
-            key[8..].copy_from_slice(&rng.next_u64().to_le_bytes());
-            let key = Aes128::new(&key);
+            let key = random_key(&mut rng);
             let addr = rng.next_below(1 << 30) * 64;
             let counter = 64 + rng.next_below(1 << 40);
             let pt = random_line(&mut rng);
             let ct = encrypt(&key, addr, counter, &pt);
             // The true counter is the window's last candidate, so any of
             // the 64 wrong ones before it would be found first.
-            let found = probe_counter(&key, addr, &ct, ecc64(&pt), counter - 64, 64);
+            let found = probe_counter(fresh(&key, addr), &ct, ecc64(&pt), counter - 64, 64);
             assert_eq!(found, Some((counter, pt)));
-            assert!(probe_counter(&key, addr, &ct, ecc64(&pt), counter + 1, 63).is_none());
+            let past = probe_counter(fresh(&key, addr), &ct, ecc64(&pt), counter + 1, 63);
+            assert!(past.is_none());
         }
 
         let mut eccs: Vec<u64> = (0..1 << 16)
@@ -180,12 +209,72 @@ mod tests {
         assert_eq!(eccs.len(), 1 << 16);
     }
 
+    /// A probe through the Ma-SU's pad memo returns exactly what freshly
+    /// made pads give, whatever the memo holds: the line's true pad (every
+    /// lag from 0 to the stop-loss), nothing, the same line's pad at an
+    /// older or a newer counter, or another line's pad in the same slot;
+    /// and it rejects a tampered line. Afterwards the memo still serves
+    /// only correct pads, and a probe that found the true pad memoized
+    /// computed only its stale candidates.
+    #[test]
+    fn memoized_probe_matches_fresh_pads() {
+        const SLOTS: u64 = 4;
+        let mut rng = XorShift::new(0x05_1415_0036);
+        for round in 0..64u64 {
+            let key = random_key(&mut rng);
+            let addr = rng.next_below(1 << 30) * 64;
+            let alias = addr + SLOTS * 64 * (1 + rng.next_below(1 << 20));
+            let truth = DEFAULT_PHASE + rng.next_below(1 << 40);
+            let pt = random_line(&mut rng);
+            let ct = encrypt(&key, addr, truth, &pt);
+            let mut tampered = ct;
+            tampered[rng.next_below(64) as usize] ^= 1 << rng.next_below(8);
+            for lag in 0..=DEFAULT_PHASE {
+                let base = truth - lag;
+                // What the slot holds before the probe.
+                let memos: [Option<(u64, u64)>; 6] = [
+                    Some((addr, truth)),
+                    None,
+                    Some((addr, base.saturating_sub(1))),
+                    Some((addr, truth + 1 + round % 3)),
+                    Some((addr, base)),
+                    Some((alias, truth)),
+                ];
+                for memo in memos {
+                    for line in [&ct, &tampered] {
+                        let mut cache = PadCache::new(SLOTS as usize);
+                        if let Some((a, c)) = memo {
+                            cache.pad(&key, a, c);
+                        }
+                        let expected =
+                            probe_counter(fresh(&key, addr), line, ecc64(&pt), base, DEFAULT_PHASE);
+                        let pads = |c| cache.pad(&key, addr, c);
+                        let got = probe_counter(pads, line, ecc64(&pt), base, DEFAULT_PHASE);
+                        assert_eq!(got, expected, "lag {lag}, memo {memo:?}");
+                        if line == &ct {
+                            assert_eq!(got, Some((truth, pt)));
+                        } else {
+                            assert_eq!(got, None);
+                        }
+                        if memo == Some((addr, truth)) && line == &ct {
+                            // Only the stale candidates were computed.
+                            assert_eq!((cache.hits(), cache.misses()), (1, lag + 1));
+                        }
+                        for (a, c) in [(addr, truth), (addr, base), (alias, truth)] {
+                            assert_eq!(cache.pad(&key, a, c), fresh(&key, a)(c));
+                        }
+                    }
+                }
+            }
+        }
+    }
+
     #[test]
     fn probe_finds_exact_counter() {
         let key = Aes128::new(&[1; 16]);
         let pt = [0x3Cu8; 64];
         let ct = encrypt(&key, 64, 5, &pt);
-        let found = probe_counter(&key, 64, &ct, ecc64(&pt), 5, 0);
+        let found = probe_counter(fresh(&key, 64), &ct, ecc64(&pt), 5, 0);
         assert_eq!(found, Some((5, pt)));
     }
 
@@ -196,7 +285,7 @@ mod tests {
         for drift in 0..=DEFAULT_PHASE {
             let true_counter = 100 + drift;
             let ct = encrypt(&key, 128, true_counter, &pt);
-            let found = probe_counter(&key, 128, &ct, ecc64(&pt), 100, DEFAULT_PHASE);
+            let found = probe_counter(fresh(&key, 128), &ct, ecc64(&pt), 100, DEFAULT_PHASE);
             assert_eq!(found.map(|(c, _)| c), Some(true_counter));
         }
     }
@@ -206,7 +295,7 @@ mod tests {
         let key = Aes128::new(&[1; 16]);
         let pt = [9u8; 64];
         let ct = encrypt(&key, 128, 200, &pt);
-        assert!(probe_counter(&key, 128, &ct, ecc64(&pt), 100, 4).is_none());
+        assert!(probe_counter(fresh(&key, 128), &ct, ecc64(&pt), 100, 4).is_none());
     }
 
     #[test]
@@ -215,7 +304,7 @@ mod tests {
         let pt = [9u8; 64];
         let mut ct = encrypt(&key, 128, 3, &pt);
         ct[0] ^= 0xFF;
-        assert!(probe_counter(&key, 128, &ct, ecc64(&pt), 0, 8).is_none());
+        assert!(probe_counter(fresh(&key, 128), &ct, ecc64(&pt), 0, 8).is_none());
     }
 
     #[test]
@@ -224,6 +313,6 @@ mod tests {
         let pt = [9u8; 64];
         let ct = encrypt(&key, 128, 3, &pt);
         // Relocated line: probing at the wrong address never matches.
-        assert!(probe_counter(&key, 192, &ct, ecc64(&pt), 0, 8).is_none());
+        assert!(probe_counter(fresh(&key, 192), &ct, ecc64(&pt), 0, 8).is_none());
     }
 }

@@ -18,8 +18,8 @@
 //! boot and at the end of recovery, and `MacEngine::tag` only behind
 //! `MacEngine::verify`, which no persist path calls; neither is on it.
 //!
-//! A second case counts recoveries: a Ma-SU recovery that finds its eager
-//! tree unchanged keeps it and allocates nothing.
+//! Two more cases count recoveries: a Ma-SU recovery allocates nothing,
+//! whether it keeps an unchanged eager tree or checks a lazy ToC's leaves.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -162,15 +162,11 @@ fn steady_state_persist_window_allocates_nothing() {
     );
 }
 
-/// A Ma-SU recovery that finds its eager tree's leaves unchanged keeps the
-/// tree: Osiris probing, the counter-block rewrites and the tree check
-/// allocate nothing. Four crash/recover rounds, each after 300 writes over
-/// 24 pages whose rewrites leave counters for Osiris to probe and blocks
-/// to rebuild, are counted inside `MajorSecurityUnit::recover` alone.
-#[test]
-fn an_untampered_eager_recovery_allocates_nothing() {
-    let config =
-        ControllerConfig::from(ControllerKind::PreWpqSecure).with_scheme(UpdateScheme::EagerMerkle);
+/// Counts the allocations inside `MajorSecurityUnit::recover` alone over
+/// four crash/recover rounds, each after 300 writes over 24 pages whose
+/// rewrites leave counters for Osiris to probe and blocks to rebuild.
+fn recovery_allocations(scheme: UpdateScheme) -> Vec<u64> {
+    let config = ControllerConfig::from(ControllerKind::PreWpqSecure).with_scheme(scheme);
     let mut masu = MajorSecurityUnit::new(
         config.scheme,
         MetadataLayout::new(config.region_bytes),
@@ -192,13 +188,32 @@ fn an_untampered_eager_recovery_allocates_nothing() {
         masu.crash();
         nvm.power_cycle();
         let (report, n) = count_allocations(|| masu.recover(&mut nvm));
-        let report = report.unwrap_or_else(|e| panic!("round {round}: {e:?}"));
+        let report = report.unwrap_or_else(|e| panic!("{scheme:?} round {round}: {e:?}"));
         assert!(
             report.probed_lines > 0 && report.rebuilt_counter_blocks > 0,
-            "round {round}: nothing for Osiris to rebuild: {report:?}"
+            "{scheme:?} round {round}: nothing for Osiris to rebuild: {report:?}"
         );
         counts.push(n);
     }
+    counts
+}
+
+/// A Ma-SU recovery that finds its eager tree's leaves unchanged keeps the
+/// tree: Osiris probing, the counter-block rewrites and the tree check
+/// allocate nothing.
+#[test]
+fn an_untampered_eager_recovery_allocates_nothing() {
+    let counts = recovery_allocations(UpdateScheme::EagerMerkle);
+    assert_eq!(counts, [0; 4], "allocations per recovery");
+}
+
+/// A lazy-ToC recovery collects the counter blocks Osiris rewrote, for the
+/// leaf check after the ToC's own recovery, in a buffer the unit keeps:
+/// probing, the rewrites, the ToC recovery and the leaf checks allocate
+/// nothing.
+#[test]
+fn an_untampered_lazy_recovery_allocates_nothing() {
+    let counts = recovery_allocations(UpdateScheme::LazyToc);
     assert_eq!(counts, [0; 4], "allocations per recovery");
 }
 
