@@ -9,22 +9,18 @@
 //! experiments bench --repeat 10 --against ../parent/target/release/experiments
 //! ```
 //!
-//! `bench` runs the selected experiments (default: all), suppresses the
-//! tables, and writes machine-readable throughput numbers to
-//! `BENCH_<YYYY-MM-DD>.json` in the working directory (overwriting a file
-//! of the same date). Bench mode flattens
-//! every selected experiment's sweep cells into ONE global list and runs it
+//! Every run takes one path, `ExperimentConfig::run`: it flattens every
+//! selected experiment's sweep cells into ONE global list and runs it
 //! longest-cell-first through the work-stealing pool, so slow figures'
-//! stragglers overlap other figures' short cells; per-cell wall times and
-//! the max/mean skew land in each JSON row. Tables and the bench JSON are
-//! identical at any `--jobs` value apart from wall-clock fields: sweep
-//! results are merged in cell order, never completion order.
-//!
-//! `bench --trace` additionally runs the `dolos-trace` mini-bench — every
-//! report scheme × WHISPER workload with event recording on — and appends
-//! per-cell persist-latency histogram columns (p50/p95/p99/max) to the
-//! JSON. Those rows contain only simulated quantities, so they too are
-//! byte-identical at any `--jobs` value.
+//! stragglers overlap other figures' short cells. `experiments <ids>`
+//! prints the outcomes' tables. `bench` runs the selected experiments
+//! (default: all), suppresses the tables, and writes machine-readable
+//! throughput numbers to `BENCH_<YYYY-MM-DD>.json` in the working
+//! directory (overwriting a file of the same date); per-cell wall times
+//! and the max/mean skew land in each JSON row. Tables and the bench JSON
+//! are identical at any `--jobs` value apart from wall-clock fields: sweep
+//! results are merged in cell order, never completion order. `--csv DIR`
+//! writes each table to `DIR/<id>_<n>.csv` in both modes.
 //!
 //! `bench --repeat N` runs the whole selection N times. Every run must
 //! reproduce the first run's cells and `sim_cycles` exactly; each JSON row
@@ -53,16 +49,15 @@
 
 use std::path::{Path, PathBuf};
 use std::process::{Command, ExitCode, Stdio};
-use std::time::{Instant, SystemTime, UNIX_EPOCH};
+use std::time::{SystemTime, UNIX_EPOCH};
 
-use dolos_bench::emit::{civil_date_utc, parse_total, Against, BenchEntry, BenchReport, TraceRow};
+use dolos_bench::emit::{civil_date_utc, parse_total, Against, BenchEntry, BenchReport};
 use dolos_bench::{ExperimentConfig, ExperimentId};
-use dolos_trace::ProfileConfig;
 
 fn usage() -> ExitCode {
     eprintln!(
         "usage: experiments <all|bench|{}> [--transactions N] [--warmup N] [--seed N] \
-         [--jobs N] [--csv DIR] [--trace] [--golden PATH] [--repeat N] [--against PATH]",
+         [--jobs N] [--csv DIR] [--golden PATH] [--repeat N] [--against PATH]",
         ExperimentId::ALL
             .iter()
             .map(|e| e.name())
@@ -147,7 +142,6 @@ fn main() -> ExitCode {
     let mut csv_dir: Option<String> = None;
     let mut golden_path: Option<String> = None;
     let mut bench = false;
-    let mut trace = false;
     let mut repeat = 1usize;
     let mut against: Option<PathBuf> = None;
     let mut iter = args.iter();
@@ -155,7 +149,6 @@ fn main() -> ExitCode {
         match arg.as_str() {
             "all" => selected.extend(ExperimentId::ALL),
             "bench" => bench = true,
-            "--trace" => trace = true,
             // Zero transactions would turn every slowdown ratio into NaN.
             "--transactions" => match iter.next().and_then(|v| v.parse().ok()) {
                 Some(n) if n >= 1 => config.transactions = n,
@@ -220,122 +213,73 @@ fn main() -> ExitCode {
             return ExitCode::FAILURE;
         }
     }
+    // `--repeat` applies to bench runs only; a table run runs once.
+    let repeat = if bench { repeat } else { 1 };
     // Per experiment: (id, cells, sim_cycles) of the first run, and every
     // run's (wall_ms, cell_wall_ms).
     let mut entries = Vec::new();
     // The `--against` binary's total `(wall_ms, cells, sim_cycles)` per run.
     let mut parent_totals: Vec<(f64, u64, u64)> = Vec::new();
-    if bench {
-        // Flattened sweep: every selected experiment's cells run as one
-        // global longest-hint-first list through the work-stealing pool, so
-        // one figure's stragglers overlap another's short cells. Tables and
-        // all simulated quantities are byte-identical to the sequential
-        // path below; only wall-clock fields differ.
-        let mut pair_with_parent = |run: usize| -> Result<(), ExitCode> {
-            let Some(bin) = against.as_deref() else {
-                return Ok(());
-            };
-            let total = run_parent(bin, &selected, &config, run).map_err(|e| {
-                eprintln!("{e}");
-                ExitCode::FAILURE
-            })?;
-            parent_totals.push(total);
-            Ok(())
+    let mut pair_with_parent = |run: usize| -> Result<(), ExitCode> {
+        let Some(bin) = against.as_deref() else {
+            return Ok(());
         };
-        for run in 0..repeat {
-            // Alternate the order within each pair so neither build always
-            // runs on the warmer host.
-            let parent_first = run % 2 == 1;
-            if parent_first {
-                if let Err(code) = pair_with_parent(run) {
-                    return code;
-                }
-            }
-            for (i, outcome) in config.bench_flat(&selected).into_iter().enumerate() {
-                if run == 0 {
-                    if let Some(dir) = &csv_dir {
-                        for (t, table) in outcome.tables.iter().enumerate() {
-                            let path = format!("{dir}/{}_{t}.csv", outcome.id.name());
-                            if let Err(e) = std::fs::write(&path, table.to_csv()) {
-                                eprintln!("cannot write {path}: {e}");
-                                return ExitCode::FAILURE;
-                            }
-                        }
-                    }
-                    entries.push((outcome.id, outcome.cells, outcome.sim_cycles, Vec::new()));
-                }
-                let entry = &mut entries[i];
-                if (entry.0, entry.1, entry.2) != (outcome.id, outcome.cells, outcome.sim_cycles) {
-                    eprintln!(
-                        "run {} of {} changed simulated results (cells/sim_cycles)",
-                        run + 1,
-                        outcome.id.name()
-                    );
-                    return ExitCode::FAILURE;
-                }
-                eprintln!(
-                    "[{} done in {:.1}ms, run {}/{repeat}]",
-                    outcome.id.name(),
-                    outcome.wall_ms,
-                    run + 1
-                );
-                entry.3.push((outcome.wall_ms, outcome.cell_wall_ms));
-            }
-            if !parent_first {
-                if let Err(code) = pair_with_parent(run) {
-                    return code;
-                }
+        let total = run_parent(bin, &selected, &config, run).map_err(|e| {
+            eprintln!("{e}");
+            ExitCode::FAILURE
+        })?;
+        parent_totals.push(total);
+        Ok(())
+    };
+    for run in 0..repeat {
+        // Alternate the order within each pair so neither build always
+        // runs on the warmer host.
+        let parent_first = run % 2 == 1;
+        if parent_first {
+            if let Err(code) = pair_with_parent(run) {
+                return code;
             }
         }
-    } else {
-        for id in selected {
-            let start = Instant::now();
-            for (i, table) in config.run(id).into_iter().enumerate() {
-                println!("{}", table.render());
-                if let Some(dir) = &csv_dir {
-                    let path = format!("{dir}/{}_{i}.csv", id.name());
-                    if let Err(e) = std::fs::write(&path, table.to_csv()) {
-                        eprintln!("cannot write {path}: {e}");
-                        return ExitCode::FAILURE;
+        for (i, outcome) in config.run(&selected).into_iter().enumerate() {
+            if run == 0 {
+                for (t, table) in outcome.tables.iter().enumerate() {
+                    if !bench {
+                        println!("{}", table.render());
+                    }
+                    if let Some(dir) = &csv_dir {
+                        let path = format!("{dir}/{}_{t}.csv", outcome.id.name());
+                        if let Err(e) = std::fs::write(&path, table.to_csv()) {
+                            eprintln!("cannot write {path}: {e}");
+                            return ExitCode::FAILURE;
+                        }
                     }
                 }
+                entries.push((outcome.id, outcome.cells, outcome.sim_cycles, Vec::new()));
+            }
+            let entry = &mut entries[i];
+            if (entry.0, entry.1, entry.2) != (outcome.id, outcome.cells, outcome.sim_cycles) {
+                eprintln!(
+                    "run {} of {} changed simulated results (cells/sim_cycles)",
+                    run + 1,
+                    outcome.id.name()
+                );
+                return ExitCode::FAILURE;
             }
             eprintln!(
-                "[{} done in {:.1}ms]",
-                id.name(),
-                start.elapsed().as_secs_f64() * 1000.0
+                "[{} done in {:.1}ms, run {}/{repeat}]",
+                outcome.id.name(),
+                outcome.wall_ms,
+                run + 1
             );
+            entry.3.push((outcome.wall_ms, outcome.cell_wall_ms));
+        }
+        if !parent_first {
+            if let Err(code) = pair_with_parent(run) {
+                return code;
+            }
         }
     }
     if bench {
-        let trace_rows = if trace {
-            let profile = dolos_trace::run_profile(&ProfileConfig {
-                transactions: config.transactions,
-                warmup: config.warmup,
-                seed: config.seed,
-                jobs: config.jobs,
-                ..ProfileConfig::default()
-            });
-            let rows: Vec<TraceRow> = profile
-                .schemes
-                .iter()
-                .flat_map(|scheme| {
-                    scheme.cells.iter().map(|cell| TraceRow {
-                        scheme: cell.scheme.to_owned(),
-                        workload: cell.workload.to_owned(),
-                        persists: cell.persists,
-                        p50: cell.latency.percentile(0.50),
-                        p95: cell.latency.percentile(0.95),
-                        p99: cell.latency.percentile(0.99),
-                        max: cell.latency.max().unwrap_or(0),
-                    })
-                })
-                .collect();
-            eprintln!("[trace mini-bench: {} cells]", rows.len());
-            rows
-        } else {
-            Vec::new()
-        };
         let secs = SystemTime::now()
             .duration_since(UNIX_EPOCH)
             .map(|d| d.as_secs())
@@ -354,7 +298,6 @@ fn main() -> ExitCode {
             jobs: config.jobs,
             repeat,
             entries,
-            trace: trace_rows,
             against: None,
         };
         if let Some(bin) = &against {

@@ -100,7 +100,7 @@ impl BenchEntry {
     }
 
     /// Lowest and highest `cells_per_sec` over all runs.
-    pub fn cells_per_sec_range(&self) -> (f64, f64) {
+    fn cells_per_sec_range(&self) -> (f64, f64) {
         rate_range(self.cells, &self.runs_wall_ms)
     }
 
@@ -121,28 +121,6 @@ impl BenchEntry {
         let max = self.cell_wall_ms.iter().copied().fold(0.0f64, f64::max);
         max / mean
     }
-}
-
-/// One traced (scheme, workload) cell from a `bench --trace` run: the
-/// persist-latency histogram columns of `dolos-trace`'s profile engine.
-/// All fields are simulated quantities, so rows are byte-stable across
-/// machines and `--jobs` values.
-#[derive(Debug, Clone, PartialEq)]
-pub struct TraceRow {
-    /// Scheme report name ("ideal", "dolos-post", ...).
-    pub scheme: String,
-    /// Workload display name ("Hashmap", "NStore:YCSB", ...).
-    pub workload: String,
-    /// Persists acknowledged in the measured window.
-    pub persists: u64,
-    /// Median persist critical-path latency, cycles.
-    pub p50: u64,
-    /// 95th-percentile persist latency, cycles.
-    pub p95: u64,
-    /// 99th-percentile persist latency, cycles.
-    pub p99: u64,
-    /// Largest persist latency, cycles.
-    pub max: u64,
 }
 
 /// A paired comparison against a parent build (`bench --against PATH`):
@@ -178,9 +156,6 @@ pub struct BenchReport {
     pub repeat: usize,
     /// Per-experiment tallies, in run order.
     pub entries: Vec<BenchEntry>,
-    /// Traced mini-bench histogram rows (`bench --trace`); empty when
-    /// tracing was not requested.
-    pub trace: Vec<TraceRow>,
     /// The paired parent runs (`bench --against`); `None` without one.
     pub against: Option<Against>,
 }
@@ -225,22 +200,6 @@ impl BenchReport {
                 e.skew(),
                 cell_walls,
                 if i + 1 == self.entries.len() { "" } else { "," }
-            ));
-        }
-        out.push_str("  ],\n");
-        out.push_str("  \"trace\": [\n");
-        for (i, t) in self.trace.iter().enumerate() {
-            out.push_str(&format!(
-                "    {{\"scheme\": \"{}\", \"workload\": \"{}\", \"persists\": {}, \
-                 \"p50\": {}, \"p95\": {}, \"p99\": {}, \"max\": {}}}{}\n",
-                t.scheme,
-                t.workload,
-                t.persists,
-                t.p50,
-                t.p95,
-                t.p99,
-                t.max,
-                if i + 1 == self.trace.len() { "" } else { "," }
             ));
         }
         out.push_str("  ],\n");
@@ -306,7 +265,7 @@ impl BenchReport {
 
     /// Serializes only the simulated (machine-independent) fields: the
     /// workload configuration and each experiment's cell count and
-    /// `sim_cycles`. Wall-clock fields, dates, trace rows and job counts
+    /// `sim_cycles`. Wall-clock fields, dates and job counts
     /// are all excluded, so two runs of the same experiments at the same
     /// scale produce byte-identical golden text on any machine at any
     /// `--jobs`. CI `cmp`s this against a committed golden to catch
@@ -416,15 +375,6 @@ mod tests {
                     runs_wall_ms: vec![500.0],
                 },
             ],
-            trace: vec![TraceRow {
-                scheme: "dolos-partial".into(),
-                workload: "Hashmap".into(),
-                persists: 93,
-                p50: 160,
-                p95: 480,
-                p99: 640,
-                max: 640,
-            }],
             against: None,
         };
         assert_eq!(report.file_name(), "BENCH_2026-08-06.json");
@@ -439,8 +389,6 @@ mod tests {
         // with no per-cell samples pins skew 0 and an empty array.
         assert!(json.contains("\"skew\": 1.500, \"cell_wall_ms\": [1500.000, 500.000]"));
         assert!(json.contains("\"skew\": 0.000, \"cell_wall_ms\": []"));
-        assert!(json.contains("\"scheme\": \"dolos-partial\""));
-        assert!(json.contains("\"p99\": 640"));
         // Balanced braces/brackets and no trailing comma before a closer.
         let opens = json.matches(['{', '[']).count();
         let closes = json.matches(['}', ']']).count();
@@ -475,7 +423,6 @@ mod tests {
                     runs_wall_ms: vec![0.043],
                 },
             ],
-            trace: vec![],
             against: None,
         };
         let golden = report.to_golden();
@@ -520,7 +467,6 @@ mod tests {
                     (25.0, vec![5.0, 5.0]),
                 ],
             )],
-            trace: vec![],
             against: None,
         };
         let json = report.to_json();

@@ -1,35 +1,27 @@
 //! The experiment implementations, one per table/figure.
 //!
-//! Every workload × controller sweep is expressed as an ordered list of
-//! `Cell`s and executed through the deterministic work-stealing pool
-//! ([`dolos_sim::pool::run_indexed`]), so the rendered tables are identical
-//! at any `jobs` value: workers claim index blocks from a shared queue but
-//! results land in an index-addressed slab and are merged in cell order,
-//! never completion order.
-//!
-//! Each sweep is split into a *cell builder* and a *renderer* so the two
-//! execution shapes share one implementation:
-//!
-//! * `experiments <id>` runs one experiment's cells through the pool and
-//!   renders immediately ([`ExperimentConfig::run`]);
-//! * `experiments bench` concatenates every selected experiment's cells
-//!   into one global list and runs it through
-//!   [`dolos_sim::pool::run_indexed_weighted`] (longest-cell-first by a
-//!   static cost hint), so one figure's stragglers overlap another's short
-//!   cells instead of serializing behind a per-figure barrier
-//!   ([`ExperimentConfig::bench_flat`]). Results are sliced back per
-//!   experiment by index, so every table and JSON byte matches the
-//!   per-experiment path.
+//! [`ExperimentConfig::run`] is the one way to run experiments. Each
+//! workload × controller sweep is an ordered list of `Cell`s plus a
+//! renderer for their results. `run` concatenates every selected sweep's
+//! cells into one list and runs it through
+//! [`dolos_sim::pool::run_indexed_weighted`], longest-cell-first by a
+//! static cost hint, so one figure's stragglers overlap another's short
+//! cells instead of serializing behind a per-figure barrier. Results land
+//! in an index-addressed slab and each experiment renders its own slice,
+//! never in completion order, so the tables are identical at any `jobs`
+//! value. The direct experiments (the analytic Table 3, the measured
+//! recovery, the conformance campaign) run after the sweep, one by one,
+//! and tally their own work.
 
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::ops::Range;
 use std::time::Instant;
 
 use dolos_core::{ControllerConfig, MiSuKind, UpdateScheme};
+use dolos_sim::table::{f1, f2, f3, Table};
 use dolos_whisper::runner::{run_workload, RunConfig, RunResult};
 use dolos_whisper::workloads::WorkloadKind;
 
 use crate::paper;
-use crate::report::{f1, f2, f3, Table};
 
 /// Which experiment to run.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -134,11 +126,11 @@ impl Cell {
         }
     }
 
-    /// Static host-cost hint for longest-cell-first scheduling in the flat
-    /// bench sweep. A pure function of the cell's parameters — never of a
-    /// measurement — so the schedule is reproducible; and because results
-    /// are index-addressed, even a *bad* hint can only cost wall time,
-    /// never change a byte of output.
+    /// Static host-cost hint for longest-cell-first scheduling. A pure
+    /// function of the cell's parameters — never of a measurement — so the
+    /// schedule is reproducible; and because results are index-addressed,
+    /// even a *bad* hint can only cost wall time, never change a byte of
+    /// output.
     fn cost_hint(&self) -> u64 {
         // Bigger transactions write more lines per transaction; drain-bound
         // cells (think time pinned to zero) stress the WPQ far harder per
@@ -148,12 +140,27 @@ impl Cell {
     }
 }
 
-/// One experiment's outcome under the flattened bench sweep: the rendered
-/// tables plus the work and wall tallies the JSON report needs.
+/// Renders a sweep from its cell results, in cell order.
+type Render = fn(&[RunResult]) -> Vec<Table>;
+
+/// A direct experiment: its tables plus its own `(cells, sim_cycles)`.
+type Direct = fn(&ExperimentConfig) -> (Vec<Table>, u64, u64);
+
+/// How one selected experiment runs.
+enum Plan {
+    /// A sweep: its span of the flat cell list and its renderer.
+    Sweep(Range<usize>, Render),
+    /// An experiment whose work never enters the job pool.
+    Direct(Direct),
+}
+
+/// One experiment's outcome: the rendered tables plus the work and wall
+/// tallies the bench JSON needs.
 pub struct BenchOutcome {
     /// Which experiment.
     pub id: ExperimentId,
-    /// Rendered tables (bench mode writes these to `--csv`, not stdout).
+    /// Rendered tables (a table run prints them; bench mode writes them
+    /// only to `--csv`).
     pub tables: Vec<Table>,
     /// Cells run (sweep cells, or a direct experiment's own tally).
     pub cells: u64,
@@ -171,7 +178,7 @@ pub struct BenchOutcome {
 }
 
 /// Shared sweep parameters.
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 pub struct ExperimentConfig {
     /// Measured transactions per run.
     pub transactions: usize,
@@ -184,24 +191,6 @@ pub struct ExperimentConfig {
     /// Any value produces identical tables: results are merged in cell
     /// order, never in completion order.
     pub jobs: usize,
-    // Work tallies for `experiments bench`, accumulated across every sweep
-    // this config runs. Atomics so a `&self` sweep can tally while staying
-    // `Sync` for the job pool; contention is nil (one add per sweep).
-    cells_run: AtomicU64,
-    sim_cycles: AtomicU64,
-}
-
-impl Clone for ExperimentConfig {
-    fn clone(&self) -> Self {
-        Self {
-            transactions: self.transactions,
-            warmup: self.warmup,
-            seed: self.seed,
-            jobs: self.jobs,
-            cells_run: AtomicU64::new(self.cells_run.load(Ordering::Relaxed)),
-            sim_cycles: AtomicU64::new(self.sim_cycles.load(Ordering::Relaxed)),
-        }
-    }
 }
 
 impl Default for ExperimentConfig {
@@ -211,149 +200,80 @@ impl Default for ExperimentConfig {
             warmup: 48,
             seed: 0x5EED,
             jobs: 1,
-            cells_run: AtomicU64::new(0),
-            sim_cycles: AtomicU64::new(0),
         }
     }
 }
 
 impl ExperimentConfig {
-    fn run_config(&self, txn_bytes: usize) -> RunConfig {
-        RunConfig {
-            transactions: self.transactions,
-            txn_bytes,
-            warmup: self.warmup,
-            seed: self.seed,
-            ..RunConfig::default()
-        }
-    }
-
-    /// Runs one sweep cell. Cells are self-contained; this is the worker
-    /// body for both the per-experiment and the flattened pool.
+    /// Runs one sweep cell. Cells are self-contained; this is the pool's
+    /// worker body.
     fn run_cell(&self, cell: &Cell) -> RunResult {
         run_workload(
             cell.kind,
             cell.design.clone(),
             &RunConfig {
+                transactions: self.transactions,
+                txn_bytes: cell.txn_bytes,
+                warmup: self.warmup,
+                seed: self.seed,
                 think_ops_per_txn: cell.think_ops,
-                ..self.run_config(cell.txn_bytes)
+                ..RunConfig::default()
             },
         )
     }
 
-    /// Runs a sweep's cells through the deterministic job pool.
-    ///
-    /// `out[i]` is always the result of `cells[i]` regardless of `jobs`, so
-    /// callers index the result vector by the same arithmetic they used to
-    /// build the cell list.
-    fn run_cells(&self, cells: Vec<Cell>) -> Vec<RunResult> {
-        let results =
-            dolos_sim::pool::run_indexed(self.jobs, &cells, |_, cell| self.run_cell(cell));
-        self.tally(cells.len() as u64, results.iter().map(|r| r.cycles).sum());
-        results
-    }
-
-    /// Adds to the work tallies directly. Experiments that simulate outside
-    /// the sweep-cell pool (the measured recovery) or do bounded analytic
-    /// work (Table 3) report through here so their bench rows carry real
-    /// cell counts instead of zeros.
-    fn tally(&self, cells: u64, sim_cycles: u64) {
-        self.cells_run.fetch_add(cells, Ordering::Relaxed);
-        self.sim_cycles.fetch_add(sim_cycles, Ordering::Relaxed);
-    }
-
-    /// Total `(cells, simulated cycles)` this config has run through sweep
-    /// cells so far. Table 3 (analytic) and the measured-recovery
-    /// experiment do not use sweep cells and are not counted.
-    pub fn metrics(&self) -> (u64, u64) {
-        (
-            self.cells_run.load(Ordering::Relaxed),
-            self.sim_cycles.load(Ordering::Relaxed),
-        )
-    }
-
-    /// The sweep-cell list for `id`, when the experiment is a pool sweep.
-    /// Direct experiments — the analytic Table 3, the measured recovery,
-    /// the conformance campaign — return `None` and run outside the flat
-    /// pool.
-    fn sweep_cells(id: ExperimentId) -> Option<Vec<Cell>> {
+    /// How `id` runs. A sweep appends its cells to `flat` and keeps their
+    /// span; a direct experiment names its function.
+    fn plan(id: ExperimentId, flat: &mut Vec<Cell>) -> Plan {
+        let mut sweep = |cells: Vec<Cell>, render: Render| {
+            let start = flat.len();
+            flat.extend(cells);
+            Plan::Sweep(start..flat.len(), render)
+        };
         match id {
-            ExperimentId::Fig6 => Some(Self::fig6_cells()),
-            ExperimentId::Fig12 => Some(Self::speedup_cells(UpdateScheme::EagerMerkle)),
-            ExperimentId::Table2 => Some(Self::table2_cells()),
-            ExperimentId::Fig13 => Some(Self::fig13_cells()),
-            ExperimentId::Fig14 => Some(Self::fig14_cells()),
-            ExperimentId::Fig15 => Some(Self::fig15_cells()),
-            ExperimentId::Fig16 => Some(Self::speedup_cells(UpdateScheme::LazyToc)),
-            ExperimentId::Ablations => Some(Self::ablations_cells()),
-            ExperimentId::Extended => Some(Self::extended_cells()),
-            ExperimentId::Banks => Some(Self::banks_cells()),
-            ExperimentId::Table3 | ExperimentId::Recovery | ExperimentId::Conformance => None,
-        }
-    }
-
-    /// Renders a sweep experiment from its cell results (in cell order).
-    /// Direct experiments have no sweep results and render nothing here.
-    fn render_sweep(id: ExperimentId, results: &[RunResult]) -> Vec<Table> {
-        match id {
-            ExperimentId::Fig6 => Self::fig6_render(results),
-            ExperimentId::Fig12 => Self::speedup_render(
-                results,
-                "Figure 12 — Dolos speedup vs Pre-WPQ-Secure (eager MT, txn 1024 B)",
-                paper::FIG12_AVG_SPEEDUP,
-            ),
-            ExperimentId::Table2 => Self::table2_render(results),
-            ExperimentId::Fig13 => Self::fig13_render(results),
-            ExperimentId::Fig14 => Self::fig14_render(results),
-            ExperimentId::Fig15 => Self::fig15_render(results),
-            ExperimentId::Fig16 => Self::speedup_render(
-                results,
-                "Figure 16 — Dolos speedup vs Pre-WPQ-Secure (lazy ToC, txn 1024 B)",
-                paper::FIG16_AVG_SPEEDUP,
-            ),
-            ExperimentId::Ablations => Self::ablations_render(results),
-            ExperimentId::Extended => Self::extended_render(results),
-            ExperimentId::Banks => Self::banks_render(results),
-            ExperimentId::Table3 | ExperimentId::Recovery | ExperimentId::Conformance => Vec::new(),
-        }
-    }
-
-    /// Dispatches one experiment, returning its rendered tables.
-    pub fn run(&self, id: ExperimentId) -> Vec<Table> {
-        match Self::sweep_cells(id) {
-            Some(cells) => {
-                let results = self.run_cells(cells);
-                Self::render_sweep(id, &results)
+            ExperimentId::Fig6 => sweep(Self::fig6_cells(), Self::fig6_render),
+            ExperimentId::Fig12 => {
+                sweep(Self::speedup_cells(UpdateScheme::EagerMerkle), |results| {
+                    Self::speedup_render(
+                        results,
+                        "Figure 12 — Dolos speedup vs Pre-WPQ-Secure (eager MT, txn 1024 B)",
+                        paper::FIG12_AVG_SPEEDUP,
+                    )
+                })
             }
-            None => match id {
-                ExperimentId::Table3 => self.table3(),
-                ExperimentId::Recovery => self.recovery(),
-                // Every other id has sweep cells and took the arm above.
-                _ => self.conformance(),
-            },
+            ExperimentId::Table2 => sweep(Self::table2_cells(), Self::table2_render),
+            ExperimentId::Fig13 => sweep(Self::fig13_cells(), Self::fig13_render),
+            ExperimentId::Fig14 => sweep(Self::fig14_cells(), Self::fig14_render),
+            ExperimentId::Fig15 => sweep(Self::fig15_cells(), Self::fig15_render),
+            ExperimentId::Fig16 => sweep(Self::speedup_cells(UpdateScheme::LazyToc), |results| {
+                Self::speedup_render(
+                    results,
+                    "Figure 16 — Dolos speedup vs Pre-WPQ-Secure (lazy ToC, txn 1024 B)",
+                    paper::FIG16_AVG_SPEEDUP,
+                )
+            }),
+            ExperimentId::Ablations => sweep(Self::ablations_cells(), Self::ablations_render),
+            ExperimentId::Extended => sweep(Self::extended_cells(), Self::extended_render),
+            ExperimentId::Banks => sweep(Self::banks_cells(), Self::banks_render),
+            ExperimentId::Table3 => Plan::Direct(Self::table3),
+            ExperimentId::Recovery => Plan::Direct(Self::recovery),
+            ExperimentId::Conformance => Plan::Direct(Self::conformance),
         }
     }
 
-    /// `experiments bench`: runs every selected experiment's sweep cells as
-    /// ONE flat list through the work-stealing pool, longest-hint-first, so
-    /// slow cells (fig16's lazy-ToC, the drain-bound banks sweep) overlap
-    /// other figures' short cells instead of serializing behind a barrier
-    /// per figure. Direct experiments run sequentially afterwards.
+    /// Runs the selected experiments and returns their outcomes in `ids`
+    /// order.
     ///
-    /// Outcomes are returned in `ids` order, each rendered from its own
-    /// slice of the flat result slab — so tables, cell counts, and
-    /// `sim_cycles` are byte-identical to running the experiments one by
-    /// one, at any `jobs` value. Only the wall-clock fields change.
-    pub fn bench_flat(&self, ids: &[ExperimentId]) -> Vec<BenchOutcome> {
-        let mut spans: Vec<Option<std::ops::Range<usize>>> = Vec::with_capacity(ids.len());
+    /// Every selected sweep's cells run as ONE flat list through the
+    /// work-stealing pool, longest-hint-first, so slow cells (fig16's
+    /// lazy-ToC, the drain-bound banks sweep) overlap other figures' short
+    /// cells. Each sweep renders from its own slice of the result slab, so
+    /// tables, cell counts and `sim_cycles` are the same at any `jobs`
+    /// value and in any selection; only the wall-clock fields change.
+    /// Direct experiments run afterwards, in `ids` order.
+    pub fn run(&self, ids: &[ExperimentId]) -> Vec<BenchOutcome> {
         let mut flat: Vec<Cell> = Vec::new();
-        for &id in ids {
-            spans.push(Self::sweep_cells(id).map(|cells| {
-                let start = flat.len();
-                flat.extend(cells);
-                start..flat.len()
-            }));
-        }
+        let plans: Vec<Plan> = ids.iter().map(|&id| Self::plan(id, &mut flat)).collect();
         // Per-cell wall time is measured inside the worker: it is the only
         // wall-clock quantity the schedule can influence, and recording it
         // per cell is what makes scheduling skew observable in the JSON.
@@ -368,40 +288,38 @@ impl ExperimentConfig {
             },
         );
         let (results, walls): (Vec<RunResult>, Vec<f64>) = timed.into_iter().unzip();
-        self.tally(results.len() as u64, results.iter().map(|r| r.cycles).sum());
         ids.iter()
-            .zip(spans)
-            .map(|(&id, span)| match span {
-                Some(span) => {
+            .zip(plans)
+            .map(|(&id, plan)| match plan {
+                Plan::Sweep(span, render) => {
                     let slice = &results[span.clone()];
                     BenchOutcome {
                         id,
-                        tables: Self::render_sweep(id, slice),
+                        tables: render(slice),
                         cells: slice.len() as u64,
                         sim_cycles: slice.iter().map(|r| r.cycles).sum(),
                         wall_ms: walls[span.clone()].iter().sum(),
                         cell_wall_ms: walls[span].to_vec(),
                     }
                 }
-                None => {
-                    let (cells_before, cycles_before) = self.metrics();
+                Plan::Direct(direct) => {
                     let start = Instant::now();
-                    let tables = self.run(id);
-                    let wall_ms = start.elapsed().as_secs_f64() * 1000.0;
-                    let (cells_after, cycles_after) = self.metrics();
+                    let (tables, cells, sim_cycles) = direct(self);
                     BenchOutcome {
                         id,
                         tables,
-                        cells: cells_after - cells_before,
-                        sim_cycles: cycles_after - cycles_before,
+                        cells,
+                        sim_cycles,
                         cell_wall_ms: Vec::new(),
-                        wall_ms,
+                        wall_ms: start.elapsed().as_secs_f64() * 1000.0,
                     }
                 }
             })
             .collect()
     }
 
+    /// Figure 6: CPI of Pre-WPQ-Secure vs deferred security (Fig 5-b vs
+    /// 5-c), one pair of cells per workload.
     fn fig6_cells() -> Vec<Cell> {
         let mut cells = Vec::new();
         for kind in WorkloadKind::ALL {
@@ -445,12 +363,6 @@ impl ExperimentConfig {
             f2(paper::FIG6_MEAN_SLOWDOWN),
         ]);
         vec![t]
-    }
-
-    /// Figure 6: CPI of Pre-WPQ-Secure vs deferred security (Fig 5-b vs 5-c).
-    pub fn fig6(&self) -> Vec<Table> {
-        let results = self.run_cells(Self::fig6_cells());
-        Self::fig6_render(&results)
     }
 
     /// Row-major cells: baseline then the three Mi-SU designs per workload.
@@ -511,18 +423,6 @@ impl ExperimentConfig {
         vec![t]
     }
 
-    /// Figure 12: speedups of the three Mi-SU designs, eager updates.
-    pub fn fig12(&self) -> Vec<Table> {
-        let results = self.run_cells(Self::speedup_cells(UpdateScheme::EagerMerkle));
-        Self::render_sweep(ExperimentId::Fig12, &results)
-    }
-
-    /// Figure 16: speedups with the lazy (ToC/Phoenix) scheme.
-    pub fn fig16(&self) -> Vec<Table> {
-        let results = self.run_cells(Self::speedup_cells(UpdateScheme::LazyToc));
-        Self::render_sweep(ExperimentId::Fig16, &results)
-    }
-
     fn table2_cells() -> Vec<Cell> {
         let mut cells = Vec::new();
         for kind in WorkloadKind::ALL {
@@ -566,12 +466,6 @@ impl ExperimentConfig {
         vec![t]
     }
 
-    /// Table 2: WPQ insertion retry events per kilo write requests.
-    pub fn table2(&self) -> Vec<Table> {
-        let results = self.run_cells(Self::table2_cells());
-        Self::table2_render(&results)
-    }
-
     fn fig13_cells() -> Vec<Cell> {
         let mut cells = Vec::new();
         for kind in WorkloadKind::ALL {
@@ -600,12 +494,6 @@ impl ExperimentConfig {
             t.row(row);
         }
         vec![t]
-    }
-
-    /// Figure 13: Partial-WPQ retries across transaction sizes.
-    pub fn fig13(&self) -> Vec<Table> {
-        let results = self.run_cells(Self::fig13_cells());
-        Self::fig13_render(&results)
     }
 
     /// Two cells per (workload, size): baseline then Dolos-Partial.
@@ -640,12 +528,6 @@ impl ExperimentConfig {
             t.row(row);
         }
         vec![t]
-    }
-
-    /// Figure 14: Partial-WPQ speedups across transaction sizes.
-    pub fn fig14(&self) -> Vec<Table> {
-        let results = self.run_cells(Self::fig14_cells());
-        Self::fig14_render(&results)
     }
 
     const FIG15_SIZES: [usize; 4] = [16, 32, 64, 128];
@@ -705,14 +587,12 @@ impl ExperimentConfig {
         vec![t]
     }
 
-    /// Figure 15: speedup and retries vs WPQ size (Partial, txn 1024 B).
-    pub fn fig15(&self) -> Vec<Table> {
-        let results = self.run_cells(Self::fig15_cells());
-        Self::fig15_render(&results)
-    }
-
     /// Table 3: Mi-SU storage overhead (analytic, from the implementation).
-    pub fn table3(&self) -> Vec<Table> {
+    ///
+    /// Analytic, but real bounded work: one storage-overhead evaluation per
+    /// design is one cell (at zero simulated cycles), so the bench row's
+    /// `cells_per_sec` reflects throughput instead of pinning 0.
+    fn table3(&self) -> (Vec<Table>, u64, u64) {
         let mut t = Table::new(
             "Table 3 — Mi-SU storage overhead",
             &[
@@ -737,15 +617,15 @@ impl ExperimentConfig {
                 format!("{pc}B/{pm}B/{ppad}B*{pent}"),
             ]);
         }
-        // Analytic, but real bounded work: one storage-overhead evaluation
-        // per design is one cell (at zero simulated cycles), so the bench
-        // row's `cells_per_sec` reflects throughput instead of pinning 0.
-        self.tally(MiSuKind::ALL.len() as u64, 0);
-        vec![t]
+        (vec![t], MiSuKind::ALL.len() as u64, 0)
     }
 
     /// §5.5: Mi-SU recovery estimates plus a measured functional recovery.
-    pub fn recovery(&self) -> Vec<Table> {
+    ///
+    /// One crash-and-recover simulation per design is one cell of real
+    /// work; its cycles are simulated time like any sweep cell's, just run
+    /// outside the pool (the crash/recover API is not a workload run).
+    fn recovery(&self) -> (Vec<Table>, u64, u64) {
         let mut t = Table::new(
             "§5.5 — Mi-SU recovery",
             &[
@@ -757,6 +637,7 @@ impl ExperimentConfig {
                 "masu cycles",
             ],
         );
+        let mut sim_cycles = 0;
         for kind in MiSuKind::ALL {
             let misu = dolos_core::MinorSecurityUnit::new(kind, 16, 0);
             let est = misu.estimated_recovery_cycles();
@@ -772,27 +653,25 @@ impl ExperimentConfig {
             env.crash();
             #[expect(clippy::expect_used, reason = "a clean crash always recovers")]
             let report = env.recover().expect("clean recovery");
-            // One crash-and-recover simulation is one cell of real work; its
-            // cycles are simulated time like any sweep cell's, just run
-            // outside the pool (the crash/recover API is not a workload run).
-            self.tally(1, env.now().as_u64());
+            sim_cycles += env.now().as_u64();
             t.row(vec![
                 format!("{}-WPQ-MiSU", kind),
                 est.to_string(),
                 format!("{:.4}", est as f64 / 4.0e6),
                 paper::RECOVERY_FULL_CYCLES.to_string(),
                 report.wpq_entries_replayed.to_string(),
-                report.measured_masu_cycles.to_string(),
+                report.masu.map_or(0, |m| m.cycles).to_string(),
             ]);
         }
-        vec![t]
+        (vec![t], MiSuKind::ALL.len() as u64, sim_cycles)
     }
 
     /// Conformance: the cross-scheme differential matrix and metamorphic
     /// invariant probes from `dolos-verify` (DESIGN.md §12), sized to a
     /// quick sweep. Byte-identical output at any `jobs` value, like every
-    /// other experiment.
-    pub fn conformance(&self) -> Vec<Table> {
+    /// other experiment. It tallies no cells: the campaign is not a
+    /// workload run.
+    fn conformance(&self) -> (Vec<Table>, u64, u64) {
         let config = dolos_verify::VerifyConfig {
             seed: self.seed,
             traces: 64,
@@ -800,11 +679,18 @@ impl ExperimentConfig {
             ..dolos_verify::VerifyConfig::default()
         };
         let report = dolos_verify::run_verify(&config);
-        vec![report.table(), report.metamorphic_table()]
+        (vec![report.table(), report.metamorphic_table()], 0, 0)
     }
 
     const BANK_COUNTS: [usize; 4] = [1, 2, 4, 8];
 
+    /// Banked-WPQ sweep (DESIGN.md §16, beyond the paper): Figure 16's
+    /// lazy-ToC Full design on a genuinely drain-bound stream — no client
+    /// think time and double-width transactions, so persists outrun a single
+    /// bank's retire rate and the WPQ backs up. The `banks = 1` row is the
+    /// old global single-queue model bit for bit; the speedup column is the
+    /// simulated-cycle win memory-level parallelism buys as drains overlap
+    /// across banks.
     fn banks_cells() -> Vec<Cell> {
         Self::BANK_COUNTS
             .iter()
@@ -833,18 +719,6 @@ impl ExperimentConfig {
             ]);
         }
         vec![t]
-    }
-
-    /// Banked-WPQ sweep (DESIGN.md §16, beyond the paper): Figure 16's
-    /// lazy-ToC Full design on a genuinely drain-bound stream — no client
-    /// think time and double-width transactions, so persists outrun a single
-    /// bank's retire rate and the WPQ backs up. The `banks = 1` row is the
-    /// old global single-queue model bit for bit; the speedup column is the
-    /// simulated-cycle win memory-level parallelism buys as drains overlap
-    /// across banks.
-    pub fn banks(&self) -> Vec<Table> {
-        let results = self.run_cells(Self::banks_cells());
-        Self::banks_render(&results)
     }
 }
 
@@ -986,12 +860,6 @@ impl ExperimentConfig {
         out.push(t);
         out
     }
-
-    /// Ablation studies for the design choices DESIGN.md calls out.
-    pub fn ablations(&self) -> Vec<Table> {
-        let results = self.run_cells(Self::ablations_cells());
-        Self::ablations_render(&results)
-    }
 }
 
 impl ExperimentConfig {
@@ -1001,6 +869,14 @@ impl ExperimentConfig {
         WorkloadKind::Hashmap,
     ];
 
+    /// Extension workloads and the eADR comparison: baseline, Dolos-Partial
+    /// and deferred cells per workload.
+    ///
+    /// eADR extends the persistence domain to the whole cache hierarchy, so
+    /// security can always run behind the persistence point — the
+    /// `DeferredSecure` model. The paper argues Dolos approaches that bound
+    /// under the *standard* ADR budget; this table quantifies the remaining
+    /// gap.
     fn extended_cells() -> Vec<Cell> {
         let mut cells = Vec::new();
         for &kind in &Self::EXTENDED_KINDS {
@@ -1035,18 +911,6 @@ impl ExperimentConfig {
         }
         vec![t]
     }
-
-    /// Extension workloads and the eADR comparison.
-    ///
-    /// eADR extends the persistence domain to the whole cache hierarchy, so
-    /// security can always run behind the persistence point — the
-    /// `DeferredSecure` model. The paper argues Dolos approaches that bound
-    /// under the *standard* ADR budget; this table quantifies the remaining
-    /// gap.
-    pub fn extended(&self) -> Vec<Table> {
-        let results = self.run_cells(Self::extended_cells());
-        Self::extended_render(&results)
-    }
 }
 
 #[cfg(test)]
@@ -1079,26 +943,25 @@ mod tests {
 
     #[test]
     fn table3_counts_cells_but_simulates_nothing() {
-        let config = tiny();
-        let tables = config.table3();
-        assert_eq!(tables[0].len(), 3);
+        let outcome = &tiny().run(&[ExperimentId::Table3])[0];
+        assert_eq!(outcome.tables[0].len(), 3);
         // One cell per design row so the bench throughput is meaningful,
         // zero simulated cycles because the table is analytic.
-        assert_eq!(config.metrics(), (3, 0));
+        assert_eq!((outcome.cells, outcome.sim_cycles), (3, 0));
     }
 
     #[test]
     fn recovery_experiment_replays_entries_and_tallies_its_cells() {
-        let config = tiny();
-        let tables = config.recovery();
-        assert_eq!(tables[0].len(), 3);
-        let text = tables[0].render();
-        assert!(text.contains("44480"));
+        let outcome = &tiny().run(&[ExperimentId::Recovery])[0];
+        assert_eq!(outcome.tables[0].len(), 3);
+        assert!(outcome.tables[0].render().contains("44480"));
         // The measured Ma-SU recovery did real simulated work: one cell per
         // design, with the crash-and-recover cycles tallied.
-        let (cells, cycles) = config.metrics();
-        assert_eq!(cells, 3);
-        assert!(cycles > 0, "recovery simulations must tally cycles");
+        assert_eq!(outcome.cells, 3);
+        assert!(
+            outcome.sim_cycles > 0,
+            "recovery simulations must tally cycles"
+        );
     }
 
     #[test]
@@ -1115,12 +978,12 @@ mod tests {
             seed: 1,
             ..ExperimentConfig::default()
         };
-        let tables = config.banks();
-        assert_eq!(tables[0].len(), 4, "one row per bank count");
-        assert_eq!(config.metrics().0, 4, "one cell per bank count");
+        let outcome = &config.run(&[ExperimentId::Banks])[0];
+        assert_eq!(outcome.tables[0].len(), 4, "one row per bank count");
+        assert_eq!(outcome.cells, 4, "one cell per bank count");
         // Row order is the sweep order 1/2/4/8; the banks=4 row's speedup
         // column must clear the tentpole's acceptance floor.
-        let text = tables[0].to_csv();
+        let text = outcome.tables[0].to_csv();
         let row4 = text
             .lines()
             .find(|l| l.starts_with("4,"))
@@ -1136,13 +999,13 @@ mod tests {
 
     #[test]
     fn fig6_produces_mean_row_and_tallies_work() {
-        let config = tiny();
-        let tables = config.fig6();
-        let text = tables[0].render();
-        assert!(text.contains("MEAN"));
-        let (cells, cycles) = config.metrics();
-        assert_eq!(cells, 2 * WorkloadKind::ALL.len() as u64);
-        assert!(cycles > 0, "sweep cells must tally simulated cycles");
+        let outcome = &tiny().run(&[ExperimentId::Fig6])[0];
+        assert!(outcome.tables[0].render().contains("MEAN"));
+        assert_eq!(outcome.cells, 2 * WorkloadKind::ALL.len() as u64);
+        assert!(
+            outcome.sim_cycles > 0,
+            "sweep cells must tally simulated cycles"
+        );
     }
 
     #[test]
@@ -1157,11 +1020,11 @@ mod tests {
             seed: 2,
             ..ExperimentConfig::default()
         };
-        for id in ExperimentId::ALL {
-            let tables = config.run(id);
-            assert!(!tables.is_empty(), "{} produced no tables", id.name());
-            for table in tables {
-                assert!(!table.is_empty(), "{} produced an empty table", id.name());
+        for outcome in config.run(&ExperimentId::ALL) {
+            let name = outcome.id.name();
+            assert!(!outcome.tables.is_empty(), "{name} produced no tables");
+            for table in outcome.tables {
+                assert!(!table.is_empty(), "{name} produced an empty table");
                 assert!(!table.to_csv().is_empty());
             }
         }
@@ -1176,24 +1039,33 @@ mod tests {
         const JOB_COUNTS: &[usize] = &[3];
         #[cfg(not(debug_assertions))]
         const JOB_COUNTS: &[usize] = &[0, 2, 5];
-        let serial = tiny();
-        let reference = serial.fig12();
+        // Two structurally different sweeps: four cells per workload, and
+        // paired pre/post cells.
+        let ids = [ExperimentId::Fig12, ExperimentId::Fig6];
+        let reference = tiny().run(&ids);
         for &jobs in JOB_COUNTS {
-            let parallel = ExperimentConfig { jobs, ..tiny() };
-            let tables = parallel.fig12();
-            assert_eq!(reference[0].render(), tables[0].render(), "jobs={jobs}");
-            assert_eq!(reference[0].to_csv(), tables[0].to_csv(), "jobs={jobs}");
+            let outcomes = ExperimentConfig { jobs, ..tiny() }.run(&ids);
+            for (a, b) in reference.iter().zip(&outcomes) {
+                let name = a.id.name();
+                assert_eq!(
+                    a.tables[0].render(),
+                    b.tables[0].render(),
+                    "{name} jobs={jobs}"
+                );
+                assert_eq!(
+                    a.tables[0].to_csv(),
+                    b.tables[0].to_csv(),
+                    "{name} jobs={jobs}"
+                );
+            }
         }
-        // A second, structurally different sweep (paired pre/post cells).
-        let parallel = ExperimentConfig { jobs: 2, ..tiny() };
-        assert_eq!(serial.fig6()[0].render(), parallel.fig6()[0].render());
     }
 
-    /// The flattened bench sweep renders the same tables and tallies the
-    /// same cells/sim_cycles as the per-experiment path, at any job count,
-    /// with sweeps and direct experiments interleaved in the selected order.
+    /// Sweeps and direct experiments interleaved come back in the selected
+    /// order, with one wall sample per sweep cell and none for a direct
+    /// experiment, and with the same tables and tallies at any job count.
     #[test]
-    fn bench_flat_matches_per_experiment_path() {
+    fn run_returns_the_selected_order_with_identical_outcomes_at_any_job_count() {
         let ids = [
             ExperimentId::Fig6,
             ExperimentId::Table3,
@@ -1201,46 +1073,37 @@ mod tests {
             ExperimentId::Recovery,
         ];
         #[cfg(debug_assertions)]
-        const JOB_COUNTS: &[usize] = &[3];
+        const JOB_COUNTS: &[usize] = &[1, 3];
         #[cfg(not(debug_assertions))]
         const JOB_COUNTS: &[usize] = &[1, 2, 5];
+        let reference = tiny().run(&ids);
         for &jobs in JOB_COUNTS {
-            let flat = ExperimentConfig { jobs, ..tiny() };
-            let outcomes = flat.bench_flat(&ids);
+            let outcomes = ExperimentConfig { jobs, ..tiny() }.run(&ids);
             assert_eq!(outcomes.len(), ids.len());
-            let mut flat_cells = 0;
-            let mut flat_cycles = 0;
-            for (outcome, &id) in outcomes.iter().zip(&ids) {
+            for ((outcome, expected), &id) in outcomes.iter().zip(&reference).zip(&ids) {
+                let name = id.name();
                 assert_eq!(outcome.id, id);
-                // Tables byte-identical to the per-experiment path.
-                let reference = tiny().run(id);
-                assert_eq!(reference.len(), outcome.tables.len(), "{}", id.name());
-                for (a, b) in reference.iter().zip(&outcome.tables) {
-                    assert_eq!(a.render(), b.render(), "{} jobs={jobs}", id.name());
+                assert_eq!(outcome.tables.len(), expected.tables.len(), "{name}");
+                for (a, b) in expected.tables.iter().zip(&outcome.tables) {
+                    assert_eq!(a.render(), b.render(), "{name} jobs={jobs}");
                 }
-                // Sweep outcomes carry one wall sample per cell; direct
-                // outcomes none.
+                assert_eq!(
+                    (outcome.cells, outcome.sim_cycles),
+                    (expected.cells, expected.sim_cycles),
+                    "{name} jobs={jobs}"
+                );
                 match id {
                     ExperimentId::Table3 | ExperimentId::Recovery => {
-                        assert!(outcome.cell_wall_ms.is_empty(), "{}", id.name());
-                        assert_eq!(outcome.cells, 3, "{}", id.name());
+                        assert!(outcome.cell_wall_ms.is_empty(), "{name}");
+                        assert_eq!(outcome.cells, 3, "{name}");
                     }
                     _ => {
-                        assert_eq!(
-                            outcome.cell_wall_ms.len() as u64,
-                            outcome.cells,
-                            "{}",
-                            id.name()
-                        );
-                        assert!(outcome.cells > 0, "{}", id.name());
-                        assert!(outcome.sim_cycles > 0, "{}", id.name());
+                        assert_eq!(outcome.cell_wall_ms.len() as u64, outcome.cells, "{name}");
+                        assert!(outcome.cells > 0, "{name}");
+                        assert!(outcome.sim_cycles > 0, "{name}");
                     }
                 }
-                flat_cells += outcome.cells;
-                flat_cycles += outcome.sim_cycles;
             }
-            // The config's global tallies agree with the per-outcome sums.
-            assert_eq!(flat.metrics(), (flat_cells, flat_cycles), "jobs={jobs}");
         }
     }
 
@@ -1272,8 +1135,7 @@ mod tests {
             seed: 3,
             ..ExperimentConfig::default()
         };
-        let tables = config.fig12();
-        let text = tables[0].render();
+        let text = config.run(&[ExperimentId::Fig12])[0].tables[0].render();
         // The AVG row's full-design speedup must be in the credible band.
         let avg_line = text.lines().find(|l| l.contains("AVG")).expect("AVG row");
         let full: f64 = avg_line

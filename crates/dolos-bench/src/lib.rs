@@ -1,10 +1,11 @@
 //! Experiment harness: regenerates every table and figure of the paper's
 //! evaluation (§5).
 //!
-//! Each `fig*` / `table*` function runs the relevant workload × controller
-//! sweep and returns structured rows; [`report`] renders them next to the
-//! paper's published values so the shape comparison is immediate. The
-//! `experiments` binary drives them from the command line:
+//! [`ExperimentConfig::run`] runs the selected experiments' workload ×
+//! controller sweeps as one flat list of cells and renders each
+//! experiment's tables next to the paper's published values, so the shape
+//! comparison is immediate. The `experiments` binary drives it from the
+//! command line:
 //!
 //! ```text
 //! cargo run --release -p dolos-bench --bin experiments -- all
@@ -21,6 +22,5 @@
 pub mod emit;
 pub mod experiments;
 pub mod paper;
-pub mod report;
 
 pub use experiments::{ExperimentConfig, ExperimentId};

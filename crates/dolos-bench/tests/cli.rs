@@ -58,6 +58,7 @@ fn malformed_command_lines_exit_2() {
         "table3 --transactions",
         "table3 --transactions many",
         "bench --repeat 0",
+        "bench --trace",
         "bench --against",
         "bench --against /nonexistent/experiments",
         &format!("table3 --against {BIN}"),
@@ -88,6 +89,38 @@ fn golden_runs_write_only_the_golden() {
     let golden = std::fs::read_to_string(dir.join("golden.json")).expect("golden written");
     assert!(golden.contains("\"name\": \"table3\""), "{golden}");
     assert_eq!(bench_files(&dir), Vec::<String>::new());
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// The names and bytes of every file in `dir`, sorted by name.
+fn files_in(dir: &Path) -> Vec<(String, Vec<u8>)> {
+    let mut files: Vec<(String, Vec<u8>)> = std::fs::read_dir(dir)
+        .expect("list csv dir")
+        .map(|e| {
+            let e = e.expect("dir entry");
+            let bytes = std::fs::read(e.path()).expect("read csv");
+            (e.file_name().to_string_lossy().into_owned(), bytes)
+        })
+        .collect();
+    files.sort();
+    files
+}
+
+#[test]
+fn table_and_bench_runs_write_identical_csv_files() {
+    let dir = fresh_dir("csv");
+    let ids = "fig6 table3 recovery";
+    let tables = experiments_in(&dir, &format!("{ids} --csv A --transactions 2"));
+    assert!(tables.status.success(), "{tables:?}");
+    let bench = experiments_in(
+        &dir,
+        &format!("bench {ids} --csv B --golden g --transactions 2"),
+    );
+    assert!(bench.status.success(), "{bench:?}");
+    let a = files_in(&dir.join("A"));
+    let names: Vec<&str> = a.iter().map(|(name, _)| name.as_str()).collect();
+    assert_eq!(names, ["fig6_0.csv", "recovery_0.csv", "table3_0.csv"]);
+    assert_eq!(a, files_in(&dir.join("B")));
     let _ = std::fs::remove_dir_all(&dir);
 }
 

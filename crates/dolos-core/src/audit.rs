@@ -48,22 +48,11 @@ impl MajorSecurityUnit {
         let end = base + layout.pages() * 64;
         report.counter_blocks = nvm.resident_lines_in(base, end).len();
         // The integrity tree over the persisted counters must match the
-        // persistent root register; `verify_tree_root` recomputes it.
-        self.verify_tree_root(nvm)?;
+        // persistent root register (for the lazy ToC, whose cached state is
+        // self-verifying, the shadow instead).
+        self.check_tree_consistency(nvm)?;
         report.root_verified = true;
         Ok(report)
-    }
-
-    /// Recomputes the integrity-tree root from persisted counter blocks and
-    /// compares it with the persistent register, without mutating the tree.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`SecurityError::TreeRootMismatch`] on mismatch. For the lazy
-    /// ToC the cached state is self-verifying, so this checks the shadow
-    /// instead.
-    pub fn verify_tree_root(&mut self, nvm: &NvmDevice) -> Result<(), SecurityError> {
-        self.check_tree_consistency(nvm)
     }
 }
 

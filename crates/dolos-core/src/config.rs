@@ -306,12 +306,6 @@ impl ControllerConfig {
         self
     }
 
-    /// Sets the Merkle-tree metadata cache capacity (builder style).
-    pub fn with_mt_cache_bytes(mut self, bytes: usize) -> Self {
-        self.mt_cache_bytes = bytes;
-        self
-    }
-
     /// Sets the Osiris stop-loss phase (builder style).
     pub fn with_osiris_phase(mut self, phase: u64) -> Self {
         self.osiris_phase = phase;

@@ -51,9 +51,6 @@ pub struct RecoveryReport {
     pub masu: Option<MasuRecovery>,
     /// Estimated recovery cycles for the Mi-SU path (§5.5 model).
     pub estimated_misu_cycles: u64,
-    /// Measured Ma-SU recovery cycles (shadow scan, Osiris probes, tree
-    /// rebuild), zero for IdealNonSecure.
-    pub measured_masu_cycles: u64,
 }
 
 /// The security units of one controller architecture (Figure 5): each
@@ -764,12 +761,9 @@ impl SecureMemorySystem {
             wpq_entries_replayed: 0,
             masu: None,
             estimated_misu_cycles: 0,
-            measured_masu_cycles: 0,
         };
         if let (_, Some(masu)) = self.units.parts() {
-            let masu_report = masu.recover(&mut self.nvm)?;
-            report.measured_masu_cycles = masu_report.cycles;
-            report.masu = Some(masu_report);
+            report.masu = Some(masu.recover(&mut self.nvm)?);
         }
         if let Units::Dolos(misu, masu) = &mut self.units {
             report.estimated_misu_cycles = misu.estimated_recovery_cycles();

@@ -62,18 +62,6 @@ impl InjectionPoint {
         InjectionPoint::RecoveryReplay,
     ];
 
-    /// Whether a write interrupted at this point is allowed to be lost.
-    ///
-    /// Once the WPQ accepted the line the persist completed and the write
-    /// must survive; before that the core never saw the persist complete, so
-    /// either outcome is consistent.
-    pub fn loss_is_legal(self) -> bool {
-        matches!(
-            self,
-            InjectionPoint::PersistStart | InjectionPoint::MisuProtect
-        )
-    }
-
     /// Short stable name (used in reports and CLI flags).
     pub fn name(self) -> &'static str {
         match self {
@@ -172,15 +160,6 @@ mod tests {
         assert!(plan.observe(InjectionPoint::WpqInsert)); // occurrence 2: fire
         assert!(plan.fired());
         assert!(!plan.observe(InjectionPoint::WpqInsert)); // one-shot
-    }
-
-    #[test]
-    fn loss_legality_follows_the_persistence_domain_boundary() {
-        assert!(InjectionPoint::PersistStart.loss_is_legal());
-        assert!(InjectionPoint::MisuProtect.loss_is_legal());
-        assert!(!InjectionPoint::WpqInsert.loss_is_legal());
-        assert!(!InjectionPoint::MasuDrain.loss_is_legal());
-        assert!(!InjectionPoint::RecoveryReplay.loss_is_legal());
     }
 
     #[test]

@@ -49,13 +49,6 @@ pub struct MiSuStorage {
     pub tag_array_bytes: usize,
 }
 
-impl MiSuStorage {
-    /// Total persistent + volatile storage in bytes.
-    pub fn total_bytes(&self) -> usize {
-        self.persistent_counter_bytes + self.mac_bytes + self.pad_bytes + self.tag_array_bytes
-    }
-}
-
 /// The Minor Security Unit.
 ///
 /// # Examples
@@ -841,7 +834,6 @@ mod tests {
         let post = misu(MiSuKind::Post).storage_overhead();
         assert_eq!(post.mac_bytes, 128);
         assert_eq!(post.pad_bytes, 80 * 10);
-        assert!(post.total_bytes() > 0);
     }
 
     #[test]

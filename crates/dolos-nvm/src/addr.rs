@@ -66,11 +66,6 @@ impl LineAddr {
         LineAddr(self.0 + LINE_SIZE as u64)
     }
 
-    /// The line `n` lines after this one.
-    pub fn offset_lines(self, n: u64) -> Self {
-        LineAddr(self.0 + n * LINE_SIZE as u64)
-    }
-
     /// The NVM bank this line maps to, for a power-of-two bank count.
     ///
     /// The mapping XOR-folds a higher line-index window onto the low bits
@@ -138,7 +133,6 @@ mod tests {
     fn traversal() {
         let a = LineAddr::new(0).unwrap();
         assert_eq!(a.next().as_u64(), 64);
-        assert_eq!(a.offset_lines(4).as_u64(), 256);
     }
 
     #[test]

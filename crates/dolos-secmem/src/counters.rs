@@ -172,7 +172,7 @@ impl CounterBlock {
     /// The minors form one LSB-first bitstream: minor `i` occupies stream
     /// bits `7i..7i + 7`. Every 8 minors fill exactly 7 bytes, so each group
     /// packs into one little-endian `u64` whose low 7 bytes are stored; see
-    /// [`pack_group`] for the packing.
+    /// `pack_group` for the packing.
     pub fn to_line(&self) -> Line {
         let mut out = [0u8; 64];
         out[0..8].copy_from_slice(&self.major.to_le_bytes());

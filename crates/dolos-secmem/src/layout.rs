@@ -154,16 +154,6 @@ impl MetadataLayout {
         addr.as_u64() < self.data_bytes
     }
 
-    /// The page index of a protected data address.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `addr` is outside the data region.
-    pub fn page_of(&self, addr: LineAddr) -> u64 {
-        assert!(self.is_data_addr(addr), "address outside protected region");
-        addr.page_index()
-    }
-
     /// NVM address of the split-counter block for `page`.
     pub fn counter_block_addr(&self, page: u64) -> LineAddr {
         debug_assert!(page < self.pages());

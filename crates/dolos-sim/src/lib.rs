@@ -5,12 +5,12 @@
 //!
 //! * [`Cycle`] — a strongly-typed simulated clock value (4 GHz core clock, the
 //!   configuration in Table 1 of the paper);
-//! * [`resource::Server`] — a "next-free-time" serial resource used to model
-//!   contended units (the NVM write port, the Ma-SU crypto engine, …) without
-//!   a global event queue;
+//! * [`resource::Pipeline`] — a "next-free-time" resource used to model
+//!   contended units (the NVM read and write ports, the Ma-SU update
+//!   engines, …) without a global event queue;
 //! * [`rng`] — a small deterministic RNG plus the Zipfian sampler used by the
 //!   YCSB-style workload;
-//! * [`stats`] — counters and running stats shared by the experiment harness;
+//! * [`stats`] — running stats and the named stat sets every model reports;
 //! * [`pool`] — a deterministic work-stealing job pool for sweeps whose
 //!   output must not depend on thread count;
 //! * [`queue`] — the atomic index queue the pool steals schedule positions
@@ -32,12 +32,13 @@
 //! # Examples
 //!
 //! ```
-//! use dolos_sim::{Cycle, resource::Server};
+//! use dolos_sim::{Cycle, resource::Pipeline};
 //!
-//! let mut port = Server::new();
-//! // Two back-to-back 2000-cycle NVM writes serialize on the port.
-//! let first = port.acquire(Cycle::ZERO, 2000);
-//! let second = port.acquire(Cycle::ZERO, 2000);
+//! // A serial port: its initiation interval equals its 2000-cycle
+//! // latency, so two back-to-back NVM writes serialize.
+//! let mut port = Pipeline::new(2000, 2000);
+//! let first = port.acquire(Cycle::ZERO);
+//! let second = port.acquire(Cycle::ZERO);
 //! assert_eq!(first, Cycle::new(2000));
 //! assert_eq!(second, Cycle::new(4000));
 //! ```

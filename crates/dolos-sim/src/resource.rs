@@ -2,79 +2,11 @@
 //!
 //! The memory system is simulated without a global event queue: each
 //! contended unit remembers when it next becomes free and requests "catch up"
-//! lazily. [`Server`] models a serial unit (one operation at a time) and
-//! [`Pipeline`] models a unit with an issue interval shorter than its latency
-//! (e.g. a pipelined MAC engine).
+//! lazily. [`Pipeline`] models a unit with an initiation interval that may be
+//! shorter than its latency (e.g. a pipelined MAC engine); an interval equal
+//! to the latency makes it a serial unit.
 
 use crate::Cycle;
-
-/// A serial resource: at most one operation in flight at a time.
-///
-/// `acquire` books the resource for `busy` cycles starting no earlier than
-/// `now` and no earlier than the completion of the previously booked
-/// operation, returning the completion time.
-///
-/// # Examples
-///
-/// ```
-/// use dolos_sim::{Cycle, resource::Server};
-///
-/// let mut engine = Server::new();
-/// assert_eq!(engine.acquire(Cycle::new(0), 160), Cycle::new(160));
-/// // Arrives while busy: waits.
-/// assert_eq!(engine.acquire(Cycle::new(10), 160), Cycle::new(320));
-/// // Arrives after an idle gap: starts immediately.
-/// assert_eq!(engine.acquire(Cycle::new(1000), 160), Cycle::new(1160));
-/// ```
-#[derive(Debug, Clone, Default)]
-pub struct Server {
-    free_at: Cycle,
-    busy_cycles: u64,
-    operations: u64,
-}
-
-impl Server {
-    /// Creates an idle server, free at cycle zero.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Books the server for `busy` cycles starting at `max(now, free_at)`.
-    ///
-    /// Returns the cycle at which the operation completes.
-    pub fn acquire(&mut self, now: Cycle, busy: u64) -> Cycle {
-        let start = now.max(self.free_at);
-        self.free_at = start + busy;
-        self.busy_cycles += busy;
-        self.operations += 1;
-        self.free_at
-    }
-
-    /// The cycle at which the server next becomes free.
-    pub fn free_at(&self) -> Cycle {
-        self.free_at
-    }
-
-    /// Whether the server is idle at `now`.
-    pub fn is_idle_at(&self, now: Cycle) -> bool {
-        self.free_at <= now
-    }
-
-    /// Total cycles the server has been booked for.
-    pub fn busy_cycles(&self) -> u64 {
-        self.busy_cycles
-    }
-
-    /// Number of operations served.
-    pub fn operations(&self) -> u64 {
-        self.operations
-    }
-
-    /// Resets the server to idle at cycle zero, clearing statistics.
-    pub fn reset(&mut self) {
-        *self = Self::default();
-    }
-}
 
 /// A pipelined resource: new operations may issue every `initiation` cycles,
 /// each completing `latency` cycles after issue.
@@ -142,34 +74,36 @@ impl Pipeline {
 mod tests {
     use super::*;
 
+    // A pipeline whose interval equals its latency is a serial server, the
+    // shape of the Ma-SU's per-bank update engines.
+
     #[test]
     fn server_serializes_overlapping_requests() {
-        let mut s = Server::new();
-        let a = s.acquire(Cycle::new(0), 100);
-        let b = s.acquire(Cycle::new(50), 100);
+        let mut s = Pipeline::new(100, 100);
+        let a = s.acquire(Cycle::new(0));
+        let b = s.acquire(Cycle::new(50));
         assert_eq!(a, Cycle::new(100));
         assert_eq!(b, Cycle::new(200));
         assert_eq!(s.operations(), 2);
-        assert_eq!(s.busy_cycles(), 200);
     }
 
     #[test]
     fn server_idles_between_requests() {
-        let mut s = Server::new();
-        s.acquire(Cycle::new(0), 10);
-        let done = s.acquire(Cycle::new(500), 10);
-        assert_eq!(done, Cycle::new(510));
-        assert!(s.is_idle_at(Cycle::new(511)));
-        assert!(!s.is_idle_at(Cycle::new(505)));
+        let mut s = Pipeline::new(10, 10);
+        s.acquire(Cycle::new(0));
+        assert_eq!(s.acquire(Cycle::new(500)), Cycle::new(510));
+        // Arriving while busy waits for the previous operation.
+        assert_eq!(s.acquire(Cycle::new(505)), Cycle::new(520));
     }
 
     #[test]
     fn server_reset_clears_state() {
-        let mut s = Server::new();
-        s.acquire(Cycle::new(0), 10);
+        let mut s = Pipeline::new(10, 10);
+        s.acquire(Cycle::new(0));
+        s.acquire(Cycle::new(0));
         s.reset();
-        assert_eq!(s.free_at(), Cycle::ZERO);
         assert_eq!(s.operations(), 0);
+        assert_eq!(s.acquire(Cycle::ZERO), Cycle::new(10));
     }
 
     #[test]

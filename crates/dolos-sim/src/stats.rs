@@ -1,4 +1,4 @@
-//! Simulation statistics: counters, running means, and named stat sets.
+//! Simulation statistics: running means and named stat sets.
 //!
 //! Every controller and workload exposes a [`StatSet`] snapshot at the end of
 //! a run; the experiment harness in `dolos-bench` aggregates these into the
@@ -6,54 +6,6 @@
 
 use core::fmt;
 use std::collections::BTreeMap;
-
-/// A monotonically increasing event counter.
-///
-/// # Examples
-///
-/// ```
-/// use dolos_sim::stats::Counter;
-///
-/// let mut retries = Counter::new();
-/// retries.add(3);
-/// retries.incr();
-/// assert_eq!(retries.get(), 4);
-/// ```
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct Counter(u64);
-
-impl Counter {
-    /// Creates a zeroed counter.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Adds `n` events.
-    pub fn add(&mut self, n: u64) {
-        self.0 += n;
-    }
-
-    /// Adds one event.
-    pub fn incr(&mut self) {
-        self.0 += 1;
-    }
-
-    /// Current count.
-    pub fn get(&self) -> u64 {
-        self.0
-    }
-
-    /// Resets to zero.
-    pub fn reset(&mut self) {
-        self.0 = 0;
-    }
-}
-
-impl fmt::Display for Counter {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "{}", self.0)
-    }
-}
 
 /// Online mean/min/max accumulator for cycle-valued samples.
 ///
@@ -222,16 +174,6 @@ impl fmt::Display for StatSet {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn counter_accumulates() {
-        let mut c = Counter::new();
-        c.incr();
-        c.add(9);
-        assert_eq!(c.get(), 10);
-        c.reset();
-        assert_eq!(c.get(), 0);
-    }
 
     #[test]
     fn running_tracks_extremes() {

@@ -3,8 +3,7 @@
 //! Lives in the simulation kernel (rather than the bench harness) so that
 //! every reporting consumer — bench sweeps, the verify
 //! conformance matrix — can render tables without depending on the
-//! wall-clock-exempt bench crate. `dolos_bench::report` re-exports this
-//! module for backward compatibility.
+//! wall-clock-exempt bench crate.
 
 /// A rendered table: header row plus data rows, all strings.
 #[derive(Debug, Clone, Default)]

@@ -18,7 +18,7 @@
 //!   device (NVM port service), or gap (everything else), with overlaps
 //!   resolved in that priority order.
 //! * [`profile`] — the scheme × workload profiling engine behind the
-//!   `dolos-trace` CLI and `dolos-bench --trace`: traced WHISPER runs in
+//!   `dolos-trace run` CLI: traced WHISPER runs in
 //!   the deterministic job pool, persist-latency and WPQ-occupancy
 //!   histograms per cell, and a fresh-system floor probe per scheme that
 //!   reproduces the paper's 0 / 160 / 320 / 2890-cycle persist minimums.

@@ -73,11 +73,6 @@ impl UndoLog {
         self.commits
     }
 
-    /// Whether a transaction is active.
-    pub fn is_active(&self) -> bool {
-        self.active
-    }
-
     /// Begins a transaction.
     ///
     /// # Panics
